@@ -7,8 +7,8 @@ included, recording the resolved config, the seed, and a content hash of
 each artifact; identical config and seed reproduce identical artifact
 bytes, so the hashes double as a regression fingerprint.
 
-Exit codes: 0 success, 1 invariant violation, 2 config or usage error,
-3 non-convergence.
+Exit codes: 0 success, 1 invariant violation or unexpected error, 2
+config or usage error, 3 non-convergence.
 """
 
 import argparse
@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -375,10 +376,12 @@ def _cmd_hum(out, config, options, seed):
         "cg_residual": res.cg_residual, "identity_gap": res.identity_gap,
         "epsilon": res.epsilon, "phi0_norm": res.phi0_norm,
         "converged": res.converged})
+    artifacts = ["hum_control.csv", "hum_summary.json"]
     if not res.converged:
         raise NonConvergenceError(
-            f"conjugate gradient stopped at residual {res.cg_residual:.3e}")
-    return ["hum_control.csv", "hum_summary.json"]
+            f"conjugate gradient stopped at residual {res.cg_residual:.3e}",
+            artifacts)
+    return artifacts
 
 
 def _cmd_lr(out, config, options, seed):
@@ -414,7 +417,8 @@ def _cmd_lr(out, config, options, seed):
         "converged": res.converged})
     if not res.converged:
         raise NonConvergenceError(
-            f"final residual {res.final_residual:.3e} above tol {res.tol:.3e}")
+            f"final residual {res.final_residual:.3e} above tol {res.tol:.3e}",
+            ["lr_blocks.json"])
     return ["lr_blocks.json"]
 
 
@@ -486,10 +490,13 @@ def run(command: str, config_path: str, out_dir: str, seed_flag=None) -> int:
     manifest = {"command": command, "status": "failed", "artifacts": [],
                 "config": None, "seed": None, "duration_seconds": None}
 
-    def finish(status, error=None):
+    def finish(status, artifacts=(), error=None):
         manifest["status"] = status
+        manifest["artifacts"] = [{"name": name, "sha256": _sha256(out / name)}
+                                 for name in sorted(artifacts)]
         if error is not None:
             manifest["error"] = error
+            print(f"error: {error}", file=sys.stderr)
         manifest["duration_seconds"] = time.monotonic() - started
         _write_json(out / "manifest.json", manifest)
 
@@ -500,32 +507,21 @@ def run(command: str, config_path: str, out_dir: str, seed_flag=None) -> int:
             resolved["seed"] = seed
         manifest["config"] = resolved
         manifest["seed"] = seed
-    except ConfigError as exc:
-        finish("config-error", str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         artifacts = _DISPATCH[command](out, config, options, seed)
     except ConfigError as exc:
-        finish("config-error", str(exc))
-        print(f"error: {exc}", file=sys.stderr)
+        finish("config-error", error=str(exc))
         return 2
     except NonConvergenceError as exc:
-        manifest["artifacts"] = [
-            {"name": p.name, "sha256": _sha256(p)}
-            for p in sorted(out.glob("*")) if p.name != "manifest.json"]
-        finish("non-convergence", str(exc))
-        print(f"error: {exc}", file=sys.stderr)
+        finish("non-convergence", exc.artifacts, str(exc))
         return 3
     except (InvariantError, AssertionError) as exc:
-        finish("invariant-violation", str(exc))
-        print(f"error: {exc}", file=sys.stderr)
+        finish("invariant-violation", error=str(exc))
         return 1
-
-    manifest["artifacts"] = [{"name": name, "sha256": _sha256(out / name)}
-                             for name in sorted(artifacts)]
-    finish("ok")
+    except Exception as exc:
+        traceback.print_exc()
+        finish("internal-error", error=f"{type(exc).__name__}: {exc}")
+        return 1
+    finish("ok", artifacts)
     return 0
 
 

@@ -16,4 +16,12 @@ class InvariantError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative procedure exhausted its budget without converging."""
+    """An iterative procedure exhausted its budget without converging.
+
+    artifacts names the files a command had already written when it gave
+    up, so the manifest can list exactly those.
+    """
+
+    def __init__(self, message, artifacts=()):
+        super().__init__(message)
+        self.artifacts = tuple(artifacts)

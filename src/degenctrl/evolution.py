@@ -26,7 +26,6 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 from .errors import ConfigError, InvariantError
 from .model import Model, ModeCoeffs, ModeIndex, _frozen
-from .runtime import parallel_map
 from .spectral import RadialOperator, assemble_radial_operator
 
 
@@ -179,10 +178,8 @@ def solve_forward(model: Model, op: RadialOperator, phi0: ModeCoeffs,
         stacked = _mode_sources_from_grid_control(model, control_values)
         per_mode = [stacked[:, i, :] for i in range(model.n_modes)]
 
-    def run(i):
-        return evolve_mode(op, model.modes[i], phi0.data[i], per_mode[i], tgrid)
-
-    mode_trajs = parallel_map(run, range(model.n_modes))
+    mode_trajs = [evolve_mode(op, mode, data, source, tgrid)
+                  for mode, data, source in zip(model.modes, phi0.data, per_mode)]
     return Trajectory(model=model, tgrid=tgrid, mode_trajectories=tuple(mode_trajs))
 
 
@@ -198,11 +195,9 @@ def solve_forward_sources(model: Model, op: RadialOperator, phi0: ModeCoeffs,
     if len(per_mode_sources) != model.n_modes:
         raise ConfigError("need one source block per mode")
 
-    def run(i):
-        return evolve_mode(op, model.modes[i], phi0.data[i],
-                           per_mode_sources[i], tgrid)
-
-    mode_trajs = parallel_map(run, range(model.n_modes))
+    mode_trajs = [evolve_mode(op, mode, data, source, tgrid)
+                  for mode, data, source
+                  in zip(model.modes, phi0.data, per_mode_sources)]
     return Trajectory(model=model, tgrid=tgrid, mode_trajectories=tuple(mode_trajs))
 
 

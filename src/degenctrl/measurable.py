@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import Model, ModeCoeffs, TWO_PI, _frozen, synthesize_field
-from .runtime import parallel_map
 from .spectral import RadialSpectrum
 
 
@@ -46,6 +45,16 @@ def _intersect_measure(intervals, lo: float, hi: float) -> float:
     for u, v in intervals:
         total += max(0.0, min(v, hi) - max(u, lo))
     return total
+
+
+def _is_box(box) -> bool:
+    """True for three (lo, hi) pairs of real numbers."""
+    def is_pair(edge):
+        return (isinstance(edge, (list, tuple)) and len(edge) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                        for x in edge))
+    return (isinstance(box, (list, tuple)) and len(box) == 3
+            and all(is_pair(edge) for edge in box))
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,10 @@ class BoxUnionSet:
             raise ConfigError("horizon must be positive")
         clean = []
         for box in self.boxes:
+            if not _is_box(box):
+                raise ConfigError(
+                    f"box must be [[theta0, theta1], [r0, r1], [t0, t1]] "
+                    f"with numbers, got {box!r}")
             (h0, h1), (r0, r1), (t0, t1) = box
             if not (-1e-12 <= h0 < h1 <= TWO_PI + 1e-12):
                 raise ConfigError(f"theta interval out of range: ({h0}, {h1})")
@@ -700,8 +713,7 @@ def measurable_observability_ratio(model: Model, spectrum: RadialSpectrum,
     pieces = _pieces_within(region, [(0.0, region.horizon)])
     horizon = region.horizon
 
-    def run(item):
-        idx, phi0 = item
+    def run(idx, phi0):
         prop = SpectralPropagator(model, spectrum, phi0)
         terminal = prop.norm_at(horizon)
         observed = _observed_l1(model, prop, region, pieces, n_quad)
@@ -713,7 +725,7 @@ def measurable_observability_ratio(model: Model, spectrum: RadialSpectrum,
                            terminal_norm=terminal, observed_l1=observed,
                            excluded=False)
 
-    records = parallel_map(run, list(enumerate(family)))
+    records = [run(idx, phi0) for idx, phi0 in enumerate(family)]
     usable = [r.rho for r in records if not r.excluded]
     rho_max = max(usable) if usable else float("nan")
     return MeasurableReport(

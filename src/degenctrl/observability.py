@@ -26,9 +26,9 @@ import math
 
 import numpy as np
 import mpmath as mp
+from scipy.linalg import eigh
 
 from .errors import ConfigError, InvariantError
-from .jacobi import generalized_largest_eigenpair, jacobi_eigh, jacobi_eigh_mp
 from .model import Model, mode_set
 from .spectral import RadialSpectrum
 
@@ -110,9 +110,11 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     """Smallest restricted-Gram eigenvalue, resolved in adaptive precision.
 
     The matrix is assembled from closed-form trigonometric integrals and
-    diagonalized by Jacobi rotations. Working precision starts a safe
-    margin beyond the empirical decay rate of the smallest eigenvalue and
-    doubles until the eigenvalue is resolved above the rounding floor.
+    diagonalized by mpmath's Householder/QL solver. Working precision
+    starts a safe margin beyond the empirical decay rate of the smallest
+    eigenvalue and doubles until the eigenvalue is resolved above the
+    rounding floor, which also bounds the solver's absolute error at the
+    matrix norm scale.
     """
     c, d = float(interval[0]), float(interval[1])
     if K < 0:
@@ -126,8 +128,8 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     for _ in range(6):
         with mp.workdps(dps):
             gm = _angular_gram(modes, mp.mpf(c), mp.mpf(d), mp)
-            vals, _ = jacobi_eigh_mp(gm)
-            lam_min, lam_max = vals[0], vals[-1]
+            vals = mp.eigsy(gm, eigvals_only=True)
+            lam_min, lam_max = vals[0], vals[len(modes) - 1]
             floor = mp.mpf(10) ** (12 - dps)
             if lam_min > floor * lam_max:
                 if not (0 < lam_min and lam_max <= 1 + mp.mpf(10) ** -12):
@@ -196,12 +198,13 @@ def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
     T = model.config.T_horizon
     a_mat, b_mat, _ = _mode_matrices(spectrum, n, a, b, T, k_max)
     try:
-        c_emp, x = generalized_largest_eigenpair(a_mat, b_mat)
+        vals, vecs = eigh(a_mat, b_mat, subset_by_index=[k_max - 1, k_max - 1])
     except np.linalg.LinAlgError as exc:
         raise ConfigError(
             f"observation Gram numerically singular at k_max={k_max}; "
             "reduce the radial truncation for this horizon") from exc
-    x = x / np.linalg.norm(x)
+    c_emp = vals[0]
+    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     res = np.linalg.norm(a_mat @ x - c_emp * (b_mat @ x)) / np.linalg.norm(b_mat @ x)
     return ObservabilityEstimate(
         label=f"mode n={n}", patch=f"radial band ({a}, {b})",
@@ -210,61 +213,31 @@ def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
 
 
 def _coupled_matrices_mp(modes, gram_ang, spectrum, a, b, T, k_max):
-    """Assemble the coupled terminal and observation forms in mp precision."""
+    """Assemble the coupled terminal and observation forms in mp precision.
+
+    Basis index i = im * k_max + ik pairs angular mode im with radial
+    eigenmode ik; the observation form is the Kronecker product of the
+    angular Gram and the radial overlap, weighted by closed-form time
+    integrals.
+    """
     lam = [mp.mpf(float(v)) for v in spectrum.values[:k_max]]
     overlap = _restricted_overlap(spectrum, a, b, k_max)
     dim = len(modes) * k_max
-    a_mat = mp.zeros(dim)
+    mu = [lam[k] + m.n * m.n for m in modes for k in range(k_max)]
+    a_mat = mp.diag([mp.e ** (-2 * v * T) for v in mu])
     b_mat = mp.zeros(dim)
-    mu = []
-    for m in modes:
-        for k in range(k_max):
-            mu.append(lam[k] + m.n * m.n)
     for i in range(dim):
-        a_mat[i, i] = mp.e ** (-2 * mu[i] * T)
-    for im, mi in enumerate(modes):
-        for jm in range(im, len(modes)):
+        im, ik = divmod(i, k_max)
+        for j in range(i, dim):
+            jm, jk = divmod(j, k_max)
             g = gram_ang[im, jm]
             if g == 0:
                 continue
-            for ik in range(k_max):
-                for jk in range(k_max):
-                    i = im * k_max + ik
-                    j = jm * k_max + jk
-                    if j < i:
-                        continue
-                    s = mu[i] + mu[j]
-                    val = g * mp.mpf(float(overlap[ik, jk])) \
-                        * (1 - mp.e ** (-s * T)) / s
-                    b_mat[i, j] = val
-                    b_mat[j, i] = val
+            s = mu[i] + mu[j]
+            val = g * mp.mpf(float(overlap[ik, jk])) * (1 - mp.e ** (-s * T)) / s
+            b_mat[i, j] = val
+            b_mat[j, i] = val
     return a_mat, b_mat
-
-
-def _mp_lower_solve(lower, rhs):
-    """Forward substitution for an mp lower-triangular matrix, matrix rhs."""
-    n = lower.rows
-    cols = rhs.cols
-    out = mp.zeros(n, cols)
-    for c in range(cols):
-        for i in range(n):
-            acc = rhs[i, c]
-            for k in range(i):
-                acc -= lower[i, k] * out[k, c]
-            out[i, c] = acc / lower[i, i]
-    return out
-
-
-def _mp_upper_solve_vec(lower, rhs):
-    """Backward substitution with the transpose of an mp lower factor."""
-    n = lower.rows
-    out = mp.zeros(n, 1)
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i]
-        for k in range(i + 1, n):
-            acc -= lower[k, i] * out[k, 0]
-        out[i, 0] = acc / lower[i, i]
-    return out
 
 
 def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
@@ -317,8 +290,10 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     tf = _time_factor_matrix(mu_f, T)
     b_f = np.kron(gram_ang, overlap) * tf
     try:
-        c_emp, x = generalized_largest_eigenpair(a_f, 0.5 * (b_f + b_f.T))
-        x = x / np.linalg.norm(x)
+        vals, vecs = eigh(a_f, 0.5 * (b_f + b_f.T),
+                          subset_by_index=[dim - 1, dim - 1])
+        c_emp = vals[0]
+        x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
         res = np.linalg.norm(a_f @ x - c_emp * (b_f @ x)) / np.linalg.norm(b_f @ x)
         if res <= 1e-6:
             return ObservabilityEstimate(
@@ -341,20 +316,10 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
             except ValueError:
                 dps = int(dps * 1.5)
                 continue
-            half = _mp_lower_solve(low, a_mp)
-            half_t = half.T
-            reduced = _mp_lower_solve(low, half_t)
-            for i in range(dim):
-                for jj in range(i + 1, dim):
-                    sym = (reduced[i, jj] + reduced[jj, i]) / 2
-                    reduced[i, jj] = sym
-                    reduced[jj, i] = sym
-            vals, vecs = jacobi_eigh_mp(reduced)
-            lam = vals[-1]
-            y = mp.zeros(dim, 1)
-            for i in range(dim):
-                y[i, 0] = vecs[i, dim - 1]
-            x_mp = _mp_upper_solve_vec(low, [y[i, 0] for i in range(dim)])
+            low_inv = mp.inverse(low)
+            vals, vecs = mp.eigsy(low_inv * a_mp * low_inv.T)
+            lam = vals[dim - 1]
+            x_mp = low_inv.T * vecs[:, dim - 1]
             ax = a_mp * x_mp
             bx = b_mp * x_mp
             num = mp.sqrt(sum((ax[i, 0] - lam * bx[i, 0]) ** 2 for i in range(dim)))

@@ -1,9 +1,10 @@
-"""First-run golden store: created values are frozen, later runs regress.
+"""Golden store: committed values that later runs regress against.
 
-A missing golden file is written from the computed value and the check
-passes; the file is committed so every later run compares against the
-frozen number within a multiplicative band (default x1.5, matching the
-regression tolerances used throughout).
+Each check compares the computed value with the frozen number in
+``golden/<name>.json`` within a multiplicative band (default x1.5,
+matching the regression tolerances used throughout). A missing golden
+file fails the check; the failure message carries the computed value as
+the JSON to commit, so a golden is only ever frozen on purpose.
 """
 
 import json
@@ -33,12 +34,12 @@ def _band(stored, got, factor, name):
 
 
 def check_golden(name, value, factor=1.5):
-    GOLDEN_DIR.mkdir(exist_ok=True)
     path = GOLDEN_DIR / f"{name}.json"
     plain = _as_plain(value)
-    if not path.exists():
-        path.write_text(json.dumps({"value": plain}, indent=2) + "\n")
-        return
+    assert path.exists(), (
+        f"golden {name}: {path.name} is missing; to freeze the computed "
+        f"value, commit tests/golden/{path.name} containing\n"
+        + json.dumps({"value": plain}, indent=2))
     stored = json.loads(path.read_text())["value"]
     if isinstance(stored, list):
         assert isinstance(plain, list) and len(plain) == len(stored), \

@@ -27,9 +27,9 @@ from degenctrl import (BoxUnionSet, Cylinder, ModeCoeffs, ModeIndex,
                        torus_smallest_gram_eigenvalue,
                        truncated_observability, verify_theta_bounds)
 from degenctrl.cli import _CARLEMAN_FAMILY, main
-from degenctrl.jacobi import jacobi_eigh_mp
 from degenctrl.model import field_norm2
 from ._golden import check_golden
+from ._oracles import jacobi_eigh_mp
 
 
 def _finish(num, label, t0, budget, problems, detail=""):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from degenctrl import cli
 from degenctrl.cli import main
 
 BASE = {"alpha": 0.5, "T_horizon": 1.0, "n_theta_max": 2, "n_r": 40,
@@ -182,3 +183,39 @@ def test_lr_command_outputs(tmp_path):
     assert doc["converged"] is True
     assert doc["boundaries"] == [0.0, 0.5, 0.75, 0.875, 1.0]
     assert len(doc["block_norms"]) == 3
+
+
+def test_malformed_box_is_config_error(tmp_path):
+    code, out = _run(tmp_path, "measurable", dict(BASE, boxes=[[1, 2]]))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "box" in manifest["error"]
+    bad_edge = [[[0.5, "2"], [0.32, 0.45], [0.05, 0.45]]]
+    code, out = _run(tmp_path, "measurable", dict(BASE, boxes=bad_edge),
+                     out="out2")
+    assert code == 2
+
+
+def test_unexpected_exception_exits_1_with_manifest(tmp_path, monkeypatch):
+    def broken(out, config, options, seed):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "spectrum", broken)
+    code, out = _run(tmp_path, "spectrum", dict(BASE, k_eigen=4))
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "internal-error"
+    assert manifest["error"] == "ZeroDivisionError: boom"
+
+
+def test_nonconvergence_manifest_lists_only_this_run(tmp_path):
+    code, out = _run(tmp_path, "spectrum", dict(BASE, k_eigen=4))
+    assert code == 0
+    payload = dict(BASE, epsilon=1e-6, cg_tol=1e-12, max_iter=1)
+    code, out = _run(tmp_path, "hum", payload)
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-convergence"
+    names = [a["name"] for a in manifest["artifacts"]]
+    assert names == ["hum_control.csv", "hum_summary.json"]

@@ -15,8 +15,9 @@ import pytest
 from degenctrl import (ConfigError, mode_observability_constant, mode_set,
                        torus_smallest_gram_eigenvalue,
                        truncated_observability)
-from degenctrl.jacobi import jacobi_eigh_mp
 from degenctrl.observability import _angular_gram
+
+from ._oracles import jacobi_eigh_mp
 
 
 def test_full_circle_gram_is_identity():
