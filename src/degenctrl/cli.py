@@ -156,10 +156,12 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    # "%.17g" % x formats exactly as _fmt(x) does, numpy scalars included
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        fmt = ",".join(["%s" if isinstance(cell, str) else "%.17g"
+                        for cell in row])
+        lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -240,17 +242,21 @@ def _cmd_solve(out, config, options, seed):
     spec = radial_spectrum(op, max(k, 1))
     data = _eigen_datum(model, spec, options["initial_parity"],
                         options["initial_n"], k)
-    traj = solve_forward(model, op, ModeCoeffs(model, data))
-    tgrid = traj.tgrid
-    rows = [(tgrid.nodes[i], traj.norm_at(i)) for i in range(tgrid.n_time + 1)]
-    _write_csv(out / "solve.csv", ("t", "l2_norm"), rows)
-    artifacts = ["solve.csv"]
-    for idx, t_req in enumerate(options["snapshot_times"]):
+    tgrid = time_grid_for(model)
+    # validate every snapshot before any file is written
+    snapshot_nodes = []
+    for t_req in options["snapshot_times"]:
         if isinstance(t_req, bool) or not isinstance(t_req, (int, float)):
             raise ConfigError("snapshot_times must hold numbers")
         node = int(round(float(t_req) / tgrid.dt))
         if not (0 <= node <= tgrid.n_time):
             raise ConfigError(f"snapshot time {t_req} outside the horizon")
+        snapshot_nodes.append(node)
+    traj = solve_forward(model, op, ModeCoeffs(model, data))
+    rows = [(tgrid.nodes[i], traj.norm_at(i)) for i in range(tgrid.n_time + 1)]
+    _write_csv(out / "solve.csv", ("t", "l2_norm"), rows)
+    artifacts = ["solve.csv"]
+    for idx, node in enumerate(snapshot_nodes):
         field = synthesize_field(traj.coeffs_at(node)).values
         header = ["r"] + [f"theta_{_fmt(th)}" for th in model.theta_nodes]
         body = [(model.grid.nodes[i],) + tuple(field[:, i])
@@ -363,12 +369,11 @@ def _cmd_hum(out, config, options, seed):
     res = hum_control(model, op, phi0, region, options["epsilon"],
                       options["cg_tol"], options["max_iter"])
     tgrid = time_grid_for(model)
-    rows = []
-    for kk in range(tgrid.n_time):
-        t_half = tgrid.half_nodes[kk]
-        for qi, th in enumerate(model.theta_nodes):
-            for ri, r in enumerate(model.grid.nodes):
-                rows.append((t_half, th, r, res.control_values[kk, qi, ri]))
+    # one row per (half step, theta node, radial node), radial fastest
+    axes = np.meshgrid(tgrid.half_nodes, model.theta_nodes, model.grid.nodes,
+                       indexing="ij")
+    columns = [a.ravel().tolist() for a in axes]
+    rows = zip(*columns, res.control_values.ravel().tolist(), strict=True)
     _write_csv(out / "hum_control.csv", ("t", "theta", "r", "control"), rows)
     _write_json(out / "hum_summary.json", {
         "residual": res.terminal_residual, "iterations": res.iterations,

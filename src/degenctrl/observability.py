@@ -28,7 +28,7 @@ import numpy as np
 import mpmath as mp
 from scipy.linalg import eigh
 
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import Model, mode_set
 from .spectral import RadialSpectrum
 
@@ -330,6 +330,6 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
                 label=f"subspace j={j}", patch=patch, c_emp=float(lam),
                 extremal=x, residual=float(num / den), basis_dim=dim,
                 precision=f"mp(dps={dps})")
-    raise ConfigError(
+    raise NonConvergenceError(
         "coupled observation Gram not positive definite at the attempted "
         "precisions; reduce j or k_max")

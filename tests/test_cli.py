@@ -116,6 +116,27 @@ def test_solve_snapshot_layout(tmp_path):
     assert len(solve_rows) == 1 + BASE["n_time"] + 1
 
 
+def test_bad_snapshot_time_writes_nothing(tmp_path):
+    payload = dict(BASE, initial_parity="cos", initial_n=1, initial_k=1,
+                   snapshot_times=[0.25, 5.0])
+    code, out = _run(tmp_path, "solve", payload)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["artifacts"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_csv_cells_format_as_17_significant_digits(tmp_path):
+    cells = [0.1, -0.0, 5e-324, 1e308, float("inf"), float("-inf"),
+             float("nan"), np.float64(2.0) / 3.0, np.int64(71), True, 3, "x"]
+    cli._write_csv(tmp_path / "t.csv", ("a", "b"), [cells, cells[::-1]])
+    expected = [",".join(c if isinstance(c, str) else f"{float(c):.17g}"
+                         for c in row) for row in (cells, cells[::-1])]
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines == ["a,b"] + expected
+
+
 def test_seed_flag_overrides_config(tmp_path):
     payload = dict(BASE, n_samples=5, seed=1)
     code, out = _run(tmp_path, "hardy", payload, seed=7)

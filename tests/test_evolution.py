@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
-from degenctrl import (ConfigError, ModeCoeffs, ModeIndex, ModelConfig,
-                       TimeGrid, assemble_radial_operator, build_model,
-                       coeffs_inner, evolve_mode, radial_spectrum,
-                       solve_adjoint, solve_forward, solve_forward_sources,
-                       time_grid_for, zero_coeffs)
-from degenctrl.evolution import full_spectrum
+from degenctrl import (ConfigError, InvariantError, ModeCoeffs, ModeIndex,
+                       ModelConfig, TimeGrid, assemble_radial_operator,
+                       build_model, coeffs_inner, evolve_mode,
+                       radial_spectrum, solve_adjoint, solve_forward,
+                       solve_forward_sources, time_grid_for, zero_coeffs)
+from degenctrl.evolution import _Stepper, full_spectrum
 
 
 def _scalar_march(mu, dt, steps):
@@ -27,6 +28,34 @@ def test_single_mode_matches_scalar_oracle(desk_model, desk_op, desk_spec):
     for k in range(tgrid.n_time + 1):
         expected = _scalar_march(mu, tgrid.dt, k) * desk_spec.vectors[:, 0]
         assert np.max(np.abs(traj.states[k] - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("n_freq", [0, 1, 2, 4])
+def test_stepper_bitwise_matches_scipy_banded_solve(desk_op, rng, n_freq):
+    # the direct LAPACK call reproduces the scipy wrapper bit for bit, on
+    # the explicit part written in the scheme's own association order
+    dt = 1.0 / 48
+    stepper = _Stepper(desk_op, n_freq, dt)
+    m, shift = desk_op.mass, float(n_freq * n_freq)
+    for _ in range(3):
+        v = rng.standard_normal(m.size)
+        src = rng.standard_normal(m.size)
+        rhs = m * v - 0.5 * dt * (desk_op.apply(v) + shift * m * v)
+        expected = cho_solve_banded((stepper.factor, False), rhs)
+        assert np.array_equal(stepper.step(v), expected)
+        expected = cho_solve_banded((stepper.factor, False),
+                                    rhs + dt * m * src)
+        assert np.array_equal(stepper.step(v, src), expected)
+
+
+def test_nonfinite_source_is_invariant_error(desk_model, desk_op):
+    # steps skip the finite check; the end-of-march check must catch it
+    tgrid = time_grid_for(desk_model)
+    sources = np.zeros((tgrid.n_time, desk_model.n_radial))
+    sources[tgrid.n_time // 2, 3] = np.nan
+    with pytest.raises(InvariantError):
+        evolve_mode(desk_op, ModeIndex("cos", 1),
+                    np.ones(desk_model.n_radial), sources, tgrid)
 
 
 def test_dt_halving_second_order(desk_op, desk_spec):

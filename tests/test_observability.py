@@ -12,9 +12,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from degenctrl import (ConfigError, mode_observability_constant, mode_set,
+from degenctrl import (ConfigError, NonConvergenceError,
+                       mode_observability_constant, mode_set,
                        torus_smallest_gram_eigenvalue,
                        truncated_observability)
+from degenctrl import observability
 from degenctrl.observability import _angular_gram
 
 from ._oracles import jacobi_eigh_mp
@@ -156,6 +158,22 @@ def test_truncated_cap_validation(desk_model, desk_spec):
     with pytest.raises(ConfigError):
         truncated_observability(desk_model, desk_spec, (0.0, 1.0),
                                 0.3, 0.6, -1, k_max=2)
+
+
+def test_exhausted_precision_is_nonconvergence(desk_model, desk_spec,
+                                               monkeypatch):
+    # force the mp route, then make Cholesky fail at every precision tried
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    def not_pd(*args, **kwargs):
+        raise ValueError("matrix is not positive-definite")
+
+    monkeypatch.setattr(observability, "eigh", singular)
+    monkeypatch.setattr(mp, "cholesky", not_pd)
+    with pytest.raises(NonConvergenceError, match="not positive definite"):
+        truncated_observability(desk_model, desk_spec, (0.0, math.pi),
+                                0.3, 0.6, 0, k_max=2)
 
 
 def test_extremal_is_unit_and_worst(desk_model, desk_spec):
