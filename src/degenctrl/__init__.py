@@ -24,8 +24,8 @@ from .observability import (ObservabilityEstimate, TorusGram,
                             mode_observability_constant,
                             torus_smallest_gram_eigenvalue,
                             truncated_observability)
-from .control import (BoxUnion, Cylinder, HUMResult, LRResult,
-                      apply_control_gramian, hum_control, lr_control)
+from .control import (Cylinder, HUMResult, LRResult, apply_control_gramian,
+                      hum_control, lr_control)
 from .measurable import (BoxUnionSet, DatumRecord, DensitySequence,
                          DerivativeBoundReport, ExtendedField,
                          MeasurableReport, SlabReport, SpectralPropagator,
@@ -38,7 +38,7 @@ from .measurable import (BoxUnionSet, DatumRecord, DensitySequence,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxUnion", "BoxUnionSet", "CarlemanReport", "CarlemanWeights",
+    "BoxUnionSet", "CarlemanReport", "CarlemanWeights",
     "ConfigError", "Cylinder", "DatumRecord",
     "DensitySequence", "DerivativeBoundReport", "EtaWeight", "ExtendedField",
     "Field2D", "HUMResult", "HardyReport", "InvariantError", "LRResult",

@@ -33,9 +33,9 @@ from .observability import (mode_observability_constant,
                             torus_smallest_gram_eigenvalue,
                             truncated_observability)
 from .control import Cylinder, hum_control, lr_control
-from .measurable import (BoxUnionSet, TimeSliceSet, build_time_slices,
-                         datum_family, density_sequence,
-                         measurable_observability_ratio)
+from .measurable import (BoxUnionSet, TimeSliceSet, _intervals_measure,
+                         _merge_intervals, build_time_slices, datum_family,
+                         density_sequence, measurable_observability_ratio)
 
 COMMANDS = ("spectrum", "hardy", "solve", "carleman", "spectral-ineq",
             "observability", "hum", "lr", "measurable", "density-seq")
@@ -78,7 +78,13 @@ def _coerce(key, kind, value):
     if kind == "real":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"field '{key}' must be a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:    # an integer beyond float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"field '{key}' must be a finite number")
+        return number
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"field '{key}' must be an integer")
@@ -110,8 +116,13 @@ def parse_config(path: str, command: str):
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file unreadable: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -461,12 +472,16 @@ def _cmd_density_seq(out, config, options, seed):
     for iv in options["e_intervals"]:
         if (not isinstance(iv, (list, tuple)) or len(iv) != 2
                 or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in iv)):
-            raise ConfigError("e_intervals must hold [lo, hi] number pairs")
+                       for x in iv)
+                or not 0 <= iv[0] < iv[1] <= config.T_horizon):
+            raise ConfigError("e_intervals must hold [lo, hi] number pairs "
+                              "with 0 <= lo < hi <= T_horizon")
         intervals.append((float(iv[0]), float(iv[1])))
-    measure = sum(hi - lo for lo, hi in intervals)
-    slices = TimeSliceSet(threshold=0.0, intervals=tuple(intervals),
-                          measure=measure, horizon=config.T_horizon)
+    # overlapping intervals would count their common part twice
+    intervals = _merge_intervals(intervals)
+    slices = TimeSliceSet(threshold=0.0, intervals=intervals,
+                          measure=_intervals_measure(intervals),
+                          horizon=config.T_horizon)
     seq = density_sequence(slices, options["ell"], options["q"],
                            options["m_max"])
     _write_json(out / "density_seq.json", {

@@ -14,6 +14,11 @@ check. lr_control runs the classical dyadic-block strategy instead: on
 each block it controls only the angular frequencies below a growing cap,
 with a per-block energy budget shrinking geometrically so the residual
 contributions sum below the requested tolerance.
+
+hum_control and apply_control_gramian take a Cylinder, which keeps the
+angular modes decoupled, or a measurable.BoxUnionSet, whose masks at the
+time half-steps come from BoxUnionSet.grid_masks and couple the modes.
+The set's horizon must equal the model's. lr_control needs a Cylinder.
 """
 
 from dataclasses import dataclass
@@ -22,9 +27,11 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import Model, ModeCoeffs, ModeIndex, TWO_PI, _frozen, zero_coeffs
-from .evolution import (TimeGrid, Trajectory, evolve_mode, solve_adjoint,
-                        solve_forward, solve_forward_sources, time_grid_for)
+from .model import Model, ModeCoeffs, ModeIndex, _frozen, zero_coeffs
+from .evolution import (TimeGrid, Trajectory, _mode_sources_from_grid_control,
+                        evolve_mode, solve_adjoint, solve_forward,
+                        solve_forward_sources, time_grid_for)
+from .measurable import BoxUnionSet
 from .spectral import RadialOperator
 
 
@@ -40,58 +47,12 @@ class Cylinder:
             raise ConfigError(f"need 0 <= a < b <= 1, got ({self.a}, {self.b})")
 
 
-@dataclass(frozen=True)
-class BoxUnion:
-    """Union of axis-aligned boxes (theta-interval, r-interval, t-interval).
-
-    Angular intervals live in [0, 2pi] without wraparound; a region that
-    crosses theta = 0 is expressed as two boxes. Time intervals are checked
-    against the horizon at use time, not at construction.
-    """
-
-    boxes: tuple
-
-    def __post_init__(self):
-        if not self.boxes:
-            raise ConfigError("box union must contain at least one box")
-        clean = []
-        for box in self.boxes:
-            (t0, t1), (r0, r1), (s0, s1) = box
-            if not (0.0 <= t0 < t1 <= TWO_PI + 1e-12):
-                raise ConfigError(f"theta interval out of range: ({t0}, {t1})")
-            if not (0.0 <= r0 < r1 <= 1.0):
-                raise ConfigError(f"radial interval out of range: ({r0}, {r1})")
-            if not (0.0 <= s0 < s1):
-                raise ConfigError(f"bad time interval: ({s0}, {s1})")
-            clean.append(((float(t0), float(t1)), (float(r0), float(r1)),
-                          (float(s0), float(s1))))
-        object.__setattr__(self, "boxes", tuple(clean))
-
-
 def _radial_mask(model: Model, a: float, b: float) -> np.ndarray:
     nodes = model.grid.nodes
     mask = ((nodes > a) & (nodes < b)).astype(float)
     if not mask.any():
         raise ConfigError(f"no radial nodes inside ({a}, {b})")
     return mask
-
-
-def _box_masks(model: Model, region: BoxUnion, tgrid: TimeGrid) -> np.ndarray:
-    """Indicator of the region on (half-step, theta node, radial node)."""
-    theta = model.theta_nodes
-    nodes = model.grid.nodes
-    masks = np.zeros((tgrid.n_time, theta.size, nodes.size))
-    t_mid = tgrid.half_nodes
-    for (t0, t1), (r0, r1), (s0, s1) in region.boxes:
-        if s1 > tgrid.T + 1e-12:
-            raise ConfigError(f"box time interval ({s0}, {s1}) exceeds the horizon")
-        sel_t = (t_mid >= s0) & (t_mid < s1)
-        sel_q = (theta >= t0) & (theta < t1)
-        sel_r = (nodes > r0) & (nodes < r1)
-        masks[np.ix_(sel_t, sel_q, sel_r)] = 1.0
-    if not masks.any():
-        raise ConfigError("control region misses every grid point")
-    return masks
 
 
 class _RegionAction:
@@ -105,11 +66,13 @@ class _RegionAction:
         if isinstance(region, Cylinder):
             self.radial_mask = _radial_mask(model, region.a, region.b)
             self.grid_masks = None
-        elif isinstance(region, BoxUnion):
+        elif isinstance(region, BoxUnionSet):
             self.radial_mask = None
-            self.grid_masks = _box_masks(model, region, self.tgrid)
+            self.grid_masks = region.grid_masks(model, self.tgrid.half_nodes)
+            if not self.grid_masks.any():
+                raise ConfigError("control region misses every grid point")
         else:
-            raise ConfigError("control region must be a Cylinder or a BoxUnion")
+            raise ConfigError("control region must be a Cylinder or a BoxUnionSet")
 
     def masked_sources(self, adjoint: Trajectory):
         """Half-step control sources chi_D (y^k + y^{k+1}) / 2 per mode."""
@@ -119,12 +82,8 @@ class _RegionAction:
                 mid = 0.5 * (mt.states[:-1] + mt.states[1:])
                 out.append(mid * self.radial_mask[None, :])
             return out
-        stacked = np.stack([mt.states for mt in adjoint.mode_trajectories], axis=1)
-        mid = 0.5 * (stacked[:-1] + stacked[1:])        # (n_time, modes, r)
-        fields = np.einsum("qm,tmr->tqr", self.model.basis_matrix, mid)
-        masked = fields * self.grid_masks
-        proj = self.model.theta_weight * np.einsum(
-            "mq,tqr->tmr", self.model.basis_matrix.T, masked)
+        proj = _mode_sources_from_grid_control(self.model,
+                                               self.control_field(adjoint))
         return [proj[:, i, :] for i in range(self.model.n_modes)]
 
     def control_field(self, adjoint: Trajectory) -> np.ndarray:

@@ -150,17 +150,32 @@ class BoxUnionSet:
                     total += (th[i + 1] - th[i]) * (rr[j + 1] - rr[j])
         return total
 
-    def slice_mask(self, model: Model, t: float) -> np.ndarray:
-        """Indicator of D_t on the (theta node, radial node) grid."""
+    def grid_masks(self, model: Model, times) -> np.ndarray:
+        """Indicators of D_t on the (theta node, radial node) grid.
+
+        Returns an array of shape (len(times), theta_quad_points, n_r - 1).
+        A grid point belongs to a box when t0 <= t < t1, h0 <= theta < h1
+        and r0 < r < r1. The region's horizon must equal the model's, so a
+        set built for one time slab is never read on another.
+        """
+        if self.horizon != model.config.T_horizon:
+            raise ConfigError(
+                f"region horizon {self.horizon} differs from the model "
+                f"horizon {model.config.T_horizon}")
+        times = np.asarray(times, dtype=float)
         theta = model.theta_nodes
         nodes = model.grid.nodes
-        mask = np.zeros((theta.size, nodes.size))
+        masks = np.zeros((times.size, theta.size, nodes.size))
         for (h0, h1), (r0, r1), (t0, t1) in self.boxes:
-            if t0 <= t < t1:
-                sel_q = (theta >= h0) & (theta < h1)
-                sel_r = (nodes > r0) & (nodes < r1)
-                mask[np.ix_(sel_q, sel_r)] = 1.0
-        return mask
+            sel_t = (times >= t0) & (times < t1)
+            sel_q = (theta >= h0) & (theta < h1)
+            sel_r = (nodes > r0) & (nodes < r1)
+            masks[np.ix_(sel_t, sel_q, sel_r)] = 1.0
+        return masks
+
+    def slice_mask(self, model: Model, t: float) -> np.ndarray:
+        """Indicator of D_t on the (theta node, radial node) grid."""
+        return self.grid_masks(model, [t])[0]
 
     def counting_measure(self, model: Model) -> float:
         """Cell-counting measure on the model grid, for cross-checks."""
@@ -168,8 +183,8 @@ class BoxUnionSet:
         t_mids = (np.arange(model.config.n_time) + 0.5) * dt
         cell = model.theta_weight * model.grid.mass[None, :] * dt
         total = 0.0
-        for t in t_mids:
-            total += float(np.sum(self.slice_mask(model, t) * cell))
+        for mask in self.grid_masks(model, t_mids):
+            total += float(np.sum(mask * cell))
         return total
 
 

@@ -48,7 +48,13 @@ class ModelConfig:
         def real(name, value):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
-            return float(value)
+            try:
+                number = float(value)
+            except OverflowError:    # an integer beyond float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise ConfigError(f"{name} must be a finite real number")
+            return number
 
         def integer(name, value):
             if isinstance(value, bool) or not isinstance(value, int):

@@ -1,12 +1,15 @@
 """Front-door behavior: strict configs, exit codes, manifests, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degenctrl import cli
+from degenctrl import ConfigError, cli
 from degenctrl.cli import main
 
 BASE = {"alpha": 0.5, "T_horizon": 1.0, "n_theta_max": 2, "n_r": 40,
@@ -87,12 +90,90 @@ def test_invalid_json_is_config_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_integer_past_the_digit_limit_is_config_error(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text('{"alpha": ' + "9" * 5000 + "}")
+    assert main(["spectrum", "--config", str(p),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_undecodable_config_is_config_error(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe" + json.dumps(BASE).encode())
+    assert main(["spectrum", "--config", str(p),
+                 "--out", str(tmp_path / "o")]) == 2
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("solve", dict(BASE, T_horizon=math.inf)),
+    ("hum", dict(BASE, cg_tol=math.nan)),
+    ("lr", dict(BASE, tol=math.inf)),
+])
+def test_non_finite_number_is_config_error(tmp_path, command, payload):
+    code, out = _run(tmp_path, command, payload)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def _command_configs(draw):
+    command = draw(st.sampled_from(cli.COMMANDS))
+    keys = sorted(set(cli._MODEL_REQUIRED) | set(cli._MODEL_OPTIONAL)
+                  | set(cli._OPTION_SCHEMAS[command]) | {"seed"})
+    # a valid base with a few keys overwritten reaches past the first check
+    payload = dict(BASE)
+    payload.update(draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES,
+                                        max_size=2)))
+    return command, payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(_command_configs())
+def test_parse_config_accepts_finite_or_raises_config_error(
+        tmp_path_factory, drawn):
+    command, payload = drawn
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(payload))   # NaN and Infinity pass through
+    try:
+        config, options, _, _ = cli.parse_config(str(path), command)
+    except ConfigError:
+        return
+    assert all(math.isfinite(x) for x in
+               (config.alpha, config.T_horizon, config.grid_power))
+    assert all(math.isfinite(options[key])
+               for key, (kind, _) in cli._OPTION_SCHEMAS[command].items()
+               if kind == "real")
+
+
 def test_density_seq_reproduces_reference_values(tmp_path):
     payload = dict(BASE, e_intervals=[[0.0, 1.0]], ell=0.5, q=0.5, m_max=4)
     code, out = _run(tmp_path, "density-seq", payload)
     assert code == 0
     doc = json.loads((out / "density_seq.json").read_text())
     assert np.allclose(doc["values"], [0.9, 0.7, 0.6, 0.55], atol=1e-12)
+
+
+def test_density_seq_merges_overlapping_intervals(tmp_path):
+    base = dict(BASE, ell=0.5, q=0.5, m_max=4)
+    _, once = _run(tmp_path, "density-seq", dict(base, e_intervals=[[0, 1]]),
+                   out="once")
+    _, twice = _run(tmp_path, "density-seq",
+                    dict(base, e_intervals=[[0, 1], [0, 1]]), out="twice")
+    assert ((twice / "density_seq.json").read_bytes()
+            == (once / "density_seq.json").read_bytes())
+    for bad in ([[0.6, 0.2]], [[0, 2]]):
+        code, _ = _run(tmp_path, "density-seq", dict(base, e_intervals=bad),
+                       out="bad")
+        assert code == 2
 
 
 def test_density_seq_nonconvergence_exit_code(tmp_path):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from degenctrl import (BoxUnion, ConfigError, Cylinder, ModeCoeffs, ModeIndex,
-                       apply_control_gramian, coeffs_inner, hum_control,
-                       lr_control, zero_coeffs)
+from degenctrl import (BoxUnionSet, ConfigError, Cylinder, ModeCoeffs,
+                       ModeIndex, apply_control_gramian, coeffs_inner,
+                       hum_control, lr_control, zero_coeffs)
 from degenctrl.control import linf_ratio
 from ._golden import check_golden
 
@@ -16,6 +16,11 @@ def _unit_eigendatum(model, spec, parity, n, k):
     data = np.zeros((model.n_modes, model.n_radial))
     data[model.mode_position(ModeIndex(parity, n))] = spec.vectors[:, k - 1]
     return ModeCoeffs(model, data)
+
+
+def _box_region(boxes):
+    # band and horizon of the desk model and its (0.3, 0.6) cylinder
+    return BoxUnionSet(boxes=boxes, band_a=0.3, band_b=0.6, horizon=1.0)
 
 
 def _desk_datum(model, spec):
@@ -69,9 +74,9 @@ def test_region_validation():
     with pytest.raises(ConfigError):
         Cylinder(-0.1, 0.5)
     with pytest.raises(ConfigError):
-        BoxUnion(())
+        _box_region(())
     with pytest.raises(ConfigError):
-        BoxUnion((((0.0, 9.0), (0.2, 0.4), (0.0, 1.0)),))
+        _box_region((((0.0, 9.0), (0.3, 0.4), (0.0, 1.0)),))
 
 
 def test_hum_zero_datum(desk_model, desk_op):
@@ -144,7 +149,7 @@ def test_hum_epsilon_validation(desk_model, desk_op, desk_spec):
 def test_hum_box_region_runs(desk_model, desk_op, desk_spec):
     # box union couples the angular modes through the mask
     phi0 = _desk_datum(desk_model, desk_spec)
-    region = BoxUnion((((0.0, 2.0 * math.pi), (0.3, 0.6), (0.0, 1.0)),))
+    region = _box_region((((0.0, 2.0 * math.pi), (0.3, 0.6), (0.0, 1.0)),))
     res = hum_control(desk_model, desk_op, phi0, region, 1e-4, cg_tol=1e-7,
                       max_iter=300)
     assert res.converged
@@ -195,6 +200,6 @@ def test_lr_validation(desk_model, desk_op, desk_spec):
     with pytest.raises(ConfigError):
         lr_control(desk_model, desk_op, phi0, Cylinder(0.3, 0.6), 1e-3,
                    n_blocks=0)
-    region = BoxUnion((((0.0, 1.0), (0.3, 0.6), (0.0, 1.0)),))
+    region = _box_region((((0.0, 1.0), (0.3, 0.6), (0.0, 1.0)),))
     with pytest.raises(ConfigError):
         lr_control(desk_model, desk_op, phi0, region, 1e-3)

@@ -12,7 +12,7 @@ from degenctrl import (BoxUnionSet, ConfigError, ModeCoeffs,
                        NonConvergenceError, SpectralPropagator, TimeSliceSet,
                        build_time_slices, choose_q, datum_family,
                        density_point_of, density_sequence,
-                       derivative_bound_report, extended_field,
+                       derivative_bound_report, extended_field, hum_control,
                        measurable_observability_ratio,
                        slab_interpolation_report, solve_forward)
 from ._golden import check_golden
@@ -54,6 +54,18 @@ def test_region_validation():
         _region((((0.0, 1.0), (0.2, 0.42), (0.0, 0.5)),))   # r leaves the band
     with pytest.raises(ConfigError):
         _region(())
+
+
+@pytest.mark.parametrize("horizon", [0.96, 2.0])
+def test_horizon_must_match_the_model(meas_model, meas_op, meas_full_spec,
+                                      meas_family, horizon):
+    # a set built for another time slab must not be read on this model
+    region = _region(horizon=horizon)
+    with pytest.raises(ConfigError, match="horizon"):
+        measurable_observability_ratio(meas_model, meas_full_spec,
+                                       meas_family, region)
+    with pytest.raises(ConfigError, match="horizon"):
+        hum_control(meas_model, meas_op, meas_family[0], region, 1e-4)
 
 
 def test_contains_and_slice_mask_agree(meas_model):
