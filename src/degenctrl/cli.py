@@ -145,10 +145,15 @@ def parse_config(path: str, command: str):
     config = ModelConfig(**model_kwargs)
 
     options = {}
-    for key, (kind, default) in schema.items():
-        options[key] = (_coerce(key, kind, raw[key]) if key in raw
-                        else (tuple(_tuplify(default))
-                              if kind == "list" else default))
+    try:
+        # _tuplify and _sanitize recurse once per nesting level of a list
+        for key, (kind, default) in schema.items():
+            options[key] = (_coerce(key, kind, raw[key]) if key in raw
+                            else (tuple(_tuplify(default))
+                                  if kind == "list" else default))
+        echoed = {key: _sanitize(options[key]) for key in sorted(options)}
+    except RecursionError as exc:
+        raise ConfigError("config nests a list option too deeply") from exc
     seed = _coerce("seed", "int", raw.get("seed", 0))
 
     resolved = {
@@ -157,8 +162,7 @@ def parse_config(path: str, command: str):
         "grid_power": config.grid_power, "n_time": config.n_time,
         "theta_quad_points": config.theta_quad_points, "seed": seed,
     }
-    for key in sorted(options):
-        resolved[key] = _sanitize(options[key])
+    resolved.update(echoed)
     return config, options, seed, resolved
 
 

@@ -256,17 +256,20 @@ class LRResult:
 
 def _mode_block_gramian(op: RadialOperator, n_freq: int, mask: np.ndarray,
                         tgrid: TimeGrid) -> np.ndarray:
-    """Dense per-mode control Gramian over one block, column by column."""
+    """Dense per-mode control Gramian over one block.
+
+    Column j is the forward response to the masked backward march of the
+    unit vector e_j; all columns march together as one block, two marches
+    in all. The two stored block trajectories and the source block each
+    hold (n_time + 1) (n_r - 1)^2 floats, so peak memory is about
+    3 (n_time + 1) (n_r - 1)^2 floats: about 1.2 MB at the c14 size and
+    about 250 MB at n_r = 400, n_time = 64. No config bounds n_r.
+    """
     size = op.mass.size
     mode = ModeIndex("cos", n_freq)
-    cols = np.empty((size, size))
-    for j in range(size):
-        unit = np.zeros(size)
-        unit[j] = 1.0
-        back = evolve_mode(op, mode, unit, None, tgrid).states[::-1]
-        src = 0.5 * (back[:-1] + back[1:]) * mask[None, :]
-        cols[:, j] = evolve_mode(op, mode, np.zeros(size), src, tgrid).states[-1]
-    return cols
+    back = evolve_mode(op, mode, np.eye(size), None, tgrid).states[::-1]
+    src = 0.5 * (back[:-1] + back[1:]) * mask[:, None]
+    return evolve_mode(op, mode, np.zeros((size, size)), src, tgrid).states[-1]
 
 
 def lr_control(model: Model, op: RadialOperator, phi0: ModeCoeffs,

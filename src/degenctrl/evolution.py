@@ -62,11 +62,14 @@ def time_grid_for(model: Model) -> TimeGrid:
 
 @dataclass(frozen=True)
 class ModeTrajectory:
-    """States of one angular mode at every time node, row per node."""
+    """States of one angular mode at every time node, row per node.
+
+    A block march (see evolve_mode) stores (n_r - 1, m) per node.
+    """
 
     mode: ModeIndex
     tgrid: TimeGrid
-    states: np.ndarray        # shape (n_time + 1, n_r - 1)
+    states: np.ndarray        # shape (n_time + 1, n_r - 1[, m])
     source_free: bool
 
     def initial(self) -> np.ndarray:
@@ -77,32 +80,43 @@ class ModeTrajectory:
 
 
 class _Stepper:
-    """Prefactorized Crank-Nicolson one-step map for a fixed mode frequency."""
+    """Prefactorized Crank-Nicolson one-step map for a fixed mode frequency.
 
-    def __init__(self, op: RadialOperator, n_freq: int, dt: float):
-        self.op = op
-        self.m = op.mass
+    With block=True the coefficient vectors are stored as (size, 1)
+    columns, so step advances a (size, m) block of independent states.
+    """
+
+    def __init__(self, op: RadialOperator, n_freq: int, dt: float,
+                 block: bool = False):
         shift = float(n_freq * n_freq)
+        shift_m = shift * op.mass
         self.half_dt = 0.5 * dt
-        self.shift_m = shift * self.m
-        self.dt_m = dt * self.m
-        diag = self.m + 0.5 * dt * (op.diag + self.shift_m)
-        off = 0.5 * dt * op.off
-        ab = np.zeros((2, diag.size))
-        ab[0, 1:] = off
-        ab[1, :] = diag
+        ab = np.zeros((2, op.mass.size))
+        ab[0, 1:] = 0.5 * dt * op.off
+        ab[1, :] = op.mass + 0.5 * dt * (op.diag + shift_m)
         self.factor = cholesky_banded(ab, lower=False)
         self.pbtrs = get_lapack_funcs("pbtrs", (self.factor,))
+        shape = (-1, 1) if block else (-1,)
+        self.diag = op.diag.reshape(shape)
+        self.off = op.off.reshape(shape)
+        self.m = op.mass.reshape(shape)
+        self.shift_m = shift_m.reshape(shape)
+        self.dt_m = (dt * op.mass).reshape(shape)
 
     def step(self, v: np.ndarray, half_step_source=None) -> np.ndarray:
         # m v - (dt/2) (K v + n^2 m v) [+ dt m s], in exactly this rounding
-        # order: HUM iteration counts are sensitive to the last ulp.
-        rhs = self.op.apply(v)
+        # order: HUM iteration counts are sensitive to the last ulp. K v is
+        # RadialOperator.apply written out on the first axis.
+        rhs = self.diag * v
+        rhs[:-1] += self.off * v[1:]
+        rhs[1:] += self.off * v[:-1]
         rhs += self.shift_m * v
         rhs *= self.half_dt
         np.subtract(self.m * v, rhs, out=rhs)
         if half_step_source is not None:
             rhs += self.dt_m * half_step_source
+        # pbtrs solves column by column, so a block column is bitwise the
+        # march of that column alone
         x, info = self.pbtrs(self.factor, rhs, lower=0, overwrite_b=1)
         if info != 0:
             raise InvariantError(f"banded Cholesky solve failed (info={info})")
@@ -111,17 +125,24 @@ class _Stepper:
 
 def evolve_mode(op: RadialOperator, mode: ModeIndex, phi0: np.ndarray,
                 sources, tgrid: TimeGrid) -> ModeTrajectory:
-    """March one mode from phi0; sources holds half-step samples or None."""
+    """March one mode from phi0; sources holds half-step samples or None.
+
+    phi0 is one radial vector, shape (n_r - 1,), or a block of m radial
+    columns, shape (n_r - 1, m), marched together. sources then has shape
+    (n_time,) + phi0.shape and the states (n_time + 1,) + phi0.shape. Each
+    column of a block march is bitwise the march of that column alone.
+    """
     phi0 = np.asarray(phi0, dtype=float)
     size = op.mass.size
-    if phi0.shape != (size,):
-        raise ConfigError("initial data length does not match the operator")
+    if phi0.ndim not in (1, 2) or phi0.shape[0] != size:
+        raise ConfigError("initial data must be one radial vector or a block "
+                          "of radial columns matching the operator")
     if sources is not None:
         sources = np.asarray(sources, dtype=float)
-        if sources.shape != (tgrid.n_time, size):
+        if sources.shape != (tgrid.n_time,) + phi0.shape:
             raise ConfigError("source array must hold one radial row per half step")
-    stepper = _Stepper(op, mode.n, tgrid.dt)
-    states = np.empty((tgrid.n_time + 1, size))
+    stepper = _Stepper(op, mode.n, tgrid.dt, block=phi0.ndim == 2)
+    states = np.empty((tgrid.n_time + 1,) + phi0.shape)
     states[0] = phi0
     v = phi0
     for k in range(tgrid.n_time):
@@ -130,7 +151,8 @@ def evolve_mode(op: RadialOperator, mode: ModeIndex, phi0: np.ndarray,
     if not np.all(np.isfinite(states)):
         raise InvariantError("trajectory contains non-finite entries")
     if sources is None:
-        norms = np.sqrt(np.sum(states ** 2 * op.mass[None, :], axis=1))
+        # per column for a block: the sum runs over the radial axis only
+        norms = np.sqrt(np.sum(states ** 2 * stepper.m, axis=1))
         if np.any(norms[1:] > norms[:-1] * (1.0 + 1e-12)):
             raise InvariantError("source-free step increased the discrete energy")
     return ModeTrajectory(mode=mode, tgrid=tgrid, states=_frozen(states),

@@ -6,11 +6,19 @@ and QL iteration (``mp.eigsy``); the tests compare against this rotation
 method, a different algorithm, as a brute-force oracle. Rotations sweep
 the strict upper triangle in row-major order, so runs are deterministic,
 and a sweep that performs no rotation ends the iteration.
+
+``mode_block_gramian_columns`` is the dyadic-block control Gramian built
+one unit column at a time, two single-vector marches per column. The
+production ``_mode_block_gramian`` marches all columns as one block; the
+tests require the two to agree bit for bit.
 """
 
 import mpmath as mp
+import numpy as np
 
 from degenctrl.errors import NonConvergenceError
+from degenctrl.evolution import evolve_mode
+from degenctrl.model import ModeIndex
 
 _MAX_SWEEPS = 64
 
@@ -68,3 +76,17 @@ def jacobi_eigh_mp(matrix: "mp.matrix", rel_tol=None):
                     vecs[rr, col] = v[rr, i]
             return vals, vecs
     raise NonConvergenceError("Jacobi sweep budget exhausted (mp)")
+
+
+def mode_block_gramian_columns(op, n_freq, mask, tgrid):
+    """Dense per-mode control Gramian over one block, column by column."""
+    size = op.mass.size
+    mode = ModeIndex("cos", n_freq)
+    cols = np.empty((size, size))
+    for j in range(size):
+        unit = np.zeros(size)
+        unit[j] = 1.0
+        back = evolve_mode(op, mode, unit, None, tgrid).states[::-1]
+        src = 0.5 * (back[:-1] + back[1:]) * mask[None, :]
+        cols[:, j] = evolve_mode(op, mode, np.zeros(size), src, tgrid).states[-1]
+    return cols

@@ -299,6 +299,22 @@ def test_malformed_box_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("depth", [600, 990])
+def test_deeply_nested_list_option_is_config_error(tmp_path, depth):
+    # json.loads accepts this nesting; coercing the option must not recurse
+    # into a raw RecursionError (exit 1)
+    text = json.dumps(BASE)[:-1] + ', "boxes": ' + "[" * depth + "0.5" \
+        + "]" * depth + "}"
+    cfg = tmp_path / "measurable.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    code = main(["measurable", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert manifest["artifacts"] == []
+
+
 def test_unexpected_exception_exits_1_with_manifest(tmp_path, monkeypatch):
     def broken(out, config, options, seed):
         raise ZeroDivisionError("boom")

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from degenctrl import (BoxUnionSet, ConfigError, Cylinder, ModeCoeffs,
-                       ModeIndex, apply_control_gramian, coeffs_inner,
+                       ModeIndex, ModelConfig, TimeGrid, apply_control_gramian,
+                       assemble_radial_operator, build_model, coeffs_inner,
                        hum_control, lr_control, zero_coeffs)
-from degenctrl.control import linf_ratio
+from degenctrl.control import _mode_block_gramian, _radial_mask, linf_ratio
 from ._golden import check_golden
+from ._oracles import mode_block_gramian_columns
 
 
 def _unit_eigendatum(model, spec, parity, n, k):
@@ -191,6 +193,23 @@ def test_lr_desk_case(desk_model, desk_op, desk_spec, rng):
     hum = hum_control(desk_model, desk_op, phi0, Cylinder(0.3, 0.6), 1e-6)
     assert hum.terminal_residual / hum.phi0_norm <= 1e-3
     check_golden("lr_desk_block_norms", norms)
+
+
+@pytest.mark.parametrize("n_r", [12, 40, 61])
+def test_block_gramian_bitwise_matches_column_loop(n_r):
+    # one block march per direction reproduces the unit-column loop exactly,
+    # signed zeros included, on the sub-grids of the first three LR blocks
+    model = build_model(ModelConfig(alpha=0.5, T_horizon=1.0, n_theta_max=4,
+                                    n_r=n_r, n_time=32))
+    op = assemble_radial_operator(0.5, model.grid)
+    mask = _radial_mask(model, 0.3, 0.6)
+    for k in range(3):
+        sub = TimeGrid(2.0 ** (-k - 2), 32)
+        for n in (0, 1, 2, 4):
+            got = _mode_block_gramian(op, n, mask, sub)
+            ref = mode_block_gramian_columns(op, n, mask, sub)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_lr_validation(desk_model, desk_op, desk_spec):

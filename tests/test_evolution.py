@@ -58,6 +58,47 @@ def test_nonfinite_source_is_invariant_error(desk_model, desk_op):
                     np.ones(desk_model.n_radial), sources, tgrid)
 
 
+@pytest.mark.parametrize("sourced", [False, True])
+def test_block_march_matches_single_marches_bitwise(desk_model, desk_op, rng,
+                                                    sourced):
+    # a (size, 3) block is three independent marches sharing each solve
+    tgrid = time_grid_for(desk_model)
+    size = desk_model.n_radial
+    mode = ModeIndex("sin", 3)
+    phi0 = rng.standard_normal((size, 3))
+    sources = (rng.standard_normal((tgrid.n_time, size, 3)) if sourced
+               else None)
+    block = evolve_mode(desk_op, mode, phi0, sources, tgrid)
+    assert block.states.shape == (tgrid.n_time + 1, size, 3)
+    for j in range(3):
+        single = evolve_mode(desk_op, mode, phi0[:, j],
+                             None if sources is None else sources[:, :, j],
+                             tgrid)
+        assert np.array_equal(block.states[:, :, j], single.states)
+
+
+def test_block_march_shapes_validated(desk_model, desk_op):
+    tgrid = time_grid_for(desk_model)
+    size = desk_model.n_radial
+    mode = ModeIndex("cos", 1)
+    with pytest.raises(ConfigError):
+        evolve_mode(desk_op, mode, np.ones((size, 2, 2)), None, tgrid)
+    with pytest.raises(ConfigError):
+        evolve_mode(desk_op, mode, np.ones((size, 3)),
+                    np.zeros((tgrid.n_time, size, 2)), tgrid)
+    with pytest.raises(ConfigError):
+        evolve_mode(desk_op, mode, np.ones((size, 3)),
+                    np.zeros((tgrid.n_time, size)), tgrid)
+
+
+def test_nonfinite_block_column_is_invariant_error(desk_model, desk_op):
+    tgrid = time_grid_for(desk_model)
+    phi0 = np.ones((desk_model.n_radial, 3))
+    phi0[4, 1] = np.nan
+    with pytest.raises(InvariantError):
+        evolve_mode(desk_op, ModeIndex("cos", 2), phi0, None, tgrid)
+
+
 def test_dt_halving_second_order(desk_op, desk_spec):
     # error against the exact exponential shrinks by ~4 per dt halving
     mu = desk_spec.values[0]
