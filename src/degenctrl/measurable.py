@@ -629,6 +629,8 @@ def slab_interpolation_report(model: Model, spectrum: RadialSpectrum,
     """
     if not (0.0 <= t1 < t2 <= region.horizon + 1e-12):
         raise ConfigError("need 0 <= t1 < t2 <= horizon")
+    if n_quad < 1:
+        raise ConfigError(f"n_quad must be >= 1, got {n_quad}")
     for u, v in slices.intervals:
         if u < t1 - 1e-12 or v > t2 + 1e-12:
             raise ConfigError("kept time set must sit inside (t1, t2)")
@@ -715,6 +717,8 @@ def measurable_observability_ratio(model: Model, spectrum: RadialSpectrum,
     Data whose observed mass underflows are excluded and logged, never
     silently divided.
     """
+    if n_quad < 1:
+        raise ConfigError(f"n_quad must be >= 1, got {n_quad}")
     slices = build_time_slices(region, model)
     ell = density_point_of(slices)
     q = choose_q(c_calib, h_calib)

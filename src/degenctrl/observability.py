@@ -7,6 +7,9 @@ Three estimators live here.
   crossing below double precision around K = 5 for unit-length intervals,
   so entries and eigensolve run in adaptive arbitrary precision; the decay
   rate -log(lambda_min)/K is the quantity of interest and stays bounded.
+  Re-centred on (-w, w), the interval's Gram splits into a cosine and a
+  sine block with the same spectrum as a whole; each block is solved
+  for eigenvalues only.
 
 * Per-mode observability constants: the worst ratio of terminal energy to
   the space-time observation of the free flow over a radial band (a,b),
@@ -19,6 +22,9 @@ Three estimators live here.
   angular interval couples the blocks through the angular Gram and the
   assembled problem inherits its catastrophic conditioning, so that path
   escalates to arbitrary precision when double-precision Cholesky fails.
+  There the constant is the largest eigenvalue of W W^T, W = L^-1
+  diag(sqrt(a)), found without eigenvectors; the extremizer comes from
+  inverse iteration on the shifted pencil.
 """
 
 from dataclasses import dataclass
@@ -33,6 +39,7 @@ from .model import Model, mode_set
 from .spectral import RadialSpectrum
 
 TWO_PI = 2.0 * math.pi
+_INVERSE_ITERATIONS = 8
 
 
 def _trig_product_integral(kind1, n1, kind2, n2, c, d, lib):
@@ -109,12 +116,14 @@ class TorusGram:
 def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     """Smallest restricted-Gram eigenvalue, resolved in adaptive precision.
 
-    The matrix is assembled from closed-form trigonometric integrals and
-    diagonalized by mpmath's Householder/QL solver. Working precision
-    starts a safe margin beyond the empirical decay rate of the smallest
-    eigenvalue and doubles until the eigenvalue is resolved above the
-    rounding floor, which also bounds the solver's absolute error at the
-    matrix norm scale.
+    The matrix is assembled from closed-form trigonometric integrals on
+    the re-centred interval (-w, w), where it is block diagonal by parity,
+    and each block is diagonalized, eigenvalues only, by mpmath's
+    Householder/QL solver. The float gram keeps the original interval's
+    entries. Working precision starts a safe margin beyond the empirical
+    decay rate of the smallest eigenvalue and doubles until the eigenvalue
+    is resolved above the rounding floor, which also bounds the solver's
+    absolute error at the matrix norm scale.
     """
     c, d = float(interval[0]), float(interval[1])
     if K < 0:
@@ -123,13 +132,21 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
         raise ConfigError(f"angular interval out of range: ({c}, {d})")
     modes = mode_set(K)
     gram_float = _angular_gram(modes, c, d, math)
+    # on (-w, w) the cos and sin blocks decouple; re-centring rotates each
+    # (cos n, sin n) pair orthogonally, so the spectrum is unchanged
+    parts = ([m for m in modes if m.parity == "cos"],
+             [m for m in modes if m.parity == "sin"])
 
     dps = max(30, 20 + int(math.ceil(4.0 * K)))
     for _ in range(6):
         with mp.workdps(dps):
-            gm = _angular_gram(modes, mp.mpf(c), mp.mpf(d), mp)
-            vals = mp.eigsy(gm, eigvals_only=True)
-            lam_min, lam_max = vals[0], vals[len(modes) - 1]
+            w = (mp.mpf(d) - mp.mpf(c)) / 2
+            vals = []
+            for part in parts:
+                if part:
+                    vals.extend(mp.eigsy(_angular_gram(part, -w, w, mp),
+                                         eigvals_only=True))
+            lam_min, lam_max = min(vals), max(vals)
             floor = mp.mpf(10) ** (12 - dps)
             if lam_min > floor * lam_max:
                 if not (0 < lam_min and lam_max <= 1 + mp.mpf(10) ** -12):
@@ -169,7 +186,9 @@ def _restricted_overlap(spectrum: RadialSpectrum, a: float, b: float,
         raise ConfigError(f"no radial nodes inside ({a}, {b})")
     phi = spectrum.vectors[sel, :k_max]
     w = spectrum.grid.mass[sel]
-    return phi.T @ (w[:, None] * phi)
+    upper = np.triu(phi.T @ (w[:, None] * phi))
+    # mirror the upper triangle: the product is symmetric only to rounding
+    return upper + np.triu(upper, 1).T
 
 
 def _mode_matrices(spectrum: RadialSpectrum, n: int, a: float, b: float,
@@ -194,6 +213,8 @@ def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
         raise ConfigError(f"need 0 < a < b <= 1, got ({a}, {b})")
     if n < 0:
         raise ConfigError("angular frequency must be >= 0")
+    if k_max < 1:
+        raise ConfigError(f"radial truncation k_max must be >= 1, got {k_max}")
     k_max = min(k_max, spectrum.values.size)
     T = model.config.T_horizon
     a_mat, b_mat, _ = _mode_matrices(spectrum, n, a, b, T, k_max)
@@ -218,13 +239,13 @@ def _coupled_matrices_mp(modes, gram_ang, spectrum, a, b, T, k_max):
     Basis index i = im * k_max + ik pairs angular mode im with radial
     eigenmode ik; the observation form is the Kronecker product of the
     angular Gram and the radial overlap, weighted by closed-form time
-    integrals.
+    integrals. The terminal form is diagonal and returned as its diagonal.
     """
     lam = [mp.mpf(float(v)) for v in spectrum.values[:k_max]]
     overlap = _restricted_overlap(spectrum, a, b, k_max)
     dim = len(modes) * k_max
     mu = [lam[k] + m.n * m.n for m in modes for k in range(k_max)]
-    a_mat = mp.diag([mp.e ** (-2 * v * T) for v in mu])
+    a_diag = [mp.e ** (-2 * v * T) for v in mu]
     b_mat = mp.zeros(dim)
     for i in range(dim):
         im, ik = divmod(i, k_max)
@@ -237,7 +258,48 @@ def _coupled_matrices_mp(modes, gram_ang, spectrum, a, b, T, k_max):
             val = g * mp.mpf(float(overlap[ik, jk])) * (1 - mp.e ** (-s * T)) / s
             b_mat[i, j] = val
             b_mat[j, i] = val
-    return a_mat, b_mat
+    return a_diag, b_mat
+
+
+def _pencil_top_mp(a_diag, b_mat, low):
+    """Largest eigenpair of the pencil (diag(a_diag), b_mat), b_mat = low low^T.
+
+    L^-1 A L^-T = W W^T with W = L^-1 diag(sqrt(a)), built column by column
+    by forward substitution; an eigenvalues-only mp.eigsy of W W^T gives
+    the largest eigenvalue lam. The eigenvector comes from inverse
+    iteration on the pencil, (A - sigma B) x' = B x with sigma just above
+    lam, reusing one LU factorization. Returns lam and the unit-norm
+    eigenvector as an mp column.
+    """
+    dim = len(a_diag)
+    rows = low.tolist()
+    cols = []                      # cols[k] holds W[k:, k]
+    for k in range(dim):
+        col = [mp.sqrt(a_diag[k]) / rows[k][k]]
+        for i in range(k + 1, dim):
+            col.append(-mp.fdot(rows[i][k:i], col) / rows[i][i])
+        cols.append(col)
+    w_rows = [[cols[k][i - k] for k in range(i + 1)] for i in range(dim)]
+    wwt = mp.matrix(dim)
+    for i in range(dim):
+        for j in range(i + 1):
+            val = mp.fdot(w_rows[i][:j + 1], w_rows[j])
+            wwt[i, j] = val
+            wwt[j, i] = val
+    lam = max(mp.eigsy(wwt, eigvals_only=True))
+
+    sigma = lam * (1 + mp.mpf(10) ** (-(mp.mp.dps // 2)))
+    shifted = mp.diag(a_diag) - sigma * b_mat
+    lu, perm = mp.mp.LU_decomp(shifted)
+    x = mp.ones(dim, 1) / mp.sqrt(dim)
+    for _ in range(_INVERSE_ITERATIONS):
+        y = mp.mp.U_solve(lu, mp.mp.L_solve(lu, b_mat * x, perm))
+        y /= mp.norm(y) if mp.fdot(y, x) > 0 else -mp.norm(y)
+        step = mp.norm(y - x)
+        x = y
+        if step <= mp.mpf(10) ** (3 - mp.mp.dps):
+            break
+    return lam, x
 
 
 def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
@@ -262,6 +324,8 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     c, d = float(interval[0]), float(interval[1])
     if not (0.0 <= c < d <= TWO_PI + 1e-12):
         raise ConfigError(f"angular interval out of range: ({c}, {d})")
+    if k_max < 1:
+        raise ConfigError(f"radial truncation k_max must be >= 1, got {k_max}")
     k_max = min(k_max, spectrum.values.size)
     T = model.config.T_horizon
     modes = mode_set(cap)
@@ -290,8 +354,7 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     tf = _time_factor_matrix(mu_f, T)
     b_f = np.kron(gram_ang, overlap) * tf
     try:
-        vals, vecs = eigh(a_f, 0.5 * (b_f + b_f.T),
-                          subset_by_index=[dim - 1, dim - 1])
+        vals, vecs = eigh(a_f, b_f, subset_by_index=[dim - 1, dim - 1])
         c_emp = vals[0]
         x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
         res = np.linalg.norm(a_f @ x - c_emp * (b_f @ x)) / np.linalg.norm(b_f @ x)
@@ -309,26 +372,21 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     for _ in range(3):
         with mp.workdps(dps):
             gm = _angular_gram(modes, mp.mpf(c), mp.mpf(d), mp)
-            a_mp, b_mp = _coupled_matrices_mp(modes, gm, spectrum, a, b,
-                                              mp.mpf(T), k_max)
+            a_diag, b_mp = _coupled_matrices_mp(modes, gm, spectrum, a, b,
+                                                mp.mpf(T), k_max)
             try:
                 low = mp.cholesky(b_mp)
             except ValueError:
                 dps = int(dps * 1.5)
                 continue
-            low_inv = mp.inverse(low)
-            vals, vecs = mp.eigsy(low_inv * a_mp * low_inv.T)
-            lam = vals[dim - 1]
-            x_mp = low_inv.T * vecs[:, dim - 1]
-            ax = a_mp * x_mp
+            lam, x_mp = _pencil_top_mp(a_diag, b_mp, low)
             bx = b_mp * x_mp
-            num = mp.sqrt(sum((ax[i, 0] - lam * bx[i, 0]) ** 2 for i in range(dim)))
-            den = mp.sqrt(sum(bx[i, 0] ** 2 for i in range(dim)))
-            nrm = mp.sqrt(sum(x_mp[i, 0] ** 2 for i in range(dim)))
-            x = np.array([float(x_mp[i, 0] / nrm) for i in range(dim)])
+            num = mp.norm(mp.matrix([a_diag[i] * x_mp[i] - lam * bx[i]
+                                     for i in range(dim)]))
+            x = np.array([float(v) for v in x_mp])
             return ObservabilityEstimate(
                 label=f"subspace j={j}", patch=patch, c_emp=float(lam),
-                extremal=x, residual=float(num / den), basis_dim=dim,
+                extremal=x, residual=float(num / mp.norm(bx)), basis_dim=dim,
                 precision=f"mp(dps={dps})")
     raise NonConvergenceError(
         "coupled observation Gram not positive definite at the attempted "

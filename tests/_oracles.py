@@ -11,14 +11,26 @@ and a sweep that performs no rotation ends the iteration.
 one unit column at a time, two single-vector marches per column. The
 production ``_mode_block_gramian`` marches all columns as one block; the
 tests require the two to agree bit for bit.
+
+``gram_lambda_min_full`` and ``coupled_observability_inverse_mp`` are the
+arbitrary-precision routes as they stood before the production code was
+cut down: one ``mp.eigsy`` on the full restricted Gram (no parity split),
+and the coupled pencil solved through ``mp.inverse`` of the Cholesky
+factor and a full ``mp.eigsy`` with eigenvectors (no inverse iteration).
+Both keep the production precision ladders, so the tests can require the
+same working precision as well as the same numbers.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
 
 from degenctrl.errors import NonConvergenceError
 from degenctrl.evolution import evolve_mode
-from degenctrl.model import ModeIndex
+from degenctrl.model import ModeIndex, mode_set
+from degenctrl.observability import (_angular_gram, _coupled_matrices_mp,
+                                     torus_smallest_gram_eigenvalue)
 
 _MAX_SWEEPS = 64
 
@@ -90,3 +102,59 @@ def mode_block_gramian_columns(op, n_freq, mask, tgrid):
         src = 0.5 * (back[:-1] + back[1:]) * mask[None, :]
         cols[:, j] = evolve_mode(op, mode, np.zeros(size), src, tgrid).states[-1]
     return cols
+
+
+def gram_lambda_min_full(K, interval):
+    """(lambda_min, dps_used) of the restricted Gram, full-matrix mp.eigsy."""
+    c, d = float(interval[0]), float(interval[1])
+    modes = mode_set(K)
+    dps = max(30, 20 + int(math.ceil(4.0 * K)))
+    for _ in range(6):
+        with mp.workdps(dps):
+            gm = _angular_gram(modes, mp.mpf(c), mp.mpf(d), mp)
+            vals = mp.eigsy(gm, eigvals_only=True)
+            lam_min, lam_max = vals[0], vals[len(modes) - 1]
+            if lam_min > mp.mpf(10) ** (12 - dps) * lam_max:
+                return float(lam_min), dps
+        dps *= 2
+    raise NonConvergenceError("smallest Gram eigenvalue not resolved")
+
+
+def coupled_observability_inverse_mp(model, spectrum, interval, a, b, j,
+                                     k_max):
+    """Coupled mp solve by explicit inverse and a full mp.eigsy.
+
+    Returns (c_emp, extremal, residual, precision) of the largest eigenpair
+    of the pencil, with the production precision ladder.
+    """
+    c, d = float(interval[0]), float(interval[1])
+    cap = 2 ** j
+    modes = mode_set(cap)
+    k_max = min(k_max, spectrum.values.size)
+    dim = len(modes) * k_max
+    T = model.config.T_horizon
+    dps = torus_smallest_gram_eigenvalue(cap, (c, d)).dps_used + 30
+    for _ in range(3):
+        with mp.workdps(dps):
+            gm = _angular_gram(modes, mp.mpf(c), mp.mpf(d), mp)
+            a_diag, b_mp = _coupled_matrices_mp(modes, gm, spectrum, a, b,
+                                                mp.mpf(T), k_max)
+            a_mp = mp.diag(a_diag)
+            try:
+                low = mp.cholesky(b_mp)
+            except ValueError:
+                dps = int(dps * 1.5)
+                continue
+            low_inv = mp.inverse(low)
+            vals, vecs = mp.eigsy(low_inv * a_mp * low_inv.T)
+            lam = vals[dim - 1]
+            x_mp = low_inv.T * vecs[:, dim - 1]
+            ax = a_mp * x_mp
+            bx = b_mp * x_mp
+            num = mp.sqrt(sum((ax[i, 0] - lam * bx[i, 0]) ** 2
+                              for i in range(dim)))
+            den = mp.sqrt(sum(bx[i, 0] ** 2 for i in range(dim)))
+            nrm = mp.sqrt(sum(x_mp[i, 0] ** 2 for i in range(dim)))
+            x = np.array([float(x_mp[i, 0] / nrm) for i in range(dim)])
+            return float(lam), x, float(num / den), f"mp(dps={dps})"
+    raise NonConvergenceError("coupled observation Gram not positive definite")

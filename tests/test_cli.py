@@ -250,6 +250,20 @@ def test_observability_command_schema(tmp_path):
     assert kinds.count("subspace") == 3   # j = 0..j_max
 
 
+@pytest.mark.parametrize("theta", [(0.0, 2.0 * math.pi), (0.5, 1.5)])
+@pytest.mark.parametrize("key", ["k_max", "subspace_k_max"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_nonpositive_truncation_is_config_error(tmp_path, theta, key, value):
+    payload = dict(BASE, band_a=0.3, band_b=0.6, k_max=4, j_max=1,
+                   subspace_k_max=2, theta_c=theta[0], theta_d=theta[1])
+    payload[key] = value
+    code, out = _run(tmp_path, "observability", payload)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "k_max" in manifest["error"]
+
+
 def test_carleman_command_outputs(tmp_path):
     payload = dict(BASE, n_r=60, band_a=0.3, band_b=0.6)
     code, out = _run(tmp_path, "carleman", payload)

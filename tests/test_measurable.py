@@ -287,6 +287,20 @@ def test_slab_interpolation_thin_box(meas_model, meas_full_spec):
     check_golden("slab_h_emp", rep.h_emp)
 
 
+@pytest.mark.parametrize("n_quad", [0, -2])
+def test_nonpositive_quadrature_count_is_config_error(
+        meas_model, meas_full_spec, meas_family, meas_region, n_quad):
+    with pytest.raises(ConfigError, match="n_quad"):
+        measurable_observability_ratio(meas_model, meas_full_spec,
+                                       meas_family, meas_region,
+                                       n_quad=n_quad)
+    slices = build_time_slices(meas_region, meas_model)
+    with pytest.raises(ConfigError, match="n_quad"):
+        slab_interpolation_report(meas_model, meas_full_spec, meas_family[0],
+                                  0.0, meas_region.horizon, slices,
+                                  meas_region, n_quad=n_quad)
+
+
 def test_datum_family_deterministic(meas_model, meas_full_spec):
     fam1 = datum_family(meas_model, meas_full_spec, 8, 11)
     fam2 = datum_family(meas_model, meas_full_spec, 8, 11)

@@ -12,14 +12,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from degenctrl import (ConfigError, NonConvergenceError,
-                       mode_observability_constant, mode_set,
+from degenctrl import (ConfigError, ModelConfig, NonConvergenceError,
+                       assemble_radial_operator, build_model,
+                       mode_observability_constant, mode_set, radial_spectrum,
                        torus_smallest_gram_eigenvalue,
                        truncated_observability)
 from degenctrl import observability
-from degenctrl.observability import _angular_gram
+from degenctrl.observability import _angular_gram, _restricted_overlap
 
-from ._oracles import jacobi_eigh_mp
+from ._oracles import (coupled_observability_inverse_mp,
+                       gram_lambda_min_full, jacobi_eigh_mp)
 
 
 def test_full_circle_gram_is_identity():
@@ -180,3 +182,47 @@ def test_extremal_is_unit_and_worst(desk_model, desk_spec):
     est = mode_observability_constant(desk_model, desk_spec, 1,
                                       0.3, 0.6, k_max=4)
     assert np.linalg.norm(est.extremal) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.4, 2.1), (0.0, math.pi),
+                                      (0.0, 2.0 * math.pi), (3.0, 3.05)])
+def test_parity_split_matches_full_gram(interval):
+    # re-centring decouples cos and sin; the full Gram is the second route
+    for K in range(13):
+        tg = torus_smallest_gram_eigenvalue(K, interval)
+        lam, dps = gram_lambda_min_full(K, interval)
+        assert tg.lambda_min == pytest.approx(lam, rel=1e-12), K
+        assert tg.dps_used == dps, K
+
+
+@pytest.mark.parametrize("interval, k_max, force_mp", [
+    ((1.0, 1.4), 3, False),           # float64 fails on its own
+    ((0.0, math.pi), 2, True),
+])
+def test_mp_route_matches_inverse_oracle(desk_model, desk_spec, monkeypatch,
+                                         interval, k_max, force_mp):
+    if force_mp:
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(observability, "eigh", singular)
+    est = truncated_observability(desk_model, desk_spec, interval, 0.3, 0.6,
+                                  2, k_max=k_max)
+    c_emp, extremal, residual, precision = coupled_observability_inverse_mp(
+        desk_model, desk_spec, interval, 0.3, 0.6, 2, k_max)
+    assert est.precision == precision
+    assert precision.startswith("mp(")
+    assert abs(est.c_emp / c_emp - 1.0) <= 1e-30
+    sign = math.copysign(1.0, float(np.dot(est.extremal, extremal)))
+    assert np.max(np.abs(sign * est.extremal - extremal)) <= 1e-20
+    assert np.linalg.norm(est.extremal) == pytest.approx(1.0, abs=1e-12)
+    assert est.residual < 1e-30 and residual < 1e-30
+
+
+def test_restricted_overlap_is_exactly_symmetric():
+    model = build_model(ModelConfig(alpha=0.5, T_horizon=1.0, n_theta_max=2,
+                                    n_r=120, n_time=8))
+    spec = radial_spectrum(assemble_radial_operator(0.5, model.grid), 24)
+    overlap = _restricted_overlap(spec, 0.3, 0.6, 24)
+    assert np.array_equal(overlap, overlap.T)
+
