@@ -16,7 +16,7 @@ from .spectral import (HardyReport, RadialOperator, RadialSpectrum,
                        assemble_radial_operator, bessel_oracle, hardy_ratio,
                        radial_spectrum)
 from .evolution import (TimeGrid, Trajectory, evolve_mode, solve_adjoint,
-                        solve_forward, solve_forward_sources, time_grid_for)
+                        solve_forward, time_grid_for)
 from .carleman import (CarlemanReport, CarlemanWeights, EtaWeight,
                        ThetaBoundReport, build_carleman_weights, build_eta,
                        carleman_report, s0_default, verify_theta_bounds)
@@ -56,7 +56,7 @@ __all__ = [
     "measurable_observability_ratio", "mode_observability_constant",
     "mode_set", "project_modes", "radial_spectrum", "s0_default",
     "slab_interpolation_report", "solve_adjoint", "solve_forward",
-    "solve_forward_sources", "synthesize_field", "time_grid_for",
+    "synthesize_field", "time_grid_for",
     "torus_smallest_gram_eigenvalue", "truncated_observability",
     "zero_coeffs",
 ]

@@ -109,29 +109,29 @@ class EtaWeight:
             if order else self.middle_coeffs
         return np.polynomial.polynomial.polyval(x, c) / self._scale ** order
 
-    def value(self, r):
+    def _branches(self, r, order):
+        """eta (order 0) or its order-th derivative, branch by branch."""
         r = np.asarray(r, dtype=float)
         out = np.empty_like(r)
         left = r <= self.p
         right = r >= self.q_hat
         mid = ~(left | right)
-        out[left] = _left_eta(self.alpha, r[left])
-        out[right] = _right_eta(self.alpha, r[right])
-        out[mid] = self._middle((r[mid] - self.p) / self._scale)
+        if order:
+            out[left] = _left_eta_derivs(self.alpha, r[left])[order - 1]
+            out[right] = _right_eta_derivs(self.alpha, r[right])[order - 1]
+        else:
+            out[left] = _left_eta(self.alpha, r[left])
+            out[right] = _right_eta(self.alpha, r[right])
+        out[mid] = self._middle((r[mid] - self.p) / self._scale, order)
         return out
+
+    def value(self, r):
+        return self._branches(r, 0)
 
     def derivative(self, r, order):
         if order not in (1, 2, 3):
             raise ConfigError("derivative order must be 1, 2 or 3")
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        left = r <= self.p
-        right = r >= self.q_hat
-        mid = ~(left | right)
-        out[left] = _left_eta_derivs(self.alpha, r[left])[order - 1]
-        out[right] = _right_eta_derivs(self.alpha, r[right])[order - 1]
-        out[mid] = self._middle((r[mid] - self.p) / self._scale, order)
-        return out
+        return self._branches(r, order)
 
 
 def _middle_extrema(coeffs, scale):
@@ -225,12 +225,6 @@ class CarlemanWeights:
 
     def theta(self, t):
         return theta_weight(t, self.T)
-
-    def theta_d1(self, t):
-        return theta_weight_d1(t, self.T)
-
-    def theta_d2(self, t):
-        return theta_weight_d2(t, self.T)
 
     def xi(self, r, t):
         """Combined weight on a tensor of radii and times, shape (nt, nr)."""

@@ -27,7 +27,7 @@ from .model import (Model, ModelConfig, ModeCoeffs, ModeIndex, TWO_PI,
                     build_model, synthesize_field)
 from .spectral import (assemble_radial_operator, bessel_oracle, hardy_ratio,
                        radial_spectrum)
-from .evolution import solve_forward, time_grid_for
+from .evolution import evolve_mode, solve_forward, time_grid_for
 from .carleman import build_eta, carleman_report, s0_default
 from .observability import (mode_observability_constant,
                             torus_smallest_gram_eigenvalue,
@@ -40,8 +40,12 @@ from .measurable import (BoxUnionSet, TimeSliceSet, _intervals_measure,
 COMMANDS = ("spectrum", "hardy", "solve", "carleman", "spectral-ineq",
             "observability", "hum", "lr", "measurable", "density-seq")
 
+# ModelConfig validates these and holds the defaults of the optional ones
 _MODEL_REQUIRED = ("alpha", "T_horizon", "n_theta_max", "n_r")
-_MODEL_OPTIONAL = {"grid_power": 0.0, "n_time": 64, "theta_quad_points": 0}
+_MODEL_OPTIONAL = ("grid_power", "n_time", "theta_quad_points")
+
+_DEFAULT_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
+                  ((3.0, 5.5), (0.45, 0.58), (0.5, 0.95)))
 
 # key -> (kind, default); kind in {real, int, str, list}
 _OPTION_SCHEMAS = {
@@ -64,8 +68,9 @@ _OPTION_SCHEMAS = {
     "lr": {"band_a": ("real", 0.3), "band_b": ("real", 0.6),
            "tol": ("real", 1e-3), "n_blocks": ("int", 3),
            "initial": ("str", "lowpass")},
-    "measurable": {"boxes": ("list", ()), "band_a": ("real", 0.3),
-                   "band_b": ("real", 0.6), "family_size": ("int", 20),
+    "measurable": {"boxes": ("list", _DEFAULT_BOXES),
+                   "band_a": ("real", 0.3), "band_b": ("real", 0.6),
+                   "family_size": ("int", 20),
                    "c_calib": ("real", 1.0), "h_calib": ("real", 0.5),
                    "m_max": ("int", 32), "n_quad": ("int", 16)},
     "density-seq": {"e_intervals": ("list", ((0.0, 1.0),)),
@@ -98,6 +103,13 @@ def _coerce(key, kind, value):
             raise ConfigError(f"field '{key}' must be a list")
         return tuple(_tuplify(value))
     raise ConfigError(f"unhandled kind for '{key}'")
+
+
+def _seed(value):
+    seed = _coerce("seed", "int", value)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _tuplify(value):
@@ -135,14 +147,8 @@ def parse_config(path: str, command: str):
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    model_kwargs = {}
-    for key in _MODEL_REQUIRED:
-        kind = "int" if key in ("n_theta_max", "n_r") else "real"
-        model_kwargs[key] = _coerce(key, kind, raw[key])
-    for key, default in _MODEL_OPTIONAL.items():
-        kind = "real" if key == "grid_power" else "int"
-        model_kwargs[key] = _coerce(key, kind, raw.get(key, default))
-    config = ModelConfig(**model_kwargs)
+    config = ModelConfig(**{key: raw[key] for key in
+                            _MODEL_REQUIRED + _MODEL_OPTIONAL if key in raw})
 
     options = {}
     try:
@@ -154,7 +160,7 @@ def parse_config(path: str, command: str):
         echoed = {key: _sanitize(options[key]) for key in sorted(options)}
     except RecursionError as exc:
         raise ConfigError("config nests a list option too deeply") from exc
-    seed = _coerce("seed", "int", raw.get("seed", 0))
+    seed = _seed(raw.get("seed", 0))
 
     resolved = {
         "alpha": config.alpha, "T_horizon": config.T_horizon,
@@ -302,9 +308,8 @@ def _cmd_carleman(out, config, options, seed):
     for parity, n, k in _CARLEMAN_FAMILY:
         if n > config.n_theta_max:
             raise ConfigError("family frequency exceeds n_theta_max")
-        data = _eigen_datum(model, spec, parity, n, k)
-        traj = solve_forward(model, op, ModeCoeffs(model, data))
-        mt = traj.mode_trajectories[model.mode_position(ModeIndex(parity, n))]
+        mt = evolve_mode(op, ModeIndex(parity, n), spec.vectors[:, k - 1],
+                         None, time_grid_for(model))
         rep = carleman_report(mt, None, eta, model.grid,
                               [float(s) for s in s_values])
         for row in rep.rows:
@@ -442,16 +447,11 @@ def _cmd_lr(out, config, options, seed):
     return ["lr_blocks.json"]
 
 
-_DEFAULT_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
-                  ((3.0, 5.5), (0.45, 0.58), (0.5, 0.95)))
-
-
 def _cmd_measurable(out, config, options, seed):
     model = build_model(config)
     op = assemble_radial_operator(config.alpha, model.grid)
     spec = radial_spectrum(op, model.n_radial)
-    boxes = options["boxes"] or _DEFAULT_BOXES
-    region = BoxUnionSet(boxes=tuple(boxes), band_a=options["band_a"],
+    region = BoxUnionSet(boxes=options["boxes"], band_a=options["band_a"],
                          band_b=options["band_b"],
                          horizon=config.T_horizon)
     family = datum_family(model, spec, options["family_size"], seed)
@@ -509,7 +509,12 @@ def _sha256(path: Path) -> str:
 def run(command: str, config_path: str, out_dir: str, seed_flag=None) -> int:
     """Execute one command and always leave a manifest in the output dir."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # usage error with nowhere to write a manifest
+        print(f"error: cannot use --out {out_dir}: {exc}", file=sys.stderr)
+        return 2
     started = time.monotonic()
     manifest = {"command": command, "status": "failed", "artifacts": [],
                 "config": None, "seed": None, "duration_seconds": None}
@@ -527,7 +532,7 @@ def run(command: str, config_path: str, out_dir: str, seed_flag=None) -> int:
     try:
         config, options, seed, resolved = parse_config(config_path, command)
         if seed_flag is not None:
-            seed = int(seed_flag)
+            seed = _seed(int(seed_flag))
             resolved["seed"] = seed
         manifest["config"] = resolved
         manifest["seed"] = seed

@@ -19,6 +19,9 @@ hum_control and apply_control_gramian take a Cylinder, which keeps the
 angular modes decoupled, or a measurable.BoxUnionSet, whose masks at the
 time half-steps come from BoxUnionSet.grid_masks and couple the modes.
 The set's horizon must equal the model's. lr_control needs a Cylinder.
+Both region kinds hand their masked sources, one block per mode, to
+evolution.solve_forward; for a box union this module projects the masked
+grid field back onto the modes by angular quadrature.
 """
 
 from dataclasses import dataclass
@@ -28,9 +31,8 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import Model, ModeCoeffs, ModeIndex, _frozen, zero_coeffs
-from .evolution import (TimeGrid, Trajectory, _mode_sources_from_grid_control,
-                        evolve_mode, solve_adjoint, solve_forward,
-                        solve_forward_sources, time_grid_for)
+from .evolution import (TimeGrid, Trajectory, evolve_mode, solve_adjoint,
+                        solve_forward, time_grid_for)
 from .measurable import BoxUnionSet
 from .spectral import RadialOperator
 
@@ -82,9 +84,11 @@ class _RegionAction:
                 mid = 0.5 * (mt.states[:-1] + mt.states[1:])
                 out.append(mid * self.radial_mask[None, :])
             return out
-        proj = _mode_sources_from_grid_control(self.model,
-                                               self.control_field(adjoint))
-        return [proj[:, i, :] for i in range(self.model.n_modes)]
+        # quadrature in theta of the masked field against each basis function
+        model = self.model
+        proj = model.theta_weight * np.einsum(
+            "mq,tqr->tmr", model.basis_matrix.T, self.control_field(adjoint))
+        return [proj[:, i, :] for i in range(model.n_modes)]
 
     def control_field(self, adjoint: Trajectory) -> np.ndarray:
         """Grid samples of the control at every half-step, masked."""
@@ -98,8 +102,8 @@ class _RegionAction:
     def gramian(self, y_terminal: ModeCoeffs) -> ModeCoeffs:
         adj = solve_adjoint(self.model, self.op, y_terminal)
         sources = self.masked_sources(adj)
-        fwd = solve_forward_sources(self.model, self.op,
-                                    zero_coeffs(self.model), sources)
+        fwd = solve_forward(self.model, self.op, zero_coeffs(self.model),
+                            sources)
         return fwd.terminal_coeffs()
 
 
@@ -131,7 +135,7 @@ class HUMResult:
     cg_residual: float
     residual_history: tuple
     cost: float                    # integral of f^2 over the region
-    linf_ratio: float
+    linf_ratio: float              # sup |f| / ||phi0||, 0.0 for a zero datum
     phi0_norm: float
     converged: bool
 
@@ -139,13 +143,6 @@ class HUMResult:
 def _field_cost(model: Model, tgrid: TimeGrid, field: np.ndarray) -> float:
     cells = model.theta_weight * model.grid.mass[None, None, :]
     return float(tgrid.dt * np.sum(field ** 2 * cells))
-
-
-def linf_ratio(result: HUMResult) -> float:
-    """Sup norm of the control over the L2 norm of the initial datum."""
-    if result.phi0_norm == 0.0:
-        raise ConfigError("ratio undefined for zero initial data")
-    return float(np.max(np.abs(result.control_values)) / result.phi0_norm)
 
 
 def hum_control(model: Model, op: RadialOperator, phi0: ModeCoeffs, region,
@@ -220,7 +217,7 @@ def hum_control(model: Model, op: RadialOperator, phi0: ModeCoeffs, region,
     adj = solve_adjoint(model, op, y_terminal)
     field = action.control_field(adj)
     sources = action.masked_sources(adj)
-    controlled = solve_forward_sources(model, op, phi0, sources)
+    controlled = solve_forward(model, op, phi0, sources)
     phi_t = controlled.terminal_coeffs().data
     terminal_residual = math.sqrt(inner(phi_t, phi_t))
     gap_vec = phi_t + epsilon * x
@@ -272,9 +269,12 @@ def _mode_block_gramian(op: RadialOperator, n_freq: int, mask: np.ndarray,
     return evolve_mode(op, mode, np.zeros((size, size)), src, tgrid).states[-1]
 
 
+# smallest per-block penalty lr_control tries before it gives up
+_EPS_FLOOR = 1e-14
+
+
 def lr_control(model: Model, op: RadialOperator, phi0: ModeCoeffs,
-               region: Cylinder, tol: float, n_blocks: int = 3,
-               eps_floor: float = 1e-14) -> LRResult:
+               region: Cylinder, tol: float, n_blocks: int = 3) -> LRResult:
     """Dyadic-block control: frequency cap 2^k on block k, then free decay.
 
     Block k occupies [T(1 - 2^-k), T(1 - 2^-k-1)]; its first half carries
@@ -327,13 +327,13 @@ def lr_control(model: Model, op: RadialOperator, phi0: ModeCoeffs,
                 y = np.linalg.solve(g + eps * np.eye(g.shape[0]), -frees[i])
                 ys[i] = y
                 low_energy += mode_norm2(eps * y)
-            if math.sqrt(low_energy) <= budget or eps <= eps_floor:
+            if math.sqrt(low_energy) <= budget or eps <= _EPS_FLOOR:
                 break
             eps /= 10.0
         if math.sqrt(low_energy) > budget:
             raise NonConvergenceError(
                 f"block {k} budget {budget:.3e} unreachable at "
-                f"penalty floor {eps_floor:.1e}")
+                f"penalty floor {_EPS_FLOOR:.1e}")
         epsilons.append(eps)
 
         block_cost = 0.0

@@ -20,16 +20,21 @@ so control Gramians built on this pairing are symmetric to rounding.
 
 The scheme is unconditionally contractive for zero sources, matching the
 energy decay of the continuous flow, and second order in dt.
+
+This module only marches in time. solve_forward is the one whole-model
+entry point: initial modes plus, optionally, one half-step source block
+per mode. Turning a control field on the grid into mode sources is the
+caller's job (control), and spectra live in spectral.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .errors import ConfigError, InvariantError
 from .model import Model, ModeCoeffs, ModeIndex, _frozen
-from .spectral import RadialOperator, assemble_radial_operator
+from .spectral import RadialOperator
 
 
 @dataclass(frozen=True)
@@ -186,51 +191,20 @@ class Trajectory:
         return float(np.sqrt(total))
 
 
-def _mode_sources_from_grid_control(model: Model, control_values: np.ndarray):
-    """Project a time-indexed grid control onto modes, one row per half step."""
-    q, size = model.config.theta_quad_points, model.n_radial
-    if control_values.shape[1:] != (q, size):
-        raise ConfigError("control snapshots do not match the tensor grid")
-    basis_t = model.basis_matrix.T
-    return model.theta_weight * np.einsum("mq,tqr->tmr", basis_t, control_values)
-
-
 def solve_forward(model: Model, op: RadialOperator, phi0: ModeCoeffs,
-                  control_values=None) -> Trajectory:
-    """Evolve all modes from phi0 under an optional grid-sampled control.
+                  sources=None) -> Trajectory:
+    """Evolve all modes from phi0, optionally under half-step sources.
 
-    control_values, when given, holds the control field at half steps with
-    shape (n_time, theta_quad_points, n_r - 1); it is projected onto the
-    mode basis once and each mode receives its own source row.
+    sources, when given, holds one (n_time, n_r - 1) array or None per
+    mode, in model mode order; each mode marches with its own rows.
     """
     tgrid = time_grid_for(model)
-    if control_values is None:
-        per_mode = [None] * model.n_modes
-    else:
-        control_values = np.asarray(control_values, dtype=float)
-        stacked = _mode_sources_from_grid_control(model, control_values)
-        per_mode = [stacked[:, i, :] for i in range(model.n_modes)]
-
-    mode_trajs = [evolve_mode(op, mode, data, source, tgrid)
-                  for mode, data, source in zip(model.modes, phi0.data, per_mode)]
-    return Trajectory(model=model, tgrid=tgrid, mode_trajectories=tuple(mode_trajs))
-
-
-def solve_forward_sources(model: Model, op: RadialOperator, phi0: ModeCoeffs,
-                          per_mode_sources) -> Trajectory:
-    """Evolve all modes from phi0 with explicit per-mode half-step sources.
-
-    per_mode_sources holds one (n_time, n_r - 1) array or None per mode, in
-    model mode order. Used when sources are already mode-diagonal and a
-    grid synthesis round trip would only add quadrature noise.
-    """
-    tgrid = time_grid_for(model)
-    if len(per_mode_sources) != model.n_modes:
+    if sources is None:
+        sources = [None] * model.n_modes
+    elif len(sources) != model.n_modes:
         raise ConfigError("need one source block per mode")
-
     mode_trajs = [evolve_mode(op, mode, data, source, tgrid)
-                  for mode, data, source
-                  in zip(model.modes, phi0.data, per_mode_sources)]
+                  for mode, data, source in zip(model.modes, phi0.data, sources)]
     return Trajectory(model=model, tgrid=tgrid, mode_trajectories=tuple(mode_trajs))
 
 
@@ -249,31 +223,3 @@ def solve_adjoint(model: Model, op: RadialOperator, y_terminal: ModeCoeffs) -> T
         for mt in forward.mode_trajectories)
     return Trajectory(model=model, tgrid=forward.tgrid,
                       mode_trajectories=reversed_trajs)
-
-
-def full_spectrum(model: Model, bound: float) -> list:
-    """All 2D eigenvalues lam_k + n^2 up to bound, ascending.
-
-    Returns tuples (parity, n, k, value) with 1-based radial index k.
-    Ties are ordered by (n, k) and then parity, cosine first. Radial
-    eigenvalues are found by a value-range Sturm bisection, so no
-    truncation guesswork is involved.
-    """
-    if bound <= 0.0:
-        raise ConfigError("bound must be positive")
-    op = assemble_radial_operator(model.config.alpha, model.grid)
-    m = op.mass
-    d = op.diag / m
-    e = op.off / np.sqrt(m[:-1] * m[1:])
-    lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                           select_range=(0.0, bound), lapack_driver="stebz")
-    out = []
-    for mode in model.modes:
-        base = float(mode.n * mode.n)
-        for j, lv in enumerate(lam):
-            val = float(lv) + base
-            if val > bound:
-                break
-            out.append((mode.parity, mode.n, j + 1, val))
-    out.sort(key=lambda rec: (rec[3], rec[1], rec[2], 0 if rec[0] == "cos" else 1))
-    return out

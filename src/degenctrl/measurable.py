@@ -14,7 +14,7 @@ set, build the geometric approach sequence to it, and report the
 end-to-end ratio of terminal energy to the observed L1 mass.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -63,8 +63,9 @@ class BoxUnionSet:
 
     Boxes are ((theta0, theta1), (r0, r1), (t0, t1)) triples inside
     bounds (0, 2pi) x (band_a, band_b) x (0, horizon). The total measure
-    is exact: coordinate compression marks covered cells once, so
-    overlapping boxes are never double counted.
+    is exact: it sums the slice measures, each exact by coordinate
+    compression, over the time cells, so overlapping boxes are never
+    double counted.
     """
 
     boxes: tuple
@@ -101,19 +102,12 @@ class BoxUnionSet:
             raise ConfigError("box union has zero measure")
 
     def _exact_measure(self) -> float:
-        th = sorted({e for (h0, h1), _, _ in self.boxes for e in (h0, h1)})
-        rr = sorted({e for _, (r0, r1), _ in self.boxes for e in (r0, r1)})
-        tt = sorted({e for _, _, (t0, t1) in self.boxes for e in (t0, t1)})
+        # the slice is constant on each cell between consecutive time edges;
+        # a plain loop, since sum() rounds differently across Pythons
+        edges = self.time_edges()
         total = 0.0
-        for i in range(len(th) - 1):
-            hm = 0.5 * (th[i] + th[i + 1])
-            for j in range(len(rr) - 1):
-                rm = 0.5 * (rr[j] + rr[j + 1])
-                for k in range(len(tt) - 1):
-                    tm = 0.5 * (tt[k] + tt[k + 1])
-                    if self.contains(hm, rm, tm):
-                        total += ((th[i + 1] - th[i]) * (rr[j + 1] - rr[j])
-                                  * (tt[k + 1] - tt[k]))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            total += self.slice_measure(0.5 * (lo + hi)) * (hi - lo)
         return total
 
     def contains(self, theta: float, r: float, t: float) -> bool:
@@ -488,21 +482,18 @@ def extended_field(model: Model, spectrum: RadialSpectrum, phi0: ModeCoeffs,
 
     mu_max = float(np.max(mu))
     d_tau = math.sqrt(1.2e-7) / max(mu_max, 1.0)
+    ext = ExtendedField(cap=cap, t=float(t), tau_grid=_frozen(tau_grid),
+                        samples=_frozen(samples), mu=_frozen(mu),
+                        amplitudes=_frozen(amps), snapshot_gap=snapshot_gap,
+                        elliptic_residual=0.0)
     worst = 0.0
-    probe = ExtendedField(cap=cap, t=float(t), tau_grid=_frozen(tau_grid),
-                          samples=_frozen(samples), mu=_frozen(mu),
-                          amplitudes=_frozen(amps), snapshot_gap=snapshot_gap,
-                          elliptic_residual=0.0)
     for tau in tau_grid:
-        worst = max(worst, probe.residual_ratio(d_tau, float(tau)))
+        worst = max(worst, ext.residual_ratio(d_tau, float(tau)))
     if worst > 1e-6:
         raise InvariantError(
             f"elliptic residual {worst:.3e} exceeds 1e-6 at stencil "
             f"width {d_tau:.3e}")
-    return ExtendedField(cap=cap, t=float(t), tau_grid=probe.tau_grid,
-                         samples=probe.samples, mu=probe.mu,
-                         amplitudes=probe.amplitudes,
-                         snapshot_gap=snapshot_gap, elliptic_residual=worst)
+    return replace(ext, elliptic_residual=worst)
 
 
 @dataclass(frozen=True)

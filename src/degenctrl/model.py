@@ -282,10 +282,6 @@ def coeffs_inner(a: ModeCoeffs, b: ModeCoeffs) -> float:
     return float(np.sum(a.data * b.data * mass[None, :]))
 
 
-def coeffs_norm(a: ModeCoeffs) -> float:
-    return math.sqrt(max(coeffs_inner(a, a), 0.0))
-
-
 def field_norm2(fld: Field2D) -> float:
     """Quadrature of the squared field over the strip."""
     mass = fld.model.grid.mass

@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 from scipy.special import jv
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import RadialGrid, _frozen
+from .model import Model, RadialGrid, _frozen
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,12 @@ class RadialSpectrum:
     vectors: np.ndarray    # shape (n_r - 1, k)
 
 
+def _symmetrized(op: RadialOperator):
+    """Diagonals of M^-1/2 K M^-1/2: the pencil as an ordinary matrix."""
+    m = op.mass
+    return op.diag / m, op.off / np.sqrt(m[:-1] * m[1:])
+
+
 def radial_spectrum(op: RadialOperator, k: int) -> RadialSpectrum:
     """Generalized symmetric tridiagonal eigensolve by bisection.
 
@@ -113,8 +119,7 @@ def radial_spectrum(op: RadialOperator, k: int) -> RadialSpectrum:
     size = m.size
     if not 1 <= k <= size:
         raise ConfigError(f"requested {k} eigenpairs from a size-{size} operator")
-    d = op.diag / m
-    e = op.off / np.sqrt(m[:-1] * m[1:])
+    d, e = _symmetrized(op)
     try:
         vals, vecs = eigh_tridiagonal(
             d, e, select="i", select_range=(0, k - 1), lapack_driver="stebz")
@@ -152,6 +157,32 @@ def radial_spectrum(op: RadialOperator, k: int) -> RadialSpectrum:
 
     return RadialSpectrum(
         alpha=op.alpha, grid=op.grid, values=_frozen(vals), vectors=_frozen(phi))
+
+
+def full_spectrum(model: Model, bound: float) -> list:
+    """All 2D eigenvalues lam_k + n^2 up to bound, ascending.
+
+    Returns tuples (parity, n, k, value) with 1-based radial index k.
+    Ties are ordered by (n, k) and then parity, cosine first. Radial
+    eigenvalues are found by a value-range Sturm bisection, so no
+    truncation guesswork is involved.
+    """
+    if bound <= 0.0:
+        raise ConfigError("bound must be positive")
+    op = assemble_radial_operator(model.config.alpha, model.grid)
+    d, e = _symmetrized(op)
+    lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                           select_range=(0.0, bound), lapack_driver="stebz")
+    out = []
+    for mode in model.modes:
+        base = float(mode.n * mode.n)
+        for j, lv in enumerate(lam):
+            val = float(lv) + base
+            if val > bound:
+                break
+            out.append((mode.parity, mode.n, j + 1, val))
+    out.sort(key=lambda rec: (rec[3], rec[1], rec[2], 0 if rec[0] == "cos" else 1))
+    return out
 
 
 def bessel_order(alpha: float) -> float:

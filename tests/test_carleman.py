@@ -143,9 +143,8 @@ def test_report_with_sources(desk_model, desk_op, desk_spec, eta, rng):
     sources = [np.zeros((n_time, desk_model.n_radial))
                for _ in range(desk_model.n_modes)]
     sources[pos] = 0.01 * rng.standard_normal((n_time, desk_model.n_radial))
-    from degenctrl import solve_forward_sources
-    traj = solve_forward_sources(desk_model, desk_op,
-                                 ModeCoeffs(desk_model, data), sources)
+    traj = solve_forward(desk_model, desk_op, ModeCoeffs(desk_model, data),
+                         sources)
     rep = carleman_report(traj.mode_trajectories[pos], sources[pos], eta,
                           desk_model.grid, [s0_default(1.0)])
     assert rep.rows[0].rhs_f > 0.0

@@ -77,6 +77,19 @@ def test_unknown_command_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_at_or_under_a_file_is_usage_error(tmp_path, capsys, out):
+    # no directory to put a manifest in: one error line, no traceback
+    cfg = _write(tmp_path, "c.json", dict(BASE, k_eigen=4))
+    (tmp_path / "taken").write_text("keep")
+    assert main(["spectrum", "--config", cfg,
+                 "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "keep"
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     code, _ = (main(["spectrum", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]), None)
@@ -227,6 +240,21 @@ def test_seed_flag_overrides_config(tmp_path):
     assert manifest["config"]["seed"] == 7
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, where):
+    payload = dict(BASE, n_samples=5)
+    if where == "config":
+        code, out = _run(tmp_path, "hardy", dict(payload, seed=-3))
+    else:
+        code, out = _run(tmp_path, "hardy", payload, seed=-1)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "seed" in manifest["error"]
+    assert manifest["artifacts"] == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_rerun_is_byte_identical(tmp_path):
     payload = dict(BASE, n_samples=25, seed=3)
     _, out1 = _run(tmp_path, "hardy", payload, out="o1")
@@ -311,6 +339,25 @@ def test_malformed_box_is_config_error(tmp_path):
     code, out = _run(tmp_path, "measurable", dict(BASE, boxes=bad_edge),
                      out="out2")
     assert code == 2
+
+
+def test_empty_boxes_is_config_error(tmp_path):
+    # an explicit empty region is an error, not a request for the default
+    code, out = _run(tmp_path, "measurable", dict(BASE, boxes=[]))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "box" in manifest["error"]
+    assert manifest["artifacts"] == []
+
+
+def test_omitted_boxes_resolve_to_the_default_region(tmp_path):
+    # the manifest echoes the region the run used
+    _, options, _, resolved = cli.parse_config(
+        _write(tmp_path, "m.json", BASE), "measurable")
+    assert options["boxes"] == cli._DEFAULT_BOXES
+    assert resolved["boxes"] == [[list(edge) for edge in box]
+                                 for box in cli._DEFAULT_BOXES]
 
 
 @pytest.mark.parametrize("depth", [600, 990])

@@ -10,8 +10,9 @@ from degenctrl import (ConfigError, InvariantError, ModeCoeffs, ModeIndex,
                        ModelConfig, TimeGrid, assemble_radial_operator,
                        build_model, coeffs_inner, evolve_mode,
                        radial_spectrum, solve_adjoint, solve_forward,
-                       solve_forward_sources, time_grid_for, zero_coeffs)
-from degenctrl.evolution import _Stepper, full_spectrum
+                       time_grid_for, zero_coeffs)
+from degenctrl.evolution import _Stepper
+from degenctrl.spectral import full_spectrum
 
 
 def _scalar_march(mu, dt, steps):
@@ -132,8 +133,7 @@ def test_discrete_duality_identity(desk_model, desk_op, rng):
     adjoint = solve_adjoint(desk_model, desk_op, y_term)
     sources = [rng.standard_normal((tgrid.n_time, desk_model.n_radial))
                for _ in range(desk_model.n_modes)]
-    v = solve_forward_sources(desk_model, desk_op,
-                              zero_coeffs(desk_model), sources)
+    v = solve_forward(desk_model, desk_op, zero_coeffs(desk_model), sources)
     lhs = coeffs_inner(v.terminal_coeffs(), y_term)
     mass = desk_model.grid.mass
     rhs = 0.0
@@ -157,33 +157,15 @@ def test_adjoint_is_time_reversed_forward(desk_model, desk_op, rng):
                              - forward.coeffs_at(n - k).data)) < 1e-13
 
 
-def test_grid_control_matches_projected_sources(desk_model, desk_op, rng):
-    # dual entry points for sources: grid samples vs per-mode rows
-    tgrid = time_grid_for(desk_model)
-    q = desk_model.config.theta_quad_points
-    control = rng.standard_normal((tgrid.n_time, q, desk_model.n_radial))
-    phi0 = ModeCoeffs(
-        desk_model,
-        rng.standard_normal((desk_model.n_modes, desk_model.n_radial)))
-    a = solve_forward(desk_model, desk_op, phi0, control_values=control)
-    proj = np.einsum("qm,tqr->mtr", desk_model.basis_matrix,
-                     control) * desk_model.theta_weight
-    b = solve_forward_sources(desk_model, desk_op, phi0,
-                              [proj[i] for i in range(desk_model.n_modes)])
-    assert np.max(np.abs(a.terminal_coeffs().data
-                         - b.terminal_coeffs().data)) < 1e-12
-
-
 def test_source_shape_validated(desk_model, desk_op):
     tgrid = time_grid_for(desk_model)
     bad = [np.zeros((tgrid.n_time + 1, desk_model.n_radial))
            for _ in range(desk_model.n_modes)]
     with pytest.raises(ConfigError):
-        solve_forward_sources(desk_model, desk_op,
-                              zero_coeffs(desk_model), bad)
+        solve_forward(desk_model, desk_op, zero_coeffs(desk_model), bad)
     with pytest.raises(ConfigError):
-        solve_forward_sources(desk_model, desk_op, zero_coeffs(desk_model),
-                              [np.zeros((tgrid.n_time, desk_model.n_radial))])
+        solve_forward(desk_model, desk_op, zero_coeffs(desk_model),
+                      [np.zeros((tgrid.n_time, desk_model.n_radial))])
 
 
 def test_full_spectrum_sorted_and_complete(meas_model, meas_full_spec):
