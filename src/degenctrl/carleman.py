@@ -22,6 +22,7 @@ ratios of the true ones exactly.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -65,19 +66,13 @@ def _hermite_coeffs(values_left, values_right, extra_knot=None):
     rows, rhs = [], []
     for d, v in enumerate(values_left):
         row = np.zeros(ncoef)
-        fac = 1.0
-        for j in range(1, d + 1):
-            fac *= j
-        row[d] = fac
+        row[d] = math.factorial(d)
         rows.append(row)
         rhs.append(v)
     for d, v in enumerate(values_right):
         row = np.zeros(ncoef)
         for pw in range(d, ncoef):
-            fac = 1.0
-            for j in range(pw - d + 1, pw + 1):
-                fac *= j
-            row[pw] = fac
+            row[pw] = math.perm(pw, d)
         rows.append(row)
         rhs.append(v)
     if extra_knot is not None:

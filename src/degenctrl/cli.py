@@ -451,9 +451,18 @@ def _cmd_measurable(out, config, options, seed):
     model = build_model(config)
     op = assemble_radial_operator(config.alpha, model.grid)
     spec = radial_spectrum(op, model.n_radial)
-    region = BoxUnionSet(boxes=options["boxes"], band_a=options["band_a"],
-                         band_b=options["band_b"],
-                         horizon=config.T_horizon)
+    try:
+        region = BoxUnionSet(boxes=options["boxes"], band_a=options["band_a"],
+                             band_b=options["band_b"],
+                             horizon=config.T_horizon)
+    except ConfigError as exc:
+        if options["boxes"] != _DEFAULT_BOXES:
+            raise
+        # the message would name a box the config never wrote
+        raise ConfigError(
+            "the default region was used for boxes; it needs "
+            f"T_horizon >= 0.95, band_a <= 0.32 and band_b >= 0.58 ({exc})"
+        ) from exc
     family = datum_family(model, spec, options["family_size"], seed)
     rep = measurable_observability_ratio(
         model, spec, family, region, options["c_calib"], options["h_calib"],

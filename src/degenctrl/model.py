@@ -157,9 +157,6 @@ class ModeIndex:
         if self.n < 0 or (self.parity == "sin" and self.n == 0):
             raise ConfigError(f"invalid mode ({self.parity}, {self.n})")
 
-    def sort_key(self):
-        return (0 if self.parity == "cos" else 1, self.n)
-
 
 def mode_set(n_theta_max: int) -> tuple:
     cos_part = [ModeIndex("cos", n) for n in range(0, n_theta_max + 1)]

@@ -18,16 +18,16 @@ second-order eigenvalue convergence even for alpha close to 1, where any
 pointwise sampling of the vanishing coefficient stalls near first order.
 
 An independent eigenvalue oracle comes from the closed-form solution of
-the continuous problem in terms of Bessel functions of fractional order;
-the two routes share no discretization and cross-validate each other.
+the continuous problem in terms of Bessel functions of fractional order,
+with the zeros taken from mpmath's besseljzero; the two routes share no
+discretization and cross-validate each other.
 """
 
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
-from scipy.special import jv
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import Model, RadialGrid, _frozen
@@ -195,7 +195,8 @@ def bessel_oracle(alpha: float, k: int) -> np.ndarray:
     Separating the degenerate equation gives eigenfunctions
     r^((1-alpha)/2) J_nu(2 sqrt(lam) r^((2-alpha)/2) / (2-alpha)) with
     nu = (1-alpha)/(2-alpha); the Dirichlet end at r = 1 places sqrt(lam)
-    at scaled zeros of J_nu, so lam_k = ((2-alpha)/2)^2 j_{nu,k}^2.
+    at scaled zeros of J_nu, so lam_k = ((2-alpha)/2)^2 j_{nu,k}^2. The
+    zeros j_{nu,k} are mpmath's besseljzero at the working precision.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha out of range (0,1): {alpha!r}")
@@ -203,17 +204,8 @@ def bessel_oracle(alpha: float, k: int) -> np.ndarray:
         raise ConfigError("need at least one eigenvalue")
     nu = bessel_order(alpha)
     kappa = (2.0 - alpha) / 2.0
-    zeros = []
-    for idx in range(1, k + 1):
-        guess = (idx + nu / 2.0 - 0.25) * np.pi
-        lo, hi = guess - 1.2, guess + 1.2
-        while jv(nu, lo) * jv(nu, hi) > 0.0:
-            lo -= 0.1
-            hi += 0.1
-            if hi - lo > 20.0:  # pragma: no cover - guard against bracket runaway
-                raise NonConvergenceError(f"cannot bracket Bessel zero {idx}")
-        zeros.append(brentq(lambda x: jv(nu, x), lo, hi, xtol=1e-14))
-    zeros = np.asarray(zeros)
+    zeros = np.array([float(mp.besseljzero(nu, idx))
+                      for idx in range(1, k + 1)])
     if not np.all(np.diff(zeros) > 0.0):
         raise InvariantError("Bessel zeros not strictly increasing")
     return _frozen((kappa * zeros) ** 2)

@@ -19,18 +19,27 @@ and the coupled pencil solved through ``mp.inverse`` of the Cholesky
 factor and a full ``mp.eigsy`` with eigenvectors (no inverse iteration).
 Both keep the production precision ladders, so the tests can require the
 same working precision as well as the same numbers.
+
+``bessel_oracle_brentq`` is the closed-form radial spectrum with the
+Bessel zeros found in double precision: a McMahon guess, a bracket widened
+until ``scipy.special.jv`` changes sign, then ``scipy.optimize.brentq``.
+Production ``bessel_oracle`` takes the zeros from ``mp.besseljzero``; the
+two share no root finder and no Bessel evaluation.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import jv
 
 from degenctrl.errors import NonConvergenceError
 from degenctrl.evolution import evolve_mode
 from degenctrl.model import ModeIndex, mode_set
 from degenctrl.observability import (_angular_gram, _coupled_matrices_mp,
                                      torus_smallest_gram_eigenvalue)
+from degenctrl.spectral import bessel_order
 
 _MAX_SWEEPS = 64
 
@@ -158,3 +167,20 @@ def coupled_observability_inverse_mp(model, spectrum, interval, a, b, j,
             x = np.array([float(x_mp[i, 0] / nrm) for i in range(dim)])
             return float(lam), x, float(num / den), f"mp(dps={dps})"
     raise NonConvergenceError("coupled observation Gram not positive definite")
+
+
+def bessel_oracle_brentq(alpha, k):
+    """First k eigenvalues ((2-alpha)/2)^2 j_{nu,k}^2, zeros by brentq."""
+    nu = bessel_order(alpha)
+    kappa = (2.0 - alpha) / 2.0
+    zeros = []
+    for idx in range(1, k + 1):
+        guess = (idx + nu / 2.0 - 0.25) * np.pi
+        lo, hi = guess - 1.2, guess + 1.2
+        while jv(nu, lo) * jv(nu, hi) > 0.0:
+            lo -= 0.1
+            hi += 0.1
+            if hi - lo > 20.0:  # pragma: no cover - guard against bracket runaway
+                raise NonConvergenceError(f"cannot bracket Bessel zero {idx}")
+        zeros.append(brentq(lambda x: jv(nu, x), lo, hi, xtol=1e-14))
+    return (kappa * np.asarray(zeros)) ** 2

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degenctrl
 from degenctrl import ConfigError, cli
 from degenctrl.cli import main
 
@@ -360,6 +364,18 @@ def test_omitted_boxes_resolve_to_the_default_region(tmp_path):
                                  for box in cli._DEFAULT_BOXES]
 
 
+def test_default_region_past_the_horizon_says_it_is_the_default(tmp_path):
+    # the default region ends at t = 0.95; the error must not name its box
+    # as if the config had written it
+    code, out = _run(tmp_path, "measurable", dict(BASE, T_horizon=0.5))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "default region" in manifest["error"]
+    assert "T_horizon >= 0.95" in manifest["error"]
+    assert manifest["artifacts"] == []
+
+
 @pytest.mark.parametrize("depth", [600, 990])
 def test_deeply_nested_list_option_is_config_error(tmp_path, depth):
     # json.loads accepts this nesting; coercing the option must not recurse
@@ -398,3 +414,17 @@ def test_nonconvergence_manifest_lists_only_this_run(tmp_path):
     assert manifest["status"] == "non-convergence"
     names = [a["name"] for a in manifest["artifacts"]]
     assert names == ["hum_control.csv", "hum_summary.json"]
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_special(tmp_path):
+    # the two subpackages add about 0.3 s to a cold start; the package
+    # uses scipy only through scipy.linalg
+    src = str(Path(degenctrl.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = ("import sys, degenctrl.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy.optimize', 'scipy.special'))))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -12,6 +12,8 @@ from degenctrl import (ConfigError, assemble_radial_operator, bessel_oracle,
                        build_radial_grid, hardy_ratio, radial_spectrum)
 from degenctrl.spectral import bessel_order
 
+from ._oracles import bessel_oracle_brentq
+
 
 def test_flux_stencil_uniform_grid():
     # conductance is the integral-averaged one, exact on the operator kernel;
@@ -55,6 +57,14 @@ def test_bessel_oracle_against_mpmath():
             root = mp.besseljzero(mp.mpf(1) / 3, k)
             assert vals[k - 1] == pytest.approx(float(scale * root ** 2),
                                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.1, 0.5, 0.9, 0.999])
+def test_bessel_oracle_against_brentq_route(alpha):
+    # mp.besseljzero against scipy's jv bracketed and solved by brentq
+    np.testing.assert_allclose(bessel_oracle(alpha, 40),
+                               bessel_oracle_brentq(alpha, 40),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_discrete_spectrum_converges_to_bessel():
