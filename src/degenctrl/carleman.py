@@ -335,29 +335,37 @@ def carleman_report(traj: ModeTrajectory, sources, eta: EtaWeight,
 
     rows = []
     for s in s_values:
-        weights = build_carleman_weights(eta, T, float(s))
+        s = float(s)
+        weights = build_carleman_weights(eta, T, s)
+        try:
+            s_cubed = s ** 3
+        except OverflowError:
+            raise ConfigError(f"s = {s!r} is too large: s^3 overflows") from None
         xi = weights.xi(r, times)
         xi_min = float(np.min(xi))
-        damp = np.exp(-2.0 * float(s) * (xi - xi_min))
+        damp = np.exp(-2.0 * s * (xi - xi_min))
         theta = weights.theta(times)[:, None]
 
         def integrate(values):
             return float(np.sum(twt[:, None] * values * mass[None, :]))
 
-        lhs_grad = float(s) * integrate(theta * w_nodes[None, :] * dstates ** 2 * damp)
-        lhs_zero = float(s) ** 3 * integrate(
+        lhs_grad = s * integrate(theta * w_nodes[None, :] * dstates ** 2 * damp)
+        lhs_zero = s_cubed * integrate(
             theta ** 3 * zero_weight[None, :] * states ** 2 * damp)
         rhs_f = integrate(node_sources ** 2 * damp)
-        rhs_obs = float(s) ** 3 * integrate(
+        rhs_obs = s_cubed * integrate(
             theta ** 3 * np.where(window[None, :], states ** 2, 0.0) * damp)
         denom = rhs_f + rhs_obs
         ratio = (lhs_grad + lhs_zero) / denom if denom > 0.0 else float("inf")
         for quantity in (lhs_grad, lhs_zero, rhs_f, rhs_obs):
+            if quantity == math.inf:
+                raise ConfigError(
+                    f"s = {s!r} is too large: a weighted integral overflows")
             if not (quantity >= 0.0 and np.isfinite(quantity)):
                 raise InvariantError("weighted integral not finite and non-negative")
         rows.append(CarlemanRow(
-            s=float(s), parity=traj.mode.parity, n=traj.mode.n,
+            s=s, parity=traj.mode.parity, n=traj.mode.n,
             lhs_grad=lhs_grad, lhs_zero=lhs_zero, rhs_f=rhs_f, rhs_obs=rhs_obs,
-            ratio=ratio, log_scale=2.0 * float(s) * xi_min,
+            ratio=ratio, log_scale=2.0 * s * xi_min,
             below_s0=bool(s < s0)))
     return CarlemanReport(rows=tuple(rows), a=eta.a, b=eta.b, T=T)

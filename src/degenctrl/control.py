@@ -159,6 +159,8 @@ def hum_control(model: Model, op: RadialOperator, phi0: ModeCoeffs, region,
     """
     if epsilon <= 0:
         raise ConfigError("penalty must be positive")
+    if max_iter < 0:
+        raise ConfigError(f"max_iter must be >= 0, got {max_iter}")
     if phi0.model is not model:
         raise ConfigError("initial datum belongs to a different model")
     action = _RegionAction(model, op, region)

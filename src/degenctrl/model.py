@@ -194,7 +194,12 @@ class Model:
         return len(self.modes)
 
     def mode_position(self, mode: ModeIndex) -> int:
-        return self._mode_lookup[mode]
+        try:
+            return self._mode_lookup[mode]
+        except KeyError:
+            raise ConfigError(
+                f"mode ({mode.parity}, {mode.n}) is not in the model: "
+                f"n_theta_max is {self.config.n_theta_max}") from None
 
     def __post_init__(self):
         lookup = {m: i for i, m in enumerate(self.modes)}

@@ -25,6 +25,14 @@ Bessel zeros found in double precision: a McMahon guess, a bracket widened
 until ``scipy.special.jv`` changes sign, then ``scipy.optimize.brentq``.
 Production ``bessel_oracle`` takes the zeros from ``mp.besseljzero``; the
 two share no root finder and no Bessel evaluation.
+
+``observed_l1_per_node`` is the observed-L1 quadrature of the measurable
+pipeline as a node-by-node loop: one slice mask per piece and datum, one
+field per node through ``field_at_per_node``, which keeps every
+subnormal coefficient. Production ``_observed_l1`` builds the slice
+weights once per family, evaluates a piece's nodes in one product and
+zeroes sub-normal coefficients; the tests require the same bits.
+``measurable_datum_per_node`` wraps it into one datum's record.
 """
 
 import math
@@ -36,7 +44,8 @@ from scipy.special import jv
 
 from degenctrl.errors import NonConvergenceError
 from degenctrl.evolution import evolve_mode
-from degenctrl.model import ModeIndex, mode_set
+from degenctrl.measurable import SpectralPropagator, _pieces_within
+from degenctrl.model import ModeCoeffs, ModeIndex, mode_set, synthesize_field
 from degenctrl.observability import (_angular_gram, _coupled_matrices_mp,
                                      torus_smallest_gram_eigenvalue)
 from degenctrl.spectral import bessel_order
@@ -184,3 +193,37 @@ def bessel_oracle_brentq(alpha, k):
                 raise NonConvergenceError(f"cannot bracket Bessel zero {idx}")
         zeros.append(brentq(lambda x: jv(nu, x), lo, hi, xtol=1e-14))
     return (kappa * np.asarray(zeros)) ** 2
+
+
+def field_at_per_node(prop, t):
+    """Field of a SpectralPropagator at one time, subnormals kept."""
+    coeffs = prop.coeffs * np.exp(-prop.mu * t)
+    data = coeffs @ prop.spectrum.vectors.T
+    return synthesize_field(ModeCoeffs(prop.model, data)).values
+
+
+def observed_l1_per_node(model, prop, region, pieces, n_quad):
+    """Integral over time pieces of the L1 norm of the field on D_t."""
+    cell = model.theta_weight * model.grid.mass[None, :]
+    total = 0.0
+    for lo, hi in pieces:
+        mask = region.slice_mask(model, 0.5 * (lo + hi))
+        if not mask.any():
+            continue
+        width = (hi - lo) / n_quad
+        for i in range(n_quad):
+            tm = lo + (i + 0.5) * width
+            field = field_at_per_node(prop, tm)
+            total += width * float(np.sum(np.abs(field) * mask * cell))
+    return total
+
+
+def measurable_datum_per_node(model, spectrum, phi0, region, n_quad):
+    """(rho, terminal_norm, observed_l1) of one datum over the horizon."""
+    prop = SpectralPropagator(model, spectrum, phi0)
+    horizon = region.horizon
+    terminal = float(np.sqrt(np.sum(
+        (prop.coeffs * np.exp(-prop.mu * horizon)) ** 2)))
+    observed = observed_l1_per_node(
+        model, prop, region, _pieces_within(region, [(0.0, horizon)]), n_quad)
+    return terminal / observed, terminal, observed

@@ -225,6 +225,16 @@ def test_bad_snapshot_time_writes_nothing(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def test_mode_past_n_theta_max_is_config_error(tmp_path):
+    payload = dict(BASE, initial_parity="cos", initial_n=9, initial_k=1)
+    code, out = _run(tmp_path, "solve", payload)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "(cos, 9)" in manifest["error"]
+    assert "n_theta_max" in manifest["error"]
+
+
 def test_csv_cells_format_as_17_significant_digits(tmp_path):
     cells = [0.1, -0.0, 5e-324, 1e308, float("inf"), float("-inf"),
              float("nan"), np.float64(2.0) / 3.0, np.int64(71), True, 3, "x"]
@@ -309,6 +319,17 @@ def test_carleman_command_outputs(tmp_path):
     assert len(meta["rows"]) == 18
 
 
+@pytest.mark.parametrize("s", [1e300, 1e120, 1e102])
+def test_carleman_s_past_float_range_is_config_error(tmp_path, s):
+    # s^3 overflows at the first two; the weighted integrals at the third
+    code, out = _run(tmp_path, "carleman", dict(BASE, s_values=[s]))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert f"s = {s!r}" in manifest["error"]
+    assert manifest["artifacts"] == []
+
+
 def test_hum_command_outputs(tmp_path):
     payload = dict(BASE, band_a=0.3, band_b=0.6, epsilon=1e-4,
                    cg_tol=1e-6, max_iter=300, initial="desk")
@@ -320,6 +341,18 @@ def test_hum_command_outputs(tmp_path):
     assert summary["cost"] > 0
     header = (out / "hum_control.csv").read_text().splitlines()[0]
     assert header == "t,theta,r,control"
+
+
+def test_negative_max_iter_is_config_error(tmp_path):
+    code, out = _run(tmp_path, "hum", dict(BASE, max_iter=-1))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "max_iter" in manifest["error"]
+    assert manifest["artifacts"] == []
+    # a zero budget is valid: CG never runs and the run ends unconverged
+    code, _ = _run(tmp_path, "hum", dict(BASE, max_iter=0), out="zero")
+    assert code == 3
 
 
 def test_lr_command_outputs(tmp_path):

@@ -15,7 +15,9 @@ from degenctrl import (BoxUnionSet, ConfigError, ModeCoeffs,
                        derivative_bound_report, extended_field, hum_control,
                        measurable_observability_ratio,
                        slab_interpolation_report, solve_forward)
+from degenctrl.measurable import _FIELD_CHUNK, _pieces_within
 from ._golden import check_golden
+from ._oracles import (measurable_datum_per_node, observed_l1_per_node)
 
 TWO_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
              ((3.0, 5.5), (0.45, 0.58), (0.5, 0.95)))
@@ -215,6 +217,76 @@ def test_propagator_requires_full_spectrum(meas_model, meas_op):
                                             meas_model.n_radial)))
     with pytest.raises(ConfigError):
         SpectralPropagator(meas_model, small, phi0)
+
+
+def test_field_at_stacks_the_scalar_calls(meas_model, meas_full_spec,
+                                          meas_family):
+    # the late times put mu t past 708 for the high modes
+    times = np.array([0.0, 0.013, 0.25, 0.5, 0.77, 1.0])
+    for phi0 in meas_family[::6]:
+        prop = SpectralPropagator(meas_model, meas_full_spec, phi0)
+        stacked = prop.field_at(times)
+        assert stacked.shape == (times.size,) + prop.field_at(0.5).shape
+        assert np.array_equal(stacked,
+                              np.stack([prop.field_at(t) for t in times]))
+
+
+def _assert_records_match_oracle(model, spectrum, family, region, n_quad):
+    rep = measurable_observability_ratio(model, spectrum, family, region,
+                                         n_quad=n_quad)
+    for rec, phi0 in zip(rep.per_datum, family):
+        rho, terminal, observed = measurable_datum_per_node(
+            model, spectrum, phi0, region, n_quad)
+        assert not rec.excluded
+        assert rec.observed_l1 == observed
+        assert rec.terminal_norm == terminal
+        assert rec.rho == rho
+
+
+def test_records_match_the_per_node_oracle(meas_model, meas_full_spec,
+                                           meas_family, meas_region):
+    _assert_records_match_oracle(meas_model, meas_full_spec, meas_family,
+                                 meas_region, 16)
+    # one box whose time piece is short
+    short = _region((((0.5, 2.0), (0.32, 0.45), (0.2, 0.23)),))
+    _assert_records_match_oracle(meas_model, meas_full_spec, meas_family,
+                                 short, 16)
+
+
+def test_observed_l1_past_one_chunk_matches_the_oracle(
+        meas_model, meas_full_spec, meas_family, meas_region):
+    n_quad = 2 * _FIELD_CHUNK + 5
+    _assert_records_match_oracle(meas_model, meas_full_spec,
+                                 meas_family[:3], meas_region, n_quad)
+    slices = build_time_slices(meas_region, meas_model)
+    rep = slab_interpolation_report(meas_model, meas_full_spec,
+                                    meas_family[0], 0.0, meas_region.horizon,
+                                    slices, meas_region, n_quad=n_quad)
+    prop = SpectralPropagator(meas_model, meas_full_spec, meas_family[0])
+    assert rep.observed == observed_l1_per_node(
+        meas_model, prop, meas_region,
+        _pieces_within(meas_region, slices.intervals), n_quad)
+
+
+def test_coeff_at_flushes_only_subnormal_products(meas_model,
+                                                  meas_full_spec):
+    data = np.zeros((meas_model.n_modes, meas_model.n_radial))
+    data[:] = meas_full_spec.vectors[:, -6:].sum(axis=1)
+    prop = SpectralPropagator(meas_model, meas_full_spec,
+                              ModeCoeffs(meas_model, data))
+    t = 720.0 / float(np.max(prop.mu))
+    tiny = np.finfo(float).tiny
+    for order in (0, 1):
+        raw = prop.coeffs * np.exp(-prop.mu * t)
+        if order:
+            raw = raw * (-prop.mu) ** order
+        normal = np.abs(raw) >= tiny
+        # the test means something only if some products are subnormal
+        assert np.any((raw != 0.0) & ~normal)
+        got = prop.coeff_at(t, order)
+        assert not np.any((got != 0.0) & (np.abs(got) < tiny))
+        assert np.array_equal(got[normal], raw[normal])
+        assert np.all(got[~normal] == 0.0)
 
 
 def _eigen_datum(model, spectrum, pos, k):
