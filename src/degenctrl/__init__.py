@@ -15,8 +15,8 @@ from .model import (Field2D, Model, ModelConfig, ModeCoeffs, ModeIndex,
 from .spectral import (HardyReport, RadialOperator, RadialSpectrum,
                        assemble_radial_operator, bessel_oracle, hardy_ratio,
                        radial_spectrum)
-from .evolution import (TimeGrid, Trajectory, evolve_mode, solve_adjoint,
-                        solve_forward, time_grid_for)
+from .evolution import (TimeGrid, evolve_mode, solve_adjoint, solve_forward,
+                        time_grid_for)
 from .carleman import (CarlemanReport, CarlemanWeights, EtaWeight,
                        ThetaBoundReport, build_carleman_weights, build_eta,
                        carleman_report, s0_default, verify_theta_bounds)
@@ -45,7 +45,7 @@ __all__ = [
     "MeasurableReport", "Model", "ModelConfig", "ModeCoeffs", "ModeIndex",
     "NonConvergenceError", "ObservabilityEstimate", "RadialGrid",
     "RadialOperator", "RadialSpectrum", "SlabReport", "SpectralPropagator",
-    "ThetaBoundReport", "TimeGrid", "TimeSliceSet", "TorusGram", "Trajectory",
+    "ThetaBoundReport", "TimeGrid", "TimeSliceSet", "TorusGram",
     "apply_control_gramian", "assemble_radial_operator", "bessel_oracle",
     "build_carleman_weights", "build_eta", "build_model", "build_radial_grid",
     "build_time_slices", "carleman_report", "choose_q", "coeffs_inner",

@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .evolution import ModeTrajectory
-from .model import RadialGrid
+from .evolution import TimeGrid
+from .model import ModeIndex, RadialGrid
 
 
 def _left_eta(alpha, r):
@@ -293,26 +293,33 @@ class CarlemanReport:
     T: float
 
 
-def carleman_report(traj: ModeTrajectory, sources, eta: EtaWeight,
-                    grid: RadialGrid, s_values) -> CarlemanReport:
-    """Evaluate both sides of the weighted estimate for one trajectory.
+def carleman_report(mode: ModeIndex, states: np.ndarray, tgrid: TimeGrid,
+                    sources, eta: EtaWeight, grid: RadialGrid,
+                    s_values) -> CarlemanReport:
+    """Evaluate both sides of the weighted estimate for one mode's march.
+
+    states holds the mode's radial vector at every node of tgrid, shape
+    (n_time + 1, n_r - 1), as evolution.evolve_mode returns it; sources
+    holds its half-step rows, shape (n_time, n_r - 1), or is None.
 
     The quadrature is the tensor of the radial midpoint rule with the
     trapezoid rule over interior time nodes; both time endpoints are
     excluded, where the weight vanishes to all orders anyway. The radial
     derivative uses centered differences with the Dirichlet end values.
     """
-    T = traj.tgrid.T
-    nt = traj.tgrid.n_time
-    times = traj.tgrid.nodes[1:-1]
-    dt = traj.tgrid.dt
+    T = tgrid.T
+    nt = tgrid.n_time
+    times = tgrid.nodes[1:-1]
+    dt = tgrid.dt
     twt = np.full(times.size, dt)
     twt[0] *= 0.5
     twt[-1] *= 0.5
 
     r = grid.nodes
     mass = grid.mass
-    states = traj.states[1:-1]   # interior time rows
+    if np.shape(states) != (nt + 1, r.size):
+        raise ConfigError("states must hold one radial row per time node")
+    states = states[1:-1]   # interior time rows
 
     if sources is None:
         node_sources = np.zeros_like(states)
@@ -364,7 +371,7 @@ def carleman_report(traj: ModeTrajectory, sources, eta: EtaWeight,
             if not (quantity >= 0.0 and np.isfinite(quantity)):
                 raise InvariantError("weighted integral not finite and non-negative")
         rows.append(CarlemanRow(
-            s=s, parity=traj.mode.parity, n=traj.mode.n,
+            s=s, parity=mode.parity, n=mode.n,
             lhs_grad=lhs_grad, lhs_zero=lhs_zero, rhs_f=rhs_f, rhs_obs=rhs_obs,
             ratio=ratio, log_scale=2.0 * s * xi_min,
             below_s0=bool(s < s0)))

@@ -79,17 +79,20 @@ _OPTION_SCHEMAS = {
 }
 
 
+def _is_finite(number) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:    # an integer beyond float range
+        return False
+
+
 def _coerce(key, kind, value):
     if kind == "real":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"field '{key}' must be a number")
-        try:
-            number = float(value)
-        except OverflowError:    # an integer beyond float range
-            number = math.inf
-        if not math.isfinite(number):
+        if not _is_finite(value):
             raise ConfigError(f"field '{key}' must be a finite number")
-        return number
+        return float(value)
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"field '{key}' must be an integer")
@@ -101,7 +104,7 @@ def _coerce(key, kind, value):
     if kind == "list":
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"field '{key}' must be a list")
-        return tuple(_tuplify(value))
+        return _tuplify(key, value)
     raise ConfigError(f"unhandled kind for '{key}'")
 
 
@@ -112,9 +115,16 @@ def _seed(value):
     return seed
 
 
-def _tuplify(value):
-    return tuple(_tuplify(v) if isinstance(v, (list, tuple)) else v
-                 for v in value)
+def _tuplify(key, value):
+    """Nested lists as nested tuples; each number must be a finite float."""
+    items = []
+    for v in value:
+        if isinstance(v, (list, tuple)):
+            v = _tuplify(key, v)
+        elif isinstance(v, (int, float)) and not _is_finite(v):
+            raise ConfigError(f"field '{key}' must hold finite numbers")
+        items.append(v)
+    return tuple(items)
 
 
 def parse_config(path: str, command: str):
@@ -155,7 +165,7 @@ def parse_config(path: str, command: str):
         # _tuplify and _sanitize recurse once per nesting level of a list
         for key, (kind, default) in schema.items():
             options[key] = (_coerce(key, kind, raw[key]) if key in raw
-                            else (tuple(_tuplify(default))
+                            else (_tuplify(key, default)
                                   if kind == "list" else default))
         echoed = {key: _sanitize(options[key]) for key in sorted(options)}
     except RecursionError as exc:
@@ -273,12 +283,20 @@ def _cmd_solve(out, config, options, seed):
         if not (0 <= node <= tgrid.n_time):
             raise ConfigError(f"snapshot time {t_req} outside the horizon")
         snapshot_nodes.append(node)
-    traj = solve_forward(model, op, ModeCoeffs(model, data))
-    rows = [(tgrid.nodes[i], traj.norm_at(i)) for i in range(tgrid.n_time + 1)]
+    states = solve_forward(model, op, ModeCoeffs(model, data))
+    mass = model.grid.mass
+    rows = []
+    for t, state in zip(tgrid.nodes, states):
+        # a plain loop over the per-mode sums: sum() rounds differently
+        # from Python 3.12 on, and the CSV bytes must not move
+        total = 0.0
+        for row in state:
+            total += float(np.sum(mass * row ** 2))
+        rows.append((t, math.sqrt(total)))
     _write_csv(out / "solve.csv", ("t", "l2_norm"), rows)
     artifacts = ["solve.csv"]
     for idx, node in enumerate(snapshot_nodes):
-        field = synthesize_field(traj.coeffs_at(node)).values
+        field = synthesize_field(ModeCoeffs(model, states[node])).values
         header = ["r"] + [f"theta_{_fmt(th)}" for th in model.theta_nodes]
         body = [(model.grid.nodes[i],) + tuple(field[:, i])
                 for i in range(model.n_radial)]
@@ -304,13 +322,14 @@ def _cmd_carleman(out, config, options, seed):
             raise ConfigError("s_values must hold numbers")
     k_need = max(k for _, _, k in _CARLEMAN_FAMILY)
     spec = radial_spectrum(op, k_need)
+    tgrid = time_grid_for(model)
     rows, meta_rows = [], []
     for parity, n, k in _CARLEMAN_FAMILY:
         if n > config.n_theta_max:
             raise ConfigError("family frequency exceeds n_theta_max")
-        mt = evolve_mode(op, ModeIndex(parity, n), spec.vectors[:, k - 1],
-                         None, time_grid_for(model))
-        rep = carleman_report(mt, None, eta, model.grid,
+        mode = ModeIndex(parity, n)
+        states = evolve_mode(op, mode, spec.vectors[:, k - 1], None, tgrid)
+        rep = carleman_report(mode, states, tgrid, None, eta, model.grid,
                               [float(s) for s in s_values])
         for row in rep.rows:
             rows.append((row.s, row.parity, row.n, row.lhs_grad, row.lhs_zero,

@@ -19,9 +19,11 @@ hum_control and apply_control_gramian take a Cylinder, which keeps the
 angular modes decoupled, or a measurable.BoxUnionSet, whose masks at the
 time half-steps come from BoxUnionSet.grid_masks and couple the modes.
 The set's horizon must equal the model's. lr_control needs a Cylinder.
-Both region kinds hand their masked sources, one block per mode, to
-evolution.solve_forward; for a box union this module projects the masked
-grid field back onto the modes by angular quadrature.
+Marches come back from evolution as plain (time, mode, radial) arrays,
+and both region kinds hand their masked sources to evolution.solve_forward
+as one such array of half steps. A Cylinder masks the mode data radially;
+for a box union this module projects the masked grid field back onto the
+modes by angular quadrature.
 """
 
 from dataclasses import dataclass
@@ -31,8 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import Model, ModeCoeffs, ModeIndex, _frozen, zero_coeffs
-from .evolution import (TimeGrid, Trajectory, evolve_mode, solve_adjoint,
-                        solve_forward, time_grid_for)
+from .evolution import (TimeGrid, evolve_mode, solve_adjoint, solve_forward,
+                        time_grid_for)
 from .measurable import BoxUnionSet
 from .spectral import RadialOperator
 
@@ -58,7 +60,12 @@ def _radial_mask(model: Model, a: float, b: float) -> np.ndarray:
 
 
 class _RegionAction:
-    """Precomputed restriction maps for one region on one model."""
+    """Precomputed restriction map for one region on one model.
+
+    mask is the radial node mask of a Cylinder, shape (n_r - 1,), or the
+    grid masks of a BoxUnionSet at the half steps, shape (n_time,
+    theta_quad, n_r - 1); either broadcasts against the grid field.
+    """
 
     def __init__(self, model: Model, op: RadialOperator, region):
         self.model = model
@@ -66,45 +73,35 @@ class _RegionAction:
         self.region = region
         self.tgrid = time_grid_for(model)
         if isinstance(region, Cylinder):
-            self.radial_mask = _radial_mask(model, region.a, region.b)
-            self.grid_masks = None
+            self.mask = _radial_mask(model, region.a, region.b)
         elif isinstance(region, BoxUnionSet):
-            self.radial_mask = None
-            self.grid_masks = region.grid_masks(model, self.tgrid.half_nodes)
-            if not self.grid_masks.any():
+            self.mask = region.grid_masks(model, self.tgrid.half_nodes)
+            if not self.mask.any():
                 raise ConfigError("control region misses every grid point")
         else:
             raise ConfigError("control region must be a Cylinder or a BoxUnionSet")
 
-    def masked_sources(self, adjoint: Trajectory):
-        """Half-step control sources chi_D (y^k + y^{k+1}) / 2 per mode."""
-        if self.radial_mask is not None:
-            out = []
-            for mt in adjoint.mode_trajectories:
-                mid = 0.5 * (mt.states[:-1] + mt.states[1:])
-                out.append(mid * self.radial_mask[None, :])
-            return out
+    def masked_sources(self, adjoint: np.ndarray) -> np.ndarray:
+        """Half-step control sources chi_D (y^k + y^{k+1}) / 2 as mode data."""
+        if isinstance(self.region, Cylinder):
+            return 0.5 * (adjoint[:-1] + adjoint[1:]) * self.mask
         # quadrature in theta of the masked field against each basis function
         model = self.model
-        proj = model.theta_weight * np.einsum(
+        return model.theta_weight * np.einsum(
             "mq,tqr->tmr", model.basis_matrix.T, self.control_field(adjoint))
-        return [proj[:, i, :] for i in range(model.n_modes)]
 
-    def control_field(self, adjoint: Trajectory) -> np.ndarray:
+    def control_field(self, adjoint: np.ndarray) -> np.ndarray:
         """Grid samples of the control at every half-step, masked."""
-        stacked = np.stack([mt.states for mt in adjoint.mode_trajectories], axis=1)
-        mid = 0.5 * (stacked[:-1] + stacked[1:])
+        mid = 0.5 * (adjoint[:-1] + adjoint[1:])
         fields = np.einsum("qm,tmr->tqr", self.model.basis_matrix, mid)
-        if self.radial_mask is not None:
-            return fields * self.radial_mask[None, None, :]
-        return fields * self.grid_masks
+        return fields * self.mask
 
     def gramian(self, y_terminal: ModeCoeffs) -> ModeCoeffs:
         adj = solve_adjoint(self.model, self.op, y_terminal)
-        sources = self.masked_sources(adj)
         fwd = solve_forward(self.model, self.op, zero_coeffs(self.model),
-                            sources)
-        return fwd.terminal_coeffs()
+                            self.masked_sources(adj))
+        # a copy, so the result does not keep the whole march alive
+        return ModeCoeffs(self.model, fwd[-1].copy())
 
 
 def apply_control_gramian(model: Model, op: RadialOperator, region,
@@ -169,8 +166,7 @@ def hum_control(model: Model, op: RadialOperator, phi0: ModeCoeffs, region,
     def inner(u, v):
         return float(np.sum(mass[None, :] * u * v))
 
-    free = solve_forward(model, op, phi0)
-    rhs = -free.terminal_coeffs().data
+    rhs = -solve_forward(model, op, phi0)[-1]
     phi0_norm = math.sqrt(inner(phi0.data, phi0.data))
     rhs_norm = math.sqrt(inner(rhs, rhs))
 
@@ -219,8 +215,7 @@ def hum_control(model: Model, op: RadialOperator, phi0: ModeCoeffs, region,
     adj = solve_adjoint(model, op, y_terminal)
     field = action.control_field(adj)
     sources = action.masked_sources(adj)
-    controlled = solve_forward(model, op, phi0, sources)
-    phi_t = controlled.terminal_coeffs().data
+    phi_t = solve_forward(model, op, phi0, sources)[-1]
     terminal_residual = math.sqrt(inner(phi_t, phi_t))
     gap_vec = phi_t + epsilon * x
     identity_gap = math.sqrt(inner(gap_vec, gap_vec))
@@ -266,9 +261,9 @@ def _mode_block_gramian(op: RadialOperator, n_freq: int, mask: np.ndarray,
     """
     size = op.mass.size
     mode = ModeIndex("cos", n_freq)
-    back = evolve_mode(op, mode, np.eye(size), None, tgrid).states[::-1]
+    back = evolve_mode(op, mode, np.eye(size), None, tgrid)[::-1]
     src = 0.5 * (back[:-1] + back[1:]) * mask[:, None]
-    return evolve_mode(op, mode, np.zeros((size, size)), src, tgrid).states[-1]
+    return evolve_mode(op, mode, np.zeros((size, size)), src, tgrid)[-1]
 
 
 # smallest per-block penalty lr_control tries before it gives up
@@ -316,8 +311,7 @@ def lr_control(model: Model, op: RadialOperator, phi0: ModeCoeffs,
             n = model.modes[i].n
             if n not in grams:
                 grams[n] = _mode_block_gramian(op, n, mask, sub)
-            frees[i] = evolve_mode(op, model.modes[i], state[i], None, sub
-                                   ).states[-1]
+            frees[i] = evolve_mode(op, model.modes[i], state[i], None, sub)[-1]
 
         eps = 1e-4
         while True:
@@ -342,17 +336,14 @@ def lr_control(model: Model, op: RadialOperator, phi0: ModeCoeffs,
         new_state = state.copy()
         for i, mode in enumerate(model.modes):
             if i in ys:
-                back = evolve_mode(op, mode, ys[i], None, sub).states[::-1]
+                back = evolve_mode(op, mode, ys[i], None, sub)[::-1]
                 src = 0.5 * (back[:-1] + back[1:]) * mask[None, :]
                 block_cost += sub.dt * float(np.sum(src ** 2 * mass[None, :]))
-                new_state[i] = evolve_mode(op, mode, state[i], src, sub
-                                           ).states[-1]
+                new_state[i] = evolve_mode(op, mode, state[i], src, sub)[-1]
             else:
-                new_state[i] = evolve_mode(op, mode, state[i], None, sub
-                                           ).states[-1]
+                new_state[i] = evolve_mode(op, mode, state[i], None, sub)[-1]
         for i, mode in enumerate(model.modes):
-            new_state[i] = evolve_mode(op, mode, new_state[i], None, sub
-                                       ).states[-1]
+            new_state[i] = evolve_mode(op, mode, new_state[i], None, sub)[-1]
         state = new_state
         caps.append(k)
         costs.append(block_cost)
@@ -361,7 +352,7 @@ def lr_control(model: Model, op: RadialOperator, phi0: ModeCoeffs,
 
     tail = TimeGrid(T * 2.0 ** (-n_blocks), n_time)
     for i, mode in enumerate(model.modes):
-        state[i] = evolve_mode(op, mode, state[i], None, tail).states[-1]
+        state[i] = evolve_mode(op, mode, state[i], None, tail)[-1]
     boundaries.append(T)
     final = math.sqrt(float(np.sum(mass[None, :] * state ** 2)))
     return LRResult(

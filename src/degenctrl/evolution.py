@@ -21,10 +21,13 @@ so control Gramians built on this pairing are symmetric to rounding.
 The scheme is unconditionally contractive for zero sources, matching the
 energy decay of the continuous flow, and second order in dt.
 
-This module only marches in time. solve_forward is the one whole-model
-entry point: initial modes plus, optionally, one half-step source block
-per mode. Turning a control field on the grid into mode sources is the
-caller's job (control), and spectra live in spectral.
+This module only marches in time, and it returns plain read-only arrays,
+row k at time node k. solve_forward is the one whole-model entry point:
+initial modes plus, optionally, one (n_time, n_modes, n_r - 1) array of
+half-step sources; its states have shape (n_time + 1, n_modes, n_r - 1),
+so row k is the ModeCoeffs.data of node k. Turning a control field on the
+grid into mode sources is the caller's job (control), and spectra live in
+spectral.
 """
 
 from dataclasses import dataclass
@@ -63,25 +66,6 @@ class TimeGrid:
 
 def time_grid_for(model: Model) -> TimeGrid:
     return TimeGrid(model.config.T_horizon, model.config.n_time)
-
-
-@dataclass(frozen=True)
-class ModeTrajectory:
-    """States of one angular mode at every time node, row per node.
-
-    A block march (see evolve_mode) stores (n_r - 1, m) per node.
-    """
-
-    mode: ModeIndex
-    tgrid: TimeGrid
-    states: np.ndarray        # shape (n_time + 1, n_r - 1[, m])
-    source_free: bool
-
-    def initial(self) -> np.ndarray:
-        return self.states[0]
-
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
 
 
 class _Stepper:
@@ -129,13 +113,14 @@ class _Stepper:
 
 
 def evolve_mode(op: RadialOperator, mode: ModeIndex, phi0: np.ndarray,
-                sources, tgrid: TimeGrid) -> ModeTrajectory:
+                sources, tgrid: TimeGrid) -> np.ndarray:
     """March one mode from phi0; sources holds half-step samples or None.
 
     phi0 is one radial vector, shape (n_r - 1,), or a block of m radial
     columns, shape (n_r - 1, m), marched together. sources then has shape
-    (n_time,) + phi0.shape and the states (n_time + 1,) + phi0.shape. Each
-    column of a block march is bitwise the march of that column alone.
+    (n_time,) + phi0.shape. Returns the read-only states, row k at node k,
+    shape (n_time + 1,) + phi0.shape. Each column of a block march is
+    bitwise the march of that column alone.
     """
     phi0 = np.asarray(phi0, dtype=float)
     size = op.mass.size
@@ -160,66 +145,38 @@ def evolve_mode(op: RadialOperator, mode: ModeIndex, phi0: np.ndarray,
         norms = np.sqrt(np.sum(states ** 2 * stepper.m, axis=1))
         if np.any(norms[1:] > norms[:-1] * (1.0 + 1e-12)):
             raise InvariantError("source-free step increased the discrete energy")
-    return ModeTrajectory(mode=mode, tgrid=tgrid, states=_frozen(states),
-                          source_free=sources is None)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Complete trajectory: one ModeTrajectory per admissible mode."""
-
-    model: Model
-    tgrid: TimeGrid
-    mode_trajectories: tuple
-
-    def __post_init__(self):
-        if tuple(mt.mode for mt in self.mode_trajectories) != self.model.modes:
-            raise InvariantError("trajectory mode set incomplete or out of order")
-
-    def coeffs_at(self, k: int) -> ModeCoeffs:
-        data = np.stack([mt.states[k] for mt in self.mode_trajectories])
-        return ModeCoeffs(self.model, data)
-
-    def terminal_coeffs(self) -> ModeCoeffs:
-        return self.coeffs_at(self.tgrid.n_time)
-
-    def norm_at(self, k: int) -> float:
-        mass = self.model.grid.mass
-        total = 0.0
-        for mt in self.mode_trajectories:
-            total += float(np.sum(mass * mt.states[k] ** 2))
-        return float(np.sqrt(total))
+    return _frozen(states)
 
 
 def solve_forward(model: Model, op: RadialOperator, phi0: ModeCoeffs,
-                  sources=None) -> Trajectory:
+                  sources=None) -> np.ndarray:
     """Evolve all modes from phi0, optionally under half-step sources.
 
-    sources, when given, holds one (n_time, n_r - 1) array or None per
-    mode, in model mode order; each mode marches with its own rows.
+    sources, when given, is one (n_time, n_modes, n_r - 1) array: row k
+    holds the mode data of the source at half step k. Returns the
+    read-only states, shape (n_time + 1, n_modes, n_r - 1), whose row k is
+    the mode data at node k. Each mode marches on its own.
     """
     tgrid = time_grid_for(model)
-    if sources is None:
-        sources = [None] * model.n_modes
-    elif len(sources) != model.n_modes:
-        raise ConfigError("need one source block per mode")
-    mode_trajs = [evolve_mode(op, mode, data, source, tgrid)
-                  for mode, data, source in zip(model.modes, phi0.data, sources)]
-    return Trajectory(model=model, tgrid=tgrid, mode_trajectories=tuple(mode_trajs))
+    shape = (tgrid.n_time, model.n_modes, model.n_radial)
+    if sources is not None and (not isinstance(sources, np.ndarray)
+                                or sources.shape != shape):
+        raise ConfigError(f"sources must be one array of shape {shape}")
+    states = np.empty((tgrid.n_time + 1,) + shape[1:])
+    for i, mode in enumerate(model.modes):
+        states[:, i] = evolve_mode(op, mode, phi0.data[i],
+                                   None if sources is None else sources[:, i],
+                                   tgrid)
+    return _frozen(states)
 
 
-def solve_adjoint(model: Model, op: RadialOperator, y_terminal: ModeCoeffs) -> Trajectory:
+def solve_adjoint(model: Model, op: RadialOperator,
+                  y_terminal: ModeCoeffs) -> np.ndarray:
     """Backward solve with terminal data, stored on forward time indices.
 
     The generator is self adjoint, so the backward flow equals the forward
     flow run for the elapsed time T - t. We run forward from the terminal
-    data and reverse the stored states: row k of the result is the adjoint
-    state at time t_k, and row 0 is the retrievable initial value y(0).
+    data and reverse the rows: row k of the result is the adjoint state at
+    time t_k, and row 0 is the retrievable initial value y(0).
     """
-    forward = solve_forward(model, op, y_terminal)
-    reversed_trajs = tuple(
-        ModeTrajectory(mode=mt.mode, tgrid=mt.tgrid,
-                       states=_frozen(mt.states[::-1]), source_free=True)
-        for mt in forward.mode_trajectories)
-    return Trajectory(model=model, tgrid=forward.tgrid,
-                      mode_trajectories=reversed_trajs)
+    return _frozen(solve_forward(model, op, y_terminal)[::-1])

@@ -253,9 +253,6 @@ class ModeCoeffs:
         if not np.all(np.isfinite(self.data)):
             raise ConfigError("coefficients contain non-finite entries")
 
-    def vector(self, mode: ModeIndex) -> np.ndarray:
-        return self.data[self.model.mode_position(mode)]
-
 
 def zero_coeffs(model: Model) -> ModeCoeffs:
     return ModeCoeffs(model, np.zeros((model.n_modes, model.n_radial)))

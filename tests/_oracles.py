@@ -116,9 +116,9 @@ def mode_block_gramian_columns(op, n_freq, mask, tgrid):
     for j in range(size):
         unit = np.zeros(size)
         unit[j] = 1.0
-        back = evolve_mode(op, mode, unit, None, tgrid).states[::-1]
+        back = evolve_mode(op, mode, unit, None, tgrid)[::-1]
         src = 0.5 * (back[:-1] + back[1:]) * mask[None, :]
-        cols[:, j] = evolve_mode(op, mode, np.zeros(size), src, tgrid).states[-1]
+        cols[:, j] = evolve_mode(op, mode, np.zeros(size), src, tgrid)[-1]
     return cols
 
 

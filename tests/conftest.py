@@ -59,10 +59,10 @@ def desk_dense_hum_y(desk_model, desk_op, desk_phi0):
             desk_model, desk_op, region,
             ModeCoeffs(desk_model, unit.reshape(desk_model.n_modes, -1)))
         gram[:, j] = out.data.ravel()
-    free_t = solve_forward(desk_model, desk_op, desk_phi0).terminal_coeffs()
+    free_t = solve_forward(desk_model, desk_op, desk_phi0)[-1]
     w = np.sqrt(np.tile(desk_model.grid.mass, desk_model.n_modes))
     a_sym = w[:, None] * gram / w[None, :] + 1e-6 * np.eye(dim)
-    rhs = -(w * free_t.data.ravel())
+    rhs = -(w * free_t.ravel())
     return (np.linalg.solve(a_sym, rhs) / w).reshape(desk_model.n_modes, -1)
 
 

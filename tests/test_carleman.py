@@ -5,7 +5,8 @@ import pytest
 
 from degenctrl import (ConfigError, ModeCoeffs, ModeIndex,
                        build_carleman_weights, build_eta, carleman_report,
-                       s0_default, solve_forward, verify_theta_bounds)
+                       s0_default, solve_forward, time_grid_for,
+                       verify_theta_bounds)
 from degenctrl.carleman import theta_weight, theta_weight_d1, theta_weight_d2
 from ._golden import check_golden
 
@@ -110,9 +111,11 @@ def _family_rows(model, op, spec, eta, s_values):
     for parity, n, k in (("cos", 0, 1), ("cos", 1, 1), ("sin", 2, 2)):
         data = np.zeros((model.n_modes, model.n_radial))
         data[model.mode_position(ModeIndex(parity, n))] = spec.vectors[:, k - 1]
-        traj = solve_forward(model, op, ModeCoeffs(model, data))
-        mt = traj.mode_trajectories[model.mode_position(ModeIndex(parity, n))]
-        rows.extend(carleman_report(mt, None, eta, model.grid, s_values).rows)
+        mode = ModeIndex(parity, n)
+        states = solve_forward(model, op, ModeCoeffs(model, data))
+        rows.extend(carleman_report(
+            mode, states[:, model.mode_position(mode)], time_grid_for(model),
+            None, eta, model.grid, s_values).rows)
     return rows
 
 
@@ -140,11 +143,17 @@ def test_report_with_sources(desk_model, desk_op, desk_spec, eta, rng):
     data = np.zeros((desk_model.n_modes, desk_model.n_radial))
     data[pos] = desk_spec.vectors[:, 0]
     n_time = desk_model.config.n_time
-    sources = [np.zeros((n_time, desk_model.n_radial))
-               for _ in range(desk_model.n_modes)]
-    sources[pos] = 0.01 * rng.standard_normal((n_time, desk_model.n_radial))
-    traj = solve_forward(desk_model, desk_op, ModeCoeffs(desk_model, data),
-                         sources)
-    rep = carleman_report(traj.mode_trajectories[pos], sources[pos], eta,
+    sources = np.zeros((n_time, desk_model.n_modes, desk_model.n_radial))
+    sources[:, pos] = 0.01 * rng.standard_normal((n_time, desk_model.n_radial))
+    states = solve_forward(desk_model, desk_op, ModeCoeffs(desk_model, data),
+                           sources)
+    tgrid = time_grid_for(desk_model)
+    rep = carleman_report(mode, states[:, pos], tgrid, sources[:, pos], eta,
                           desk_model.grid, [s0_default(1.0)])
     assert rep.rows[0].rhs_f > 0.0
+    # states need a row per time node, sources a row per half step
+    for bad_states, bad_sources in ((states[1:, pos], None),
+                                    (states[:, pos], sources[1:, pos])):
+        with pytest.raises(ConfigError):
+            carleman_report(mode, bad_states, tgrid, bad_sources, eta,
+                            desk_model.grid, [s0_default(1.0)])

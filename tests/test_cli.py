@@ -170,6 +170,17 @@ def test_parse_config_accepts_finite_or_raises_config_error(
                for key, (kind, _) in cli._OPTION_SCHEMAS[command].items()
                if kind == "real")
 
+    def numbers(value):
+        for v in value:
+            if isinstance(v, tuple):
+                yield from numbers(v)
+            elif isinstance(v, (int, float)):
+                yield v
+
+    assert all(math.isfinite(x)
+               for key, (kind, _) in cli._OPTION_SCHEMAS[command].items()
+               if kind == "list" for x in numbers(options[key]))
+
 
 def test_density_seq_reproduces_reference_values(tmp_path):
     payload = dict(BASE, e_intervals=[[0.0, 1.0]], ell=0.5, q=0.5, m_max=4)
@@ -328,6 +339,21 @@ def test_carleman_s_past_float_range_is_config_error(tmp_path, s):
     assert manifest["status"] == "config-error"
     assert f"s = {s!r}" in manifest["error"]
     assert manifest["artifacts"] == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 400],
+                         ids=["nan", "inf", "401-digit"])
+@pytest.mark.parametrize("command, key", [("solve", "snapshot_times"),
+                                          ("carleman", "s_values")])
+def test_non_finite_number_in_a_list_is_config_error(tmp_path, command, key,
+                                                     value):
+    code, out = _run(tmp_path, command, dict(BASE, **{key: [value]}))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert key in manifest["error"]
+    assert manifest["artifacts"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_hum_command_outputs(tmp_path):

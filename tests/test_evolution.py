@@ -25,10 +25,10 @@ def test_single_mode_matches_scalar_oracle(desk_model, desk_op, desk_spec):
     mode = ModeIndex("cos", 2)
     mu = desk_spec.values[0] + 4.0
     tgrid = time_grid_for(desk_model)
-    traj = evolve_mode(desk_op, mode, desk_spec.vectors[:, 0], None, tgrid)
+    states = evolve_mode(desk_op, mode, desk_spec.vectors[:, 0], None, tgrid)
     for k in range(tgrid.n_time + 1):
         expected = _scalar_march(mu, tgrid.dt, k) * desk_spec.vectors[:, 0]
-        assert np.max(np.abs(traj.states[k] - expected)) < 1e-10
+        assert np.max(np.abs(states[k] - expected)) < 1e-10
 
 
 @pytest.mark.parametrize("n_freq", [0, 1, 2, 4])
@@ -70,12 +70,12 @@ def test_block_march_matches_single_marches_bitwise(desk_model, desk_op, rng,
     sources = (rng.standard_normal((tgrid.n_time, size, 3)) if sourced
                else None)
     block = evolve_mode(desk_op, mode, phi0, sources, tgrid)
-    assert block.states.shape == (tgrid.n_time + 1, size, 3)
+    assert block.shape == (tgrid.n_time + 1, size, 3)
     for j in range(3):
         single = evolve_mode(desk_op, mode, phi0[:, j],
                              None if sources is None else sources[:, :, j],
                              tgrid)
-        assert np.array_equal(block.states[:, :, j], single.states)
+        assert np.array_equal(block[:, :, j], single)
 
 
 def test_block_march_shapes_validated(desk_model, desk_op):
@@ -108,8 +108,8 @@ def test_dt_halving_second_order(desk_op, desk_spec):
     errs = []
     for n_time in (16, 32, 64):
         tgrid = TimeGrid(T, n_time)
-        traj = evolve_mode(desk_op, mode, desk_spec.vectors[:, 0], None, tgrid)
-        end = traj.states[-1][0] / desk_spec.vectors[0, 0]
+        states = evolve_mode(desk_op, mode, desk_spec.vectors[:, 0], None, tgrid)
+        end = states[-1][0] / desk_spec.vectors[0, 0]
         errs.append(abs(end - math.exp(-mu * T)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.8 <= coarse / fine <= 4.2
@@ -117,8 +117,8 @@ def test_dt_halving_second_order(desk_op, desk_spec):
 
 def test_energy_monotone_every_step(desk_model, desk_op, rng):
     data = rng.standard_normal((desk_model.n_modes, desk_model.n_radial))
-    traj = solve_forward(desk_model, desk_op, ModeCoeffs(desk_model, data))
-    norms = [traj.norm_at(k) for k in range(desk_model.config.n_time + 1)]
+    states = solve_forward(desk_model, desk_op, ModeCoeffs(desk_model, data))
+    norms = np.sqrt(np.sum(desk_model.grid.mass * states ** 2, axis=(1, 2)))
     for before, after in zip(norms, norms[1:]):
         assert after <= before * (1.0 + 1e-14)
 
@@ -131,17 +131,15 @@ def test_discrete_duality_identity(desk_model, desk_op, rng):
         desk_model,
         rng.standard_normal((desk_model.n_modes, desk_model.n_radial)))
     adjoint = solve_adjoint(desk_model, desk_op, y_term)
-    sources = [rng.standard_normal((tgrid.n_time, desk_model.n_radial))
-               for _ in range(desk_model.n_modes)]
+    sources = rng.standard_normal(
+        (tgrid.n_time, desk_model.n_modes, desk_model.n_radial))
     v = solve_forward(desk_model, desk_op, zero_coeffs(desk_model), sources)
-    lhs = coeffs_inner(v.terminal_coeffs(), y_term)
+    lhs = coeffs_inner(ModeCoeffs(desk_model, v[-1]), y_term)
     mass = desk_model.grid.mass
     rhs = 0.0
     for i in range(desk_model.n_modes):
-        y_states = np.stack([adjoint.coeffs_at(k).data[i]
-                             for k in range(tgrid.n_time + 1)])
-        mid = 0.5 * (y_states[:-1] + y_states[1:])
-        rhs += tgrid.dt * float(np.sum(sources[i] * mid * mass[None, :]))
+        mid = 0.5 * (adjoint[:-1, i] + adjoint[1:, i])
+        rhs += tgrid.dt * float(np.sum(sources[:, i] * mid * mass[None, :]))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
@@ -151,21 +149,42 @@ def test_adjoint_is_time_reversed_forward(desk_model, desk_op, rng):
         rng.standard_normal((desk_model.n_modes, desk_model.n_radial)))
     adjoint = solve_adjoint(desk_model, desk_op, y_term)
     forward = solve_forward(desk_model, desk_op, y_term)
-    n = desk_model.config.n_time
-    for k in (0, n // 3, n):
-        assert np.max(np.abs(adjoint.coeffs_at(k).data
-                             - forward.coeffs_at(n - k).data)) < 1e-13
+    assert np.array_equal(adjoint, forward[::-1])
+
+
+def test_marched_states_are_read_only(desk_model, desk_op, rng):
+    tgrid = time_grid_for(desk_model)
+    size = desk_model.n_radial
+    mode = ModeIndex("cos", 1)
+    y_term = ModeCoeffs(
+        desk_model, rng.standard_normal((desk_model.n_modes, size)))
+    marched = {
+        "single": evolve_mode(desk_op, mode, np.ones(size), None, tgrid),
+        "block": evolve_mode(desk_op, mode, np.ones((size, 2)), None, tgrid),
+        "forward": solve_forward(desk_model, desk_op, y_term),
+        "adjoint": solve_adjoint(desk_model, desk_op, y_term),
+    }
+    assert marched["forward"].shape == (tgrid.n_time + 1, desk_model.n_modes,
+                                        size)
+    for name, states in marched.items():
+        assert not states.flags.writeable, name
+        with pytest.raises(ValueError):
+            states[0] = 0.0
 
 
 def test_source_shape_validated(desk_model, desk_op):
     tgrid = time_grid_for(desk_model)
-    bad = [np.zeros((tgrid.n_time + 1, desk_model.n_radial))
-           for _ in range(desk_model.n_modes)]
+    n_modes, size = desk_model.n_modes, desk_model.n_radial
+    zero = zero_coeffs(desk_model)
+    for bad in (np.zeros((tgrid.n_time + 1, n_modes, size)),
+                np.zeros((tgrid.n_time, size)),
+                np.zeros((n_modes, tgrid.n_time, size))):
+        with pytest.raises(ConfigError):
+            solve_forward(desk_model, desk_op, zero, bad)
+    # the former form, one (n_time, n_r - 1) block per mode, is refused
+    per_mode = [np.zeros((tgrid.n_time, size)) for _ in range(n_modes)]
     with pytest.raises(ConfigError):
-        solve_forward(desk_model, desk_op, zero_coeffs(desk_model), bad)
-    with pytest.raises(ConfigError):
-        solve_forward(desk_model, desk_op, zero_coeffs(desk_model),
-                      [np.zeros((tgrid.n_time, desk_model.n_radial))])
+        solve_forward(desk_model, desk_op, zero, per_mode)
 
 
 def test_full_spectrum_sorted_and_complete(meas_model, meas_full_spec):
