@@ -196,6 +196,20 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _write_grid_csv(path: Path, header, axes, values):
+    # the rows _write_csv writes for every point of the grid spanned by
+    # axes (last axis fastest) followed by its entry of values, with each
+    # axis node and each value formatted once instead of once per row
+    keys = [""]
+    for axis in axes:
+        cells = ["%.17g," % x for x in np.asarray(axis).tolist()]
+        keys = [key + cell for key in keys for cell in cells]
+    lines = [",".join(header)]
+    lines += [key + "%.17g" % v for key, v in
+              zip(keys, np.asarray(values).ravel().tolist(), strict=True)]
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
@@ -409,11 +423,9 @@ def _cmd_hum(out, config, options, seed):
                       options["cg_tol"], options["max_iter"])
     tgrid = time_grid_for(model)
     # one row per (half step, theta node, radial node), radial fastest
-    axes = np.meshgrid(tgrid.half_nodes, model.theta_nodes, model.grid.nodes,
-                       indexing="ij")
-    columns = [a.ravel().tolist() for a in axes]
-    rows = zip(*columns, res.control_values.ravel().tolist(), strict=True)
-    _write_csv(out / "hum_control.csv", ("t", "theta", "r", "control"), rows)
+    _write_grid_csv(out / "hum_control.csv", ("t", "theta", "r", "control"),
+                    (tgrid.half_nodes, model.theta_nodes, model.grid.nodes),
+                    res.control_values)
     _write_json(out / "hum_summary.json", {
         "residual": res.terminal_residual, "iterations": res.iterations,
         "cost": res.cost, "linf_ratio": res.linf_ratio,

@@ -7,6 +7,10 @@ method, a different algorithm, as a brute-force oracle. Rotations sweep
 the strict upper triangle in row-major order, so runs are deterministic,
 and a sweep that performs no rotation ends the iteration.
 
+``evolve_mode_every_step`` is the Crank-Nicolson march that computes all
+``n_time`` steps. Production ``evolve_mode`` stops stepping at a bitwise
+fixed point after the first step; the tests require the same bits.
+
 ``mode_block_gramian_columns`` is the dyadic-block control Gramian built
 one unit column at a time, two single-vector marches per column. The
 production ``_mode_block_gramian`` marches all columns as one block; the
@@ -42,10 +46,11 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from degenctrl.errors import NonConvergenceError
-from degenctrl.evolution import evolve_mode
+from degenctrl.errors import ConfigError, InvariantError, NonConvergenceError
+from degenctrl.evolution import _Stepper, evolve_mode
 from degenctrl.measurable import SpectralPropagator, _pieces_within
-from degenctrl.model import ModeCoeffs, ModeIndex, mode_set, synthesize_field
+from degenctrl.model import (ModeCoeffs, ModeIndex, _frozen, mode_set,
+                             synthesize_field)
 from degenctrl.observability import (_angular_gram, _coupled_matrices_mp,
                                      torus_smallest_gram_eigenvalue)
 from degenctrl.spectral import bessel_order
@@ -106,6 +111,34 @@ def jacobi_eigh_mp(matrix: "mp.matrix", rel_tol=None):
                     vecs[rr, col] = v[rr, i]
             return vals, vecs
     raise NonConvergenceError("Jacobi sweep budget exhausted (mp)")
+
+
+def evolve_mode_every_step(op, mode, phi0, sources, tgrid):
+    """``evolve_mode`` without the fixed-point exit: one step per half step."""
+    phi0 = np.asarray(phi0, dtype=float)
+    size = op.mass.size
+    if phi0.ndim not in (1, 2) or phi0.shape[0] != size:
+        raise ConfigError("initial data must be one radial vector or a block "
+                          "of radial columns matching the operator")
+    if sources is not None:
+        sources = np.asarray(sources, dtype=float)
+        if sources.shape != (tgrid.n_time,) + phi0.shape:
+            raise ConfigError("source array must hold one radial row per half step")
+    stepper = _Stepper(op, mode.n, tgrid.dt, block=phi0.ndim == 2)
+    states = np.empty((tgrid.n_time + 1,) + phi0.shape)
+    states[0] = phi0
+    v = phi0
+    for k in range(tgrid.n_time):
+        v = stepper.step(v, None if sources is None else sources[k])
+        states[k + 1] = v
+    if not np.all(np.isfinite(states)):
+        raise InvariantError("trajectory contains non-finite entries")
+    if sources is None:
+        # per column for a block: the sum runs over the radial axis only
+        norms = np.sqrt(np.sum(states ** 2 * stepper.m, axis=1))
+        if np.any(norms[1:] > norms[:-1] * (1.0 + 1e-12)):
+            raise InvariantError("source-free step increased the discrete energy")
+    return _frozen(states)
 
 
 def mode_block_gramian_columns(op, n_freq, mask, tgrid):

@@ -369,6 +369,35 @@ def test_hum_command_outputs(tmp_path):
     assert header == "t,theta,r,control"
 
 
+@pytest.mark.parametrize("initial", ["desk", "random"])
+def test_hum_csv_matches_per_row_route(tmp_path, monkeypatch, initial):
+    # hum_control.csv formats each axis once; the bytes must be those of
+    # one _write_csv row per meshgrid point
+    results = []
+    hum_control = cli.hum_control
+
+    def recording_hum_control(*args, **kwargs):
+        results.append(hum_control(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "hum_control", recording_hum_control)
+    payload = dict(BASE, band_a=0.3, band_b=0.6, epsilon=1e-4,
+                   cg_tol=1e-6, max_iter=300, initial=initial)
+    code, out = _run(tmp_path, "hum", payload, seed=3)
+    assert code == 0
+    (res,) = results
+    model = res.model
+    half_nodes = cli.time_grid_for(model).half_nodes
+    axes = np.meshgrid(half_nodes, model.theta_nodes, model.grid.nodes,
+                       indexing="ij")
+    columns = [a.ravel().tolist() for a in axes]
+    rows = zip(*columns, res.control_values.ravel().tolist(), strict=True)
+    cli._write_csv(tmp_path / "expected.csv", ("t", "theta", "r", "control"),
+                   rows)
+    assert ((out / "hum_control.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
+
+
 def test_negative_max_iter_is_config_error(tmp_path):
     code, out = _run(tmp_path, "hum", dict(BASE, max_iter=-1))
     assert code == 2

@@ -9,9 +9,10 @@ from degenctrl import (BoxUnionSet, ConfigError, Cylinder, ModeCoeffs,
                        ModeIndex, ModelConfig, TimeGrid, apply_control_gramian,
                        assemble_radial_operator, build_model, coeffs_inner,
                        hum_control, lr_control, zero_coeffs)
+from degenctrl import control, evolution
 from degenctrl.control import _mode_block_gramian, _radial_mask
 from ._golden import check_golden
-from ._oracles import mode_block_gramian_columns
+from ._oracles import evolve_mode_every_step, mode_block_gramian_columns
 
 
 def _unit_eigendatum(model, spec, parity, n, k):
@@ -118,6 +119,45 @@ def test_hum_desk_case_controls(desk_hum):
     # reported residual history is the monotone envelope
     hist = res.residual_history
     assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
+def _hum_every_step(monkeypatch, *args, **kwargs):
+    # the same solve with every march stepping all n_time times
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution, "evolve_mode", evolve_mode_every_step)
+        patch.setattr(control, "evolve_mode", evolve_mode_every_step)
+        return hum_control(*args, **kwargs)
+
+
+def _assert_same_hum(got, expected):
+    assert got.iterations == expected.iterations
+    for a, b in ((got.y_terminal.data, expected.y_terminal.data),
+                 (got.control_values, expected.control_values)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_hum_desk_bitwise_matches_every_step_march(desk_model, desk_op,
+                                                   desk_phi0, desk_hum,
+                                                   monkeypatch):
+    # seven of the nine modes stay at rest and take the fixed-point exit
+    expected = _hum_every_step(monkeypatch, desk_model, desk_op, desk_phi0,
+                               Cylinder(0.3, 0.6), 1e-6, cg_tol=1e-8)
+    _assert_same_hum(desk_hum, expected)
+
+
+def test_hum_random_bitwise_matches_every_step_march(monkeypatch):
+    # a dense datum: no mode is at rest
+    model = build_model(ModelConfig(alpha=0.5, T_horizon=1.0, n_theta_max=2,
+                                    n_r=40, n_time=32))
+    op = assemble_radial_operator(0.5, model.grid)
+    phi0 = ModeCoeffs(model, np.random.default_rng(5).standard_normal(
+        (model.n_modes, model.n_radial)))
+    args = (model, op, phi0, Cylinder(0.3, 0.6), 1e-4)
+    got = hum_control(*args, cg_tol=1e-6)
+    expected = _hum_every_step(monkeypatch, *args, cg_tol=1e-6)
+    assert got.converged
+    _assert_same_hum(got, expected)
 
 
 def test_hum_dense_gramian_oracle(desk_hum, desk_dense_hum_y):

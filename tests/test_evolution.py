@@ -13,6 +13,7 @@ from degenctrl import (ConfigError, InvariantError, ModeCoeffs, ModeIndex,
                        time_grid_for, zero_coeffs)
 from degenctrl.evolution import _Stepper
 from degenctrl.spectral import full_spectrum
+from ._oracles import evolve_mode_every_step
 
 
 def _scalar_march(mu, dt, steps):
@@ -47,6 +48,80 @@ def test_stepper_bitwise_matches_scipy_banded_solve(desk_op, rng, n_freq):
         expected = cho_solve_banded((stepper.factor, False),
                                     rhs + dt * m * src)
         assert np.array_equal(stepper.step(v, src), expected)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+def _fixed_point_cases(n_time, size, rng):
+    zeros = np.zeros(size)
+    mixed = zeros.copy()
+    mixed[::3] = -0.0
+    mixed_rows = np.zeros((n_time, size))
+    mixed_rows[:, ::2] = -0.0
+    late = np.zeros((n_time, size))
+    late[-1, size // 2] = 1.0   # as a box time window switching on late
+    block = np.zeros((size, 2))
+    block[:, 1] = rng.standard_normal(size)
+    return {
+        "plus_zero": (zeros, None),
+        "minus_zero": (np.full(size, -0.0), None),
+        "mixed_zeros": (mixed, None),
+        "minus_zero_sources": (zeros, np.full((n_time, size), -0.0)),
+        # the first step maps this datum to a zero of other sign bits,
+        # and the second step to yet others: equal values are not enough
+        "mixed_zero_sources": (np.full(size, -0.0), mixed_rows),
+        "late_source_row": (zeros, late),
+        "zero_and_nonzero_columns": (block, None),
+    }
+
+
+@pytest.mark.parametrize("case", ["plus_zero", "minus_zero", "mixed_zeros",
+                                  "minus_zero_sources", "mixed_zero_sources",
+                                  "late_source_row",
+                                  "zero_and_nonzero_columns"])
+def test_fixed_point_exit_matches_every_step_march(desk_model, desk_op, rng,
+                                                   case):
+    # the early exit must return the bits, signed zeros included, that
+    # stepping all n_time times returns
+    tgrid = time_grid_for(desk_model)
+    phi0, sources = _fixed_point_cases(tgrid.n_time, desk_model.n_radial,
+                                       rng)[case]
+    mode = ModeIndex("sin", 2)
+    got = evolve_mode(desk_op, mode, phi0, sources, tgrid)
+    expected = evolve_mode_every_step(desk_op, mode, phi0, sources, tgrid)
+    assert _same_bits(got, expected)
+
+
+@pytest.mark.parametrize("case,steps", [("plus_zero", 1),
+                                        ("minus_zero", 1),
+                                        ("minus_zero_sources", 1),
+                                        ("mixed_zero_sources", 48),
+                                        ("late_source_row", 48),
+                                        ("zero_and_nonzero_columns", 48)])
+def test_fixed_point_exit_step_count(desk_model, desk_op, rng, monkeypatch,
+                                      case, steps):
+    tgrid = time_grid_for(desk_model)
+    assert tgrid.n_time == 48
+    phi0, sources = _fixed_point_cases(tgrid.n_time, desk_model.n_radial,
+                                       rng)[case]
+    calls = []
+    step = _Stepper.step
+    monkeypatch.setattr(_Stepper, "step",
+                        lambda self, *args: calls.append(1) or step(self, *args))
+    evolve_mode(desk_op, ModeIndex("cos", 1), phi0, sources, tgrid)
+    assert len(calls) == steps
+
+
+def test_nan_datum_is_invariant_error(desk_model, desk_op):
+    # a NaN state can repeat its own bits; the finite check still runs
+    tgrid = time_grid_for(desk_model)
+    phi0 = np.full(desk_model.n_radial, np.nan)
+    for march in (evolve_mode, evolve_mode_every_step):
+        with pytest.raises(InvariantError):
+            march(desk_op, ModeIndex("cos", 1), phi0, None, tgrid)
 
 
 def test_nonfinite_source_is_invariant_error(desk_model, desk_op):
