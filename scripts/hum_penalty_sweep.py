@@ -5,9 +5,8 @@ import sys
 
 import numpy as np
 
-from degenctrl import (Cylinder, ModeCoeffs, ModelConfig,
-                       assemble_radial_operator, build_model, hum_control,
-                       radial_spectrum)
+from degenctrl import (Cylinder, ModeCoeffs, ModelConfig, build_model,
+                       hum_control, radial_spectrum)
 
 
 def smooth_datum(model, spec):
@@ -40,16 +39,15 @@ def main(argv=None):
                       n_theta_max=args.n_theta_max, n_r=args.n_r,
                       n_time=args.n_time)
     model = build_model(cfg)
-    op = assemble_radial_operator(cfg.alpha, model.grid)
-    spec = radial_spectrum(op, 3)
+    spec = radial_spectrum(model.op, 3)
     phi0 = smooth_datum(model, spec)
     region = Cylinder(args.band[0], args.band[1])
 
     print(f"{'eps':>10}  {'iters':>5}  {'|phi(T)|/|phi0|':>16}"
           f"  {'identity gap':>13}  {'cost':>10}  {'ok':>3}")
     for eps in args.epsilons:
-        res = hum_control(model, op, phi0, region, eps,
-                          cg_tol=args.cg_tol, max_iter=args.max_iter)
+        res = hum_control(phi0, region, eps, cg_tol=args.cg_tol,
+                          max_iter=args.max_iter)
         ratio = res.terminal_residual / res.phi0_norm
         print(f"{eps:>10.1e}  {res.iterations:>5}  {ratio:>16.3e}"
               f"  {res.identity_gap:>13.3e}  {res.cost:>10.4e}"

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from degenctrl import (BoxUnionSet, ModelConfig, NonConvergenceError,
-                       assemble_radial_operator, build_model, datum_family,
+                       build_model, datum_family,
                        measurable_observability_ratio, radial_spectrum)
 
 DEFAULT_BOXES = (
@@ -39,8 +39,7 @@ def main(argv=None):
                       n_theta_max=args.n_theta_max, n_r=args.n_r,
                       n_time=args.n_time)
     model = build_model(cfg)
-    op = assemble_radial_operator(cfg.alpha, model.grid)
-    spec = radial_spectrum(op, model.n_radial)
+    spec = radial_spectrum(model.op, model.n_radial)
     region = BoxUnionSet(boxes=DEFAULT_BOXES, band_a=args.band[0],
                          band_b=args.band[1], horizon=args.horizon)
     family = datum_family(model, spec, args.family_size, args.seed)

@@ -10,11 +10,11 @@ independent route.
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import (Field2D, Model, ModelConfig, ModeCoeffs, ModeIndex,
-                    RadialGrid, build_model, build_radial_grid, coeffs_inner,
-                    mode_set, project_modes, synthesize_field, zero_coeffs)
-from .spectral import (HardyReport, RadialOperator, RadialSpectrum,
-                       assemble_radial_operator, bessel_oracle, hardy_ratio,
-                       radial_spectrum)
+                    RadialGrid, RadialOperator, assemble_radial_operator,
+                    build_model, build_radial_grid, coeffs_inner, mode_set,
+                    project_modes, synthesize_field, zero_coeffs)
+from .spectral import (HardyReport, RadialSpectrum, bessel_oracle,
+                       hardy_ratio, radial_spectrum)
 from .evolution import (TimeGrid, evolve_mode, solve_adjoint, solve_forward,
                         time_grid_for)
 from .carleman import (CarlemanReport, CarlemanWeights, EtaWeight,

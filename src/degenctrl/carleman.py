@@ -336,7 +336,7 @@ def carleman_report(mode: ModeIndex, states: np.ndarray, tgrid: TimeGrid,
     dstates = (padded[:, 2:] - padded[:, :-2]) / span[None, :]
 
     s0 = s0_default(T)
-    window = (r > eta.a) & (r < eta.b)
+    window = grid.band(eta.a, eta.b)
     w_nodes = r ** eta.alpha
     zero_weight = r ** (2.0 - eta.alpha)
 

@@ -25,16 +25,14 @@ import numpy as np
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import (Model, ModelConfig, ModeCoeffs, ModeIndex, TWO_PI,
                     build_model, synthesize_field)
-from .spectral import (assemble_radial_operator, bessel_oracle, hardy_ratio,
-                       radial_spectrum)
+from .spectral import bessel_oracle, hardy_ratio, radial_spectrum
 from .evolution import evolve_mode, solve_forward, time_grid_for
 from .carleman import build_eta, carleman_report, s0_default
 from .observability import (mode_observability_constant,
                             torus_smallest_gram_eigenvalue,
                             truncated_observability)
 from .control import Cylinder, hum_control, lr_control
-from .measurable import (BoxUnionSet, TimeSliceSet, _intervals_measure,
-                         _merge_intervals, build_time_slices, datum_family,
+from .measurable import (BoxUnionSet, TimeSliceSet, datum_family,
                          density_sequence, measurable_observability_ratio)
 
 COMMANDS = ("spectrum", "hardy", "solve", "carleman", "spectral-ineq",
@@ -242,11 +240,10 @@ def _eigen_datum(model: Model, spectrum, parity: str, n: int, k: int,
 
 def _cmd_spectrum(out, config, options, seed):
     model = build_model(config)
-    op = assemble_radial_operator(config.alpha, model.grid)
     k = options["k_eigen"]
     if not (1 <= k <= model.n_radial):
         raise ConfigError("k_eigen outside the resolvable range")
-    spec = radial_spectrum(op, k)
+    spec = radial_spectrum(model.op, k)
     oracle = bessel_oracle(config.alpha, k)
     rows = []
     for i in range(k):
@@ -282,9 +279,8 @@ def _cmd_hardy(out, config, options, seed):
 
 def _cmd_solve(out, config, options, seed):
     model = build_model(config)
-    op = assemble_radial_operator(config.alpha, model.grid)
     k = options["initial_k"]
-    spec = radial_spectrum(op, max(k, 1))
+    spec = radial_spectrum(model.op, max(k, 1))
     data = _eigen_datum(model, spec, options["initial_parity"],
                         options["initial_n"], k)
     tgrid = time_grid_for(model)
@@ -297,7 +293,7 @@ def _cmd_solve(out, config, options, seed):
         if not (0 <= node <= tgrid.n_time):
             raise ConfigError(f"snapshot time {t_req} outside the horizon")
         snapshot_nodes.append(node)
-    states = solve_forward(model, op, ModeCoeffs(model, data))
+    states = solve_forward(ModeCoeffs(model, data))
     mass = model.grid.mass
     rows = []
     for t, state in zip(tgrid.nodes, states):
@@ -326,7 +322,6 @@ _CARLEMAN_FAMILY = (("cos", 0, 1), ("cos", 0, 2), ("cos", 1, 1),
 
 def _cmd_carleman(out, config, options, seed):
     model = build_model(config)
-    op = assemble_radial_operator(config.alpha, model.grid)
     a, b = options["band_a"], options["band_b"]
     eta = build_eta(config.alpha, a, b)
     s0 = s0_default(config.T_horizon)
@@ -335,14 +330,15 @@ def _cmd_carleman(out, config, options, seed):
         if isinstance(s, bool) or not isinstance(s, (int, float)):
             raise ConfigError("s_values must hold numbers")
     k_need = max(k for _, _, k in _CARLEMAN_FAMILY)
-    spec = radial_spectrum(op, k_need)
+    spec = radial_spectrum(model.op, k_need)
     tgrid = time_grid_for(model)
     rows, meta_rows = [], []
     for parity, n, k in _CARLEMAN_FAMILY:
         if n > config.n_theta_max:
             raise ConfigError("family frequency exceeds n_theta_max")
         mode = ModeIndex(parity, n)
-        states = evolve_mode(op, mode, spec.vectors[:, k - 1], None, tgrid)
+        states = evolve_mode(model.op, mode, spec.vectors[:, k - 1],
+                             None, tgrid)
         rep = carleman_report(mode, states, tgrid, None, eta, model.grid,
                               [float(s) for s in s_values])
         for row in rep.rows:
@@ -377,7 +373,6 @@ def _cmd_spectral_ineq(out, config, options, seed):
 
 def _cmd_observability(out, config, options, seed):
     model = build_model(config)
-    op = assemble_radial_operator(config.alpha, model.grid)
     a, b = options["band_a"], options["band_b"]
     j_max = options["j_max"]
     if j_max < 0:
@@ -385,8 +380,8 @@ def _cmd_observability(out, config, options, seed):
     if 2 ** j_max > config.n_theta_max:
         raise ConfigError("2^j_max exceeds n_theta_max")
     k_obs = options["k_max"]
-    spec = radial_spectrum(op, min(max(k_obs, options["subspace_k_max"]),
-                                   model.n_radial))
+    k_spec = min(max(k_obs, options["subspace_k_max"]), model.n_radial)
+    spec = radial_spectrum(model.op, k_spec)
     rows = []
     for n in range(2 ** j_max + 1):
         est = mode_observability_constant(model, spec, n, a, b, k_obs)
@@ -415,12 +410,11 @@ def _hum_initial(model, spec, kind, seed):
 
 def _cmd_hum(out, config, options, seed):
     model = build_model(config)
-    op = assemble_radial_operator(config.alpha, model.grid)
-    spec = radial_spectrum(op, min(4, model.n_radial))
+    spec = radial_spectrum(model.op, min(4, model.n_radial))
     phi0 = _hum_initial(model, spec, options["initial"], seed)
     region = Cylinder(options["band_a"], options["band_b"])
-    res = hum_control(model, op, phi0, region, options["epsilon"],
-                      options["cg_tol"], options["max_iter"])
+    res = hum_control(phi0, region, options["epsilon"], options["cg_tol"],
+                      options["max_iter"])
     tgrid = time_grid_for(model)
     # one row per (half step, theta node, radial node), radial fastest
     _write_grid_csv(out / "hum_control.csv", ("t", "theta", "r", "control"),
@@ -442,13 +436,12 @@ def _cmd_hum(out, config, options, seed):
 
 def _cmd_lr(out, config, options, seed):
     model = build_model(config)
-    op = assemble_radial_operator(config.alpha, model.grid)
     region = Cylinder(options["band_a"], options["band_b"])
     if options["initial"] == "lowpass":
         # smooth datum: low angular modes carried by low radial eigenvectors
         rng = np.random.default_rng(seed)
         k_low = min(4, model.n_radial)
-        spec = radial_spectrum(op, k_low)
+        spec = radial_spectrum(model.op, k_low)
         data = np.zeros((model.n_modes, model.n_radial))
         for i, m in enumerate(model.modes):
             if m.n <= 1:
@@ -462,8 +455,7 @@ def _cmd_lr(out, config, options, seed):
             (model.n_modes, model.n_radial)))
     else:
         raise ConfigError("initial must be 'lowpass' or 'random'")
-    res = lr_control(model, op, phi0, region, options["tol"],
-                     options["n_blocks"])
+    res = lr_control(phi0, region, options["tol"], options["n_blocks"])
     _write_json(out / "lr_blocks.json", {
         "boundaries": list(res.boundaries), "caps": list(res.caps),
         "block_costs": list(res.block_costs),
@@ -480,8 +472,7 @@ def _cmd_lr(out, config, options, seed):
 
 def _cmd_measurable(out, config, options, seed):
     model = build_model(config)
-    op = assemble_radial_operator(config.alpha, model.grid)
-    spec = radial_spectrum(op, model.n_radial)
+    spec = radial_spectrum(model.op, model.n_radial)
     try:
         region = BoxUnionSet(boxes=options["boxes"], band_a=options["band_a"],
                              band_b=options["band_b"],
@@ -521,10 +512,7 @@ def _cmd_density_seq(out, config, options, seed):
             raise ConfigError("e_intervals must hold [lo, hi] number pairs "
                               "with 0 <= lo < hi <= T_horizon")
         intervals.append((float(iv[0]), float(iv[1])))
-    # overlapping intervals would count their common part twice
-    intervals = _merge_intervals(intervals)
     slices = TimeSliceSet(threshold=0.0, intervals=intervals,
-                          measure=_intervals_measure(intervals),
                           horizon=config.T_horizon)
     seq = density_sequence(slices, options["ell"], options["q"],
                            options["m_max"])

@@ -32,11 +32,11 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import Model, ModeCoeffs, ModeIndex, _frozen, zero_coeffs
+from .model import (Model, ModeCoeffs, ModeIndex, RadialOperator, _frozen,
+                    zero_coeffs)
 from .evolution import (TimeGrid, evolve_mode, solve_adjoint, solve_forward,
                         time_grid_for)
 from .measurable import BoxUnionSet
-from .spectral import RadialOperator
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class Cylinder:
 
 
 def _radial_mask(model: Model, a: float, b: float) -> np.ndarray:
-    nodes = model.grid.nodes
-    mask = ((nodes > a) & (nodes < b)).astype(float)
+    mask = model.grid.band(a, b).astype(float)
     if not mask.any():
         raise ConfigError(f"no radial nodes inside ({a}, {b})")
     return mask
@@ -67,9 +66,8 @@ class _RegionAction:
     theta_quad, n_r - 1); either broadcasts against the grid field.
     """
 
-    def __init__(self, model: Model, op: RadialOperator, region):
+    def __init__(self, model: Model, region):
         self.model = model
-        self.op = op
         self.region = region
         self.tgrid = time_grid_for(model)
         if isinstance(region, Cylinder):
@@ -97,24 +95,20 @@ class _RegionAction:
         return fields * self.mask
 
     def gramian(self, y_terminal: ModeCoeffs) -> ModeCoeffs:
-        adj = solve_adjoint(self.model, self.op, y_terminal)
-        fwd = solve_forward(self.model, self.op, zero_coeffs(self.model),
-                            self.masked_sources(adj))
+        adj = solve_adjoint(y_terminal)
+        fwd = solve_forward(zero_coeffs(self.model), self.masked_sources(adj))
         # a copy, so the result does not keep the whole march alive
         return ModeCoeffs(self.model, fwd[-1].copy())
 
 
-def apply_control_gramian(model: Model, op: RadialOperator, region,
-                          y_terminal: ModeCoeffs) -> ModeCoeffs:
+def apply_control_gramian(region, y_terminal: ModeCoeffs) -> ModeCoeffs:
     """One application of the control Gramian to a terminal datum.
 
     Backward adjoint solve, restriction to the region at half-steps,
     forward solve from rest; symmetric PSD in the discrete inner product
     by the exact discrete duality of the time stepper.
     """
-    if y_terminal.model is not model:
-        raise ConfigError("terminal datum belongs to a different model")
-    return _RegionAction(model, op, region).gramian(y_terminal)
+    return _RegionAction(y_terminal.model, region).gramian(y_terminal)
 
 
 @dataclass(frozen=True)
@@ -142,9 +136,8 @@ def _field_cost(model: Model, tgrid: TimeGrid, field: np.ndarray) -> float:
     return float(tgrid.dt * np.sum(field ** 2 * cells))
 
 
-def hum_control(model: Model, op: RadialOperator, phi0: ModeCoeffs, region,
-                epsilon: float, cg_tol: float = 1e-8,
-                max_iter: int = 500) -> HUMResult:
+def hum_control(phi0: ModeCoeffs, region, epsilon: float,
+                cg_tol: float = 1e-8, max_iter: int = 500) -> HUMResult:
     """Penalized HUM control by conjugate gradient on the terminal datum.
 
     Solves (G + eps I) yT = -S_T phi0 in the discrete inner product; the
@@ -158,15 +151,14 @@ def hum_control(model: Model, op: RadialOperator, phi0: ModeCoeffs, region,
         raise ConfigError("penalty must be positive")
     if max_iter < 0:
         raise ConfigError(f"max_iter must be >= 0, got {max_iter}")
-    if phi0.model is not model:
-        raise ConfigError("initial datum belongs to a different model")
-    action = _RegionAction(model, op, region)
+    model = phi0.model
+    action = _RegionAction(model, region)
     mass = model.grid.mass
 
     def inner(u, v):
         return float(np.sum(mass[None, :] * u * v))
 
-    rhs = -solve_forward(model, op, phi0)[-1]
+    rhs = -solve_forward(phi0)[-1]
     phi0_norm = math.sqrt(inner(phi0.data, phi0.data))
     rhs_norm = math.sqrt(inner(rhs, rhs))
 
@@ -212,10 +204,10 @@ def hum_control(model: Model, op: RadialOperator, phi0: ModeCoeffs, region,
         x = x_best
 
     y_terminal = ModeCoeffs(model, x)
-    adj = solve_adjoint(model, op, y_terminal)
+    adj = solve_adjoint(y_terminal)
     field = action.control_field(adj)
     sources = action.masked_sources(adj)
-    phi_t = solve_forward(model, op, phi0, sources)[-1]
+    phi_t = solve_forward(phi0, sources)[-1]
     terminal_residual = math.sqrt(inner(phi_t, phi_t))
     gap_vec = phi_t + epsilon * x
     identity_gap = math.sqrt(inner(gap_vec, gap_vec))
@@ -270,8 +262,8 @@ def _mode_block_gramian(op: RadialOperator, n_freq: int, mask: np.ndarray,
 _EPS_FLOOR = 1e-14
 
 
-def lr_control(model: Model, op: RadialOperator, phi0: ModeCoeffs,
-               region: Cylinder, tol: float, n_blocks: int = 3) -> LRResult:
+def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
+               n_blocks: int = 3) -> LRResult:
     """Dyadic-block control: frequency cap 2^k on block k, then free decay.
 
     Block k occupies [T(1 - 2^-k), T(1 - 2^-k-1)]; its first half carries
@@ -287,6 +279,8 @@ def lr_control(model: Model, op: RadialOperator, phi0: ModeCoeffs,
         raise ConfigError("tolerance must be positive")
     if n_blocks < 1:
         raise ConfigError("need at least one block")
+    model = phi0.model
+    op = model.op
     mask = _radial_mask(model, region.a, region.b)
     mass = model.grid.mass
     T = model.config.T_horizon

@@ -37,9 +37,9 @@ This module only marches in time, and it returns plain read-only arrays,
 row k at time node k. solve_forward is the one whole-model entry point:
 initial modes plus, optionally, one (n_time, n_modes, n_r - 1) array of
 half-step sources; its states have shape (n_time + 1, n_modes, n_r - 1),
-so row k is the ModeCoeffs.data of node k. Turning a control field on the
-grid into mode sources is the caller's job (control), and spectra live in
-spectral.
+so row k is the ModeCoeffs.data of node k. The datum's model supplies the
+operator and the time grid. Turning a control field on the grid into mode
+sources is the caller's job (control), and spectra live in spectral.
 """
 
 from dataclasses import dataclass
@@ -48,8 +48,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigError, InvariantError
-from .model import Model, ModeCoeffs, ModeIndex, _frozen
-from .spectral import RadialOperator
+from .model import Model, ModeCoeffs, ModeIndex, RadialOperator, _frozen
 
 
 @dataclass(frozen=True)
@@ -178,15 +177,16 @@ def evolve_mode(op: RadialOperator, mode: ModeIndex, phi0: np.ndarray,
     return _frozen(states)
 
 
-def solve_forward(model: Model, op: RadialOperator, phi0: ModeCoeffs,
-                  sources=None) -> np.ndarray:
+def solve_forward(phi0: ModeCoeffs, sources=None) -> np.ndarray:
     """Evolve all modes from phi0, optionally under half-step sources.
 
-    sources, when given, is one (n_time, n_modes, n_r - 1) array: row k
-    holds the mode data of the source at half step k. Returns the
-    read-only states, shape (n_time + 1, n_modes, n_r - 1), whose row k is
-    the mode data at node k. Each mode marches on its own.
+    The operator and the time grid are those of phi0.model. sources, when
+    given, is one (n_time, n_modes, n_r - 1) array: row k holds the mode
+    data of the source at half step k. Returns the read-only states, shape
+    (n_time + 1, n_modes, n_r - 1), whose row k is the mode data at node
+    k. Each mode marches on its own.
     """
+    model = phi0.model
     tgrid = time_grid_for(model)
     shape = (tgrid.n_time, model.n_modes, model.n_radial)
     if sources is not None and (not isinstance(sources, np.ndarray)
@@ -194,14 +194,13 @@ def solve_forward(model: Model, op: RadialOperator, phi0: ModeCoeffs,
         raise ConfigError(f"sources must be one array of shape {shape}")
     states = np.empty((tgrid.n_time + 1,) + shape[1:])
     for i, mode in enumerate(model.modes):
-        states[:, i] = evolve_mode(op, mode, phi0.data[i],
+        states[:, i] = evolve_mode(model.op, mode, phi0.data[i],
                                    None if sources is None else sources[:, i],
                                    tgrid)
     return _frozen(states)
 
 
-def solve_adjoint(model: Model, op: RadialOperator,
-                  y_terminal: ModeCoeffs) -> np.ndarray:
+def solve_adjoint(y_terminal: ModeCoeffs) -> np.ndarray:
     """Backward solve with terminal data, stored on forward time indices.
 
     The generator is self adjoint, so the backward flow equals the forward
@@ -210,4 +209,4 @@ def solve_adjoint(model: Model, op: RadialOperator,
     time t_k, and row 0 is the retrievable initial value y(0).
     """
     # a view: the forward array is read-only, and so is its reversal
-    return solve_forward(model, op, y_terminal)[::-1]
+    return solve_forward(y_terminal)[::-1]

@@ -14,7 +14,7 @@ set, build the geometric approach sequence to it, and report the
 end-to-end ratio of terminal energy to the observed L1 mass.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
@@ -34,10 +34,6 @@ def _merge_intervals(pieces):
         else:
             out.append((u, v))
     return tuple(out)
-
-
-def _intervals_measure(intervals) -> float:
-    return float(sum(v - u for u, v in intervals))
 
 
 def _intersect_measure(intervals, lo: float, hi: float) -> float:
@@ -158,12 +154,11 @@ class BoxUnionSet:
                 f"horizon {model.config.T_horizon}")
         times = np.asarray(times, dtype=float)
         theta = model.theta_nodes
-        nodes = model.grid.nodes
-        masks = np.zeros((times.size, theta.size, nodes.size))
+        masks = np.zeros((times.size, theta.size, model.n_radial))
         for (h0, h1), (r0, r1), (t0, t1) in self.boxes:
             sel_t = (times >= t0) & (times < t1)
             sel_q = (theta >= h0) & (theta < h1)
-            sel_r = (nodes > r0) & (nodes < r1)
+            sel_r = model.grid.band(r0, r1)
             masks[np.ix_(sel_t, sel_q, sel_r)] = 1.0
         return masks
 
@@ -184,15 +179,22 @@ class BoxUnionSet:
 
 @dataclass(frozen=True)
 class TimeSliceSet:
-    """Times where the slice of a box union is at least half its average."""
+    """Times where the slice of a box union is at least half its average.
+
+    intervals are stored merged and sorted, measure is their total length.
+    """
 
     threshold: float
     intervals: tuple
-    measure: float
     horizon: float
+    measure: float = field(init=False)
 
     def __post_init__(self):
-        for u, v in self.intervals:
+        intervals = _merge_intervals(self.intervals)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "measure",
+                           float(sum(v - u for u, v in intervals)))
+        for u, v in intervals:
             if not (-1e-12 <= u < v <= self.horizon + 1e-12):
                 raise InvariantError("slice-set interval escapes (0, T)")
 
@@ -217,12 +219,13 @@ def build_time_slices(region: BoxUnionSet, model: Model = None) -> TimeSliceSet:
     for lo, hi in zip(edges[:-1], edges[1:]):
         if region.slice_measure(0.5 * (lo + hi)) >= threshold - 1e-15:
             kept.append((lo, hi))
-    intervals = _merge_intervals(kept)
-    measure = _intervals_measure(intervals)
+    slices = TimeSliceSet(threshold=threshold, intervals=kept,
+                          horizon=region.horizon)
     floor = region.measure / (2.0 * region.patch_measure())
-    if measure < floor - 1e-12:
+    if slices.measure < floor - 1e-12:
         raise InvariantError(
-            f"slice set measure {measure:.6e} under the floor {floor:.6e}")
+            f"slice set measure {slices.measure:.6e} under the floor "
+            f"{floor:.6e}")
     if model is not None:
         counted = region.counting_measure(model)
         d_th = TWO_PI / model.config.theta_quad_points
@@ -238,8 +241,7 @@ def build_time_slices(region: BoxUnionSet, model: Model = None) -> TimeSliceSet:
             raise InvariantError(
                 f"exact measure {region.measure:.6e} vs counted "
                 f"{counted:.6e} beyond the boundary-layer allowance")
-    return TimeSliceSet(threshold=threshold, intervals=intervals,
-                        measure=measure, horizon=region.horizon)
+    return slices
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,8 @@ def density_sequence(slices: TimeSliceSet, ell: float, q: float,
     scale A, capped at 0.8 (T - ell)(1 - q), for which every consecutive
     gap keeps at least a third of its length inside the set. Failure to
     find any feasible A means ell is not a density point at this
-    resolution.
+    resolution. So does a sequence whose last two terms round to ell even
+    at the capped scale; that is decided before any array is built.
     """
     if not (0.0 < ell < slices.horizon):
         raise ConfigError("target point must be interior to the horizon")
@@ -306,6 +309,14 @@ def density_sequence(slices: TimeSliceSet, ell: float, q: float,
         return True
 
     a_cap = 0.8 * (slices.horizon - ell) * (1.0 - q)
+    # a_cap/(1-q) q^(m_max-2) < spacing(ell)/4, in logs so that q^(m_max-2)
+    # cannot underflow; past 1e300 the clamped exponent changes nothing
+    log_tail = (math.log(a_cap / (1.0 - q))
+                + min(m_max - 2, 1e300) * math.log(q))
+    if log_tail < math.log(np.spacing(ell) / 4.0):
+        raise NonConvergenceError(
+            f"no feasible gap scale: with m_max = {m_max} the last terms "
+            "round to the target even at the capped gap scale")
     a_feas = None
     a_bad = None
     scale = 1.0
@@ -374,10 +385,8 @@ class SpectralPropagator:
     which cost several times the normal rate.
     """
 
-    def __init__(self, model: Model, spectrum: RadialSpectrum,
-                 phi0: ModeCoeffs):
-        if phi0.model is not model:
-            raise ConfigError("datum belongs to a different model")
+    def __init__(self, spectrum: RadialSpectrum, phi0: ModeCoeffs):
+        model = phi0.model
         if spectrum.values.size != model.n_radial:
             raise ConfigError("propagation needs the full radial spectrum")
         self.model = model
@@ -464,12 +473,13 @@ class ExtendedField:
         return num / den if den > 0 else 0.0
 
 
-def extended_field(model: Model, spectrum: RadialSpectrum, phi0: ModeCoeffs,
-                   t: float, tau_grid, cap: int) -> ExtendedField:
+def extended_field(spectrum: RadialSpectrum, phi0: ModeCoeffs, t: float,
+                   tau_grid, cap: int) -> ExtendedField:
     """Evaluate the auxiliary-variable extension on the lowest cap modes."""
     if t <= 0:
         raise ConfigError("extension requires a positive time")
-    prop = SpectralPropagator(model, spectrum, phi0)
+    model = phi0.model
+    prop = SpectralPropagator(spectrum, phi0)
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size == 0:
         raise ConfigError("tau grid must be a non-empty 1D array")
@@ -538,9 +548,8 @@ class DerivativeBoundReport:
     capped: bool
 
 
-def derivative_bound_report(model: Model, spectrum: RadialSpectrum,
-                            phi0: ModeCoeffs, t: float,
-                            l_max: int) -> DerivativeBoundReport:
+def derivative_bound_report(spectrum: RadialSpectrum, phi0: ModeCoeffs,
+                            t: float, l_max: int) -> DerivativeBoundReport:
     """Check max mu^(2l) e^(-mu t) against its calculus envelope.
 
     All spectral sums run in log space, so large orders degrade to zeros
@@ -552,7 +561,7 @@ def derivative_bound_report(model: Model, spectrum: RadialSpectrum,
         raise ConfigError("l_max must be >= 0")
     capped = l_max > 200
     l_max = min(l_max, 200)
-    prop = SpectralPropagator(model, spectrum, phi0)
+    prop = SpectralPropagator(spectrum, phi0)
     mu = prop.mu.ravel()
     log_mu = np.log(mu)
     coeffs2 = prop.coeffs.ravel() ** 2
@@ -654,10 +663,10 @@ def _pieces_within(region: BoxUnionSet, intervals):
     return pieces
 
 
-def slab_interpolation_report(model: Model, spectrum: RadialSpectrum,
-                              phi0: ModeCoeffs, t1: float, t2: float,
-                              slices: TimeSliceSet, region: BoxUnionSet,
-                              k_calib: float = 1.0, eta: float = 0.05,
+def slab_interpolation_report(spectrum: RadialSpectrum, phi0: ModeCoeffs,
+                              t1: float, t2: float, slices: TimeSliceSet,
+                              region: BoxUnionSet, k_calib: float = 1.0,
+                              eta: float = 0.05,
                               n_quad: int = 32) -> SlabReport:
     """Empirical interpolation exponent between two time levels.
 
@@ -677,11 +686,11 @@ def slab_interpolation_report(model: Model, spectrum: RadialSpectrum,
         raise ConfigError(
             f"kept set too thin: measure {slices.measure:.3e} under "
             f"eta (t2 - t1) = {eta * (t2 - t1):.3e}")
-    prop = SpectralPropagator(model, spectrum, phi0)
+    prop = SpectralPropagator(spectrum, phi0)
     n1 = prop.norm_at(t1)
     n2 = prop.norm_at(t2)
     observed = _observed_l1(prop, _slice_weights(
-        model, region, _pieces_within(region, slices.intervals), n_quad))
+        phi0.model, region, _pieces_within(region, slices.intervals), n_quad))
     if observed <= 0.0 or n1 <= 0.0:
         return SlabReport(t1=t1, t2=t2, n1=n1, n2=n2, observed=observed,
                           k_calib=k_calib, h_emp=float("nan"), degenerate=True)
@@ -773,7 +782,7 @@ def measurable_observability_ratio(model: Model, spectrum: RadialSpectrum,
     horizon = region.horizon
 
     def run(idx, phi0):
-        prop = SpectralPropagator(model, spectrum, phi0)
+        prop = SpectralPropagator(spectrum, phi0)
         terminal = prop.norm_at(horizon)
         observed = _observed_l1(prop, weights)
         if observed < 1e-300:

@@ -20,14 +20,29 @@ natural eigenfunctions of the degenerate operator behave like a fractional
 power of r there. Half nodes follow the same map at half-integer indices;
 interior cell measures m_i = r_{i+1/2} - r_{i-1/2} define the radial inner
 product used by every module.
+
+The model owns its radial operator A u = -(r^alpha u')', vanishing at
+both ends, assembled once by build_model. Its discretization is a flux-form
+finite volume scheme on the graded mesh. Each face between neighbouring
+nodes carries a conductance equal to the reciprocal of the resistivity
+integral of the cell,
+
+    c = (1 - alpha) / (r_right^(1-alpha) - r_left^(1-alpha)),
+
+which is the unique three-point coefficient that makes the scheme exact on
+every function whose flux r^alpha u' is constant across the face. Those
+flux-linear functions A + B r^(1-alpha) are precisely the local behaviour
+of the eigenfunctions at the degenerate end, so the choice restores clean
+second-order eigenvalue convergence even for alpha close to 1, where any
+pointwise sampling of the vanishing coefficient stalls near first order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,6 +133,10 @@ class RadialGrid:
     half_weights: np.ndarray   # w(r_{i+1/2}) = r_{i+1/2}^alpha, length n_r
     mass: np.ndarray           # length n_r - 1
 
+    def band(self, a: float, b: float) -> np.ndarray:
+        """Boolean mask of the interior nodes strictly inside (a, b)."""
+        return (self.nodes > a) & (self.nodes < b)
+
 
 def build_radial_grid(alpha: float, n_r: int, grid_power: float) -> RadialGrid:
     idx = np.arange(0, n_r + 1, dtype=float)
@@ -138,6 +157,60 @@ def build_radial_grid(alpha: float, n_r: int, grid_power: float) -> RadialGrid:
     if not (np.all(grid.mass > 0.0) and np.all(grid.half_weights > 0.0)):
         raise ConfigError("degenerate radial cells")
     return grid
+
+
+@dataclass(frozen=True)
+class RadialOperator:
+    """Symmetric tridiagonal stiffness plus diagonal mass, both positive.
+
+    diag/off are the stiffness entries over interior nodes; the mass
+    vector defines the inner product in which the operator is symmetric
+    positive definite.
+    """
+
+    alpha: float
+    grid: RadialGrid
+    diag: np.ndarray          # length n_r - 1
+    off: np.ndarray           # length n_r - 2, strictly negative
+    conductance: np.ndarray   # per-face coefficients, length n_r
+
+    @property
+    def mass(self) -> np.ndarray:
+        return self.grid.mass
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """Stiffness matrix times a vector of interior samples."""
+        out = self.diag * u
+        out[:-1] += self.off * u[1:]
+        out[1:] += self.off * u[:-1]
+        return out
+
+    def energy(self, u: np.ndarray) -> float:
+        """Quadratic form u^T S u = sum of c * (jump of u)^2 over faces."""
+        jumps = np.empty(self.grid.n_r)
+        jumps[0] = u[0]
+        jumps[1:-1] = np.diff(u)
+        jumps[-1] = -u[-1]
+        return float(np.sum(self.conductance * jumps ** 2))
+
+
+def assemble_radial_operator(alpha: float, grid: RadialGrid) -> RadialOperator:
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha out of range (0,1): {alpha!r}")
+    full = np.concatenate(([0.0], grid.nodes, [1.0]))
+    pw = full ** (1.0 - alpha)
+    cond = (1.0 - alpha) / np.diff(pw)
+    if not np.all(np.isfinite(cond)) or not np.all(cond > 0.0):
+        raise InvariantError("non-positive face conductance")
+    diag = cond[:-1] + cond[1:]
+    off = -cond[1:-1]
+    return RadialOperator(
+        alpha=alpha,
+        grid=grid,
+        diag=_frozen(diag),
+        off=_frozen(off),
+        conductance=_frozen(cond),
+    )
 
 
 @dataclass(frozen=True, order=True)
@@ -176,10 +249,11 @@ def angular_basis_value(mode: ModeIndex, theta):
 
 @dataclass(frozen=True)
 class Model:
-    """Everything fixed by a ModelConfig: grids, quadrature, mode bookkeeping."""
+    """Everything a ModelConfig fixes: grids, operator, quadrature, modes."""
 
     config: ModelConfig
     grid: RadialGrid
+    op: RadialOperator
     theta_nodes: np.ndarray
     theta_weight: float            # uniform quadrature weight 2*pi/Q
     modes: tuple                   # ordered ModeIndex tuple
@@ -215,6 +289,7 @@ def build_model(config: ModelConfig) -> Model:
     return Model(
         config=config,
         grid=grid,
+        op=assemble_radial_operator(config.alpha, grid),
         theta_nodes=_frozen(theta),
         theta_weight=TWO_PI / q,
         modes=modes,

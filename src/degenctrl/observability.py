@@ -123,7 +123,8 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     entries. Working precision starts a safe margin beyond the empirical
     decay rate of the smallest eigenvalue and doubles until the eigenvalue
     is resolved above the rounding floor, which also bounds the solver's
-    absolute error at the matrix norm scale.
+    absolute error at the matrix norm scale. Six doublings that leave it
+    unresolved raise NonConvergenceError.
     """
     c, d = float(interval[0]), float(interval[1])
     if K < 0:
@@ -157,7 +158,8 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
                                  lambda_min=float(lam_min), c_emp=c_emp,
                                  dps_used=dps)
         dps *= 2
-    raise InvariantError("could not resolve the smallest Gram eigenvalue")
+    raise NonConvergenceError(
+        f"could not resolve the smallest Gram eigenvalue at K={K}")
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,7 @@ def _time_factor_matrix(mu: np.ndarray, T: float) -> np.ndarray:
 
 def _restricted_overlap(spectrum: RadialSpectrum, a: float, b: float,
                         k_max: int) -> np.ndarray:
-    nodes = spectrum.grid.nodes
-    sel = (nodes > a) & (nodes < b)
+    sel = spectrum.grid.band(a, b)
     if not np.any(sel):
         raise ConfigError(f"no radial nodes inside ({a}, {b})")
     phi = spectrum.vectors[sel, :k_max]

@@ -1,21 +1,4 @@
-"""Degenerate radial operator: discretization, spectrum, oracle, Hardy check.
-
-The operator acts on functions of r in (0,1) vanishing at both ends:
-
-    A u = -(r^alpha u')'
-
-Its discretization is a flux-form finite volume scheme on the graded mesh.
-Each face between neighbouring nodes carries a conductance equal to the
-reciprocal of the resistivity integral of the cell,
-
-    c = (1 - alpha) / (r_right^(1-alpha) - r_left^(1-alpha)),
-
-which is the unique three-point coefficient that makes the scheme exact on
-every function whose flux r^alpha u' is constant across the face. Those
-flux-linear functions A + B r^(1-alpha) are precisely the local behaviour
-of the eigenfunctions at the degenerate end, so the choice restores clean
-second-order eigenvalue convergence even for alpha close to 1, where any
-pointwise sampling of the vanishing coefficient stalls near first order.
+"""Spectra of the model's radial operator, 2D eigenvalues, oracle, Hardy.
 
 An independent eigenvalue oracle comes from the closed-form solution of
 the continuous problem in terms of Bessel functions of fractional order,
@@ -30,61 +13,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import Model, RadialGrid, _frozen
-
-
-@dataclass(frozen=True)
-class RadialOperator:
-    """Symmetric tridiagonal stiffness plus diagonal mass, both positive.
-
-    diag/off are the stiffness entries over interior nodes; the mass
-    vector defines the inner product in which the operator is symmetric
-    positive definite.
-    """
-
-    alpha: float
-    grid: RadialGrid
-    diag: np.ndarray          # length n_r - 1
-    off: np.ndarray           # length n_r - 2, strictly negative
-    conductance: np.ndarray   # per-face coefficients, length n_r
-
-    @property
-    def mass(self) -> np.ndarray:
-        return self.grid.mass
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Stiffness matrix times a vector of interior samples."""
-        out = self.diag * u
-        out[:-1] += self.off * u[1:]
-        out[1:] += self.off * u[:-1]
-        return out
-
-    def energy(self, u: np.ndarray) -> float:
-        """Quadratic form u^T S u = sum of c * (jump of u)^2 over faces."""
-        jumps = np.empty(self.grid.n_r)
-        jumps[0] = u[0]
-        jumps[1:-1] = np.diff(u)
-        jumps[-1] = -u[-1]
-        return float(np.sum(self.conductance * jumps ** 2))
-
-
-def assemble_radial_operator(alpha: float, grid: RadialGrid) -> RadialOperator:
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha out of range (0,1): {alpha!r}")
-    full = np.concatenate(([0.0], grid.nodes, [1.0]))
-    pw = full ** (1.0 - alpha)
-    cond = (1.0 - alpha) / np.diff(pw)
-    if not np.all(np.isfinite(cond)) or not np.all(cond > 0.0):
-        raise InvariantError("non-positive face conductance")
-    diag = cond[:-1] + cond[1:]
-    off = -cond[1:-1]
-    return RadialOperator(
-        alpha=alpha,
-        grid=grid,
-        diag=_frozen(diag),
-        off=_frozen(off),
-        conductance=_frozen(cond),
-    )
+from .model import Model, RadialGrid, RadialOperator, _frozen
 
 
 @dataclass(frozen=True)
@@ -169,8 +98,7 @@ def full_spectrum(model: Model, bound: float) -> list:
     """
     if bound <= 0.0:
         raise ConfigError("bound must be positive")
-    op = assemble_radial_operator(model.config.alpha, model.grid)
-    d, e = _symmetrized(op)
+    d, e = _symmetrized(model.op)
     lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
                            select_range=(0.0, bound), lapack_driver="stebz")
     out = []

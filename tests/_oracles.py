@@ -253,7 +253,7 @@ def observed_l1_per_node(model, prop, region, pieces, n_quad):
 
 def measurable_datum_per_node(model, spectrum, phi0, region, n_quad):
     """(rho, terminal_norm, observed_l1) of one datum over the horizon."""
-    prop = SpectralPropagator(model, spectrum, phi0)
+    prop = SpectralPropagator(spectrum, phi0)
     horizon = region.horizon
     terminal = float(np.sqrt(np.sum(
         (prop.coeffs * np.exp(-prop.mu * horizon)) ** 2)))

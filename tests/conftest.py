@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from degenctrl import (BoxUnionSet, Cylinder, ModeCoeffs, ModeIndex,
-                       ModelConfig, apply_control_gramian,
-                       assemble_radial_operator, build_model, datum_family,
+                       ModelConfig, apply_control_gramian, build_model,
+                       datum_family,
                        hum_control, measurable_observability_ratio,
                        radial_spectrum, solve_forward,
                        torus_smallest_gram_eigenvalue)
@@ -21,13 +21,8 @@ def desk_model():
 
 
 @pytest.fixture(scope="session")
-def desk_op(desk_model):
-    return assemble_radial_operator(0.5, desk_model.grid)
-
-
-@pytest.fixture(scope="session")
-def desk_spec(desk_op):
-    return radial_spectrum(desk_op, 6)
+def desk_spec(desk_model):
+    return radial_spectrum(desk_model.op, 6)
 
 
 @pytest.fixture(scope="session")
@@ -41,13 +36,12 @@ def desk_phi0(desk_model, desk_spec):
 
 
 @pytest.fixture(scope="session")
-def desk_hum(desk_model, desk_op, desk_phi0):
-    return hum_control(desk_model, desk_op, desk_phi0, Cylinder(0.3, 0.6),
-                       1e-6, cg_tol=1e-8)
+def desk_hum(desk_phi0):
+    return hum_control(desk_phi0, Cylinder(0.3, 0.6), 1e-6, cg_tol=1e-8)
 
 
 @pytest.fixture(scope="session")
-def desk_dense_hum_y(desk_model, desk_op, desk_phi0):
+def desk_dense_hum_y(desk_model, desk_phi0):
     """Direct-solve reference for the penalized system, assembled densely."""
     dim = desk_model.n_modes * desk_model.n_radial
     region = Cylinder(0.3, 0.6)
@@ -56,10 +50,9 @@ def desk_dense_hum_y(desk_model, desk_op, desk_phi0):
         unit = np.zeros(dim)
         unit[j] = 1.0
         out = apply_control_gramian(
-            desk_model, desk_op, region,
-            ModeCoeffs(desk_model, unit.reshape(desk_model.n_modes, -1)))
+            region, ModeCoeffs(desk_model, unit.reshape(desk_model.n_modes, -1)))
         gram[:, j] = out.data.ravel()
-    free_t = solve_forward(desk_model, desk_op, desk_phi0)[-1]
+    free_t = solve_forward(desk_phi0)[-1]
     w = np.sqrt(np.tile(desk_model.grid.mass, desk_model.n_modes))
     a_sym = w[:, None] * gram / w[None, :] + 1e-6 * np.eye(dim)
     rhs = -(w * free_t.ravel())
@@ -74,13 +67,8 @@ def meas_model():
 
 
 @pytest.fixture(scope="session")
-def meas_op(meas_model):
-    return assemble_radial_operator(0.5, meas_model.grid)
-
-
-@pytest.fixture(scope="session")
-def meas_full_spec(meas_model, meas_op):
-    return radial_spectrum(meas_op, meas_model.n_radial)
+def meas_full_spec(meas_model):
+    return radial_spectrum(meas_model.op, meas_model.n_radial)
 
 
 @pytest.fixture(scope="session")

@@ -97,16 +97,15 @@ def test_c03_hardy_bound_thousand_polynomials():
             problems, f"worst ratio {worst:.4f}")
 
 
-def test_c04_time_stepping_oracle_order_dissipation(desk_model, desk_op,
-                                                    desk_spec):
+def test_c04_time_stepping_oracle_order_dissipation(desk_model, desk_spec):
     t0 = time.monotonic()
     problems = []
     # eigendatum reduces the scheme to the scalar recurrence exactly
     mu = desk_spec.values[0] + 4.0
     tgrid = time_grid_for(desk_model)
     rho = (1.0 - 0.5 * tgrid.dt * mu) / (1.0 + 0.5 * tgrid.dt * mu)
-    states = evolve_mode(desk_op, ModeIndex("cos", 2), desk_spec.vectors[:, 0],
-                         None, tgrid)
+    states = evolve_mode(desk_model.op, ModeIndex("cos", 2),
+                         desk_spec.vectors[:, 0], None, tgrid)
     gap = max(float(np.max(np.abs(states[k]
                                   - rho ** k * desk_spec.vectors[:, 0])))
               for k in range(tgrid.n_time + 1))
@@ -116,7 +115,7 @@ def test_c04_time_stepping_oracle_order_dissipation(desk_model, desk_op,
     errs = []
     for n_time in (16, 32, 64):
         tg = TimeGrid(0.5, n_time)
-        end = evolve_mode(desk_op, ModeIndex("cos", 0),
+        end = evolve_mode(desk_model.op, ModeIndex("cos", 0),
                           desk_spec.vectors[:, 0], None, tg)[-1][0] \
             / desk_spec.vectors[0, 0]
         errs.append(abs(end - math.exp(-desk_spec.values[0] * 0.5)))
@@ -126,7 +125,7 @@ def test_c04_time_stepping_oracle_order_dissipation(desk_model, desk_op,
     # random datum never gains energy between steps
     data = np.random.default_rng(5).standard_normal(
         (desk_model.n_modes, desk_model.n_radial))
-    full = solve_forward(desk_model, desk_op, ModeCoeffs(desk_model, data))
+    full = solve_forward(ModeCoeffs(desk_model, data))
     norms = np.sqrt(np.sum(desk_model.grid.mass * full ** 2, axis=(1, 2)))
     if not all(b <= a * (1.0 + 1e-14) for a, b in zip(norms, norms[1:])):
         problems.append("energy grew at some step")
@@ -193,7 +192,7 @@ def test_c06_weight_function_suite():
             5.0, problems, f"worst theta ratio {worst:.3f}")
 
 
-def test_c07_weighted_estimate_regression(desk_model, desk_op, desk_spec):
+def test_c07_weighted_estimate_regression(desk_model, desk_spec):
     t0 = time.monotonic()
     problems = []
     eta = build_eta(0.5, 0.3, 0.6)
@@ -204,8 +203,7 @@ def test_c07_weighted_estimate_regression(desk_model, desk_op, desk_spec):
         data[desk_model.mode_position(ModeIndex(parity, n))] = \
             desk_spec.vectors[:, k - 1]
         mode = ModeIndex(parity, n)
-        states = solve_forward(desk_model, desk_op,
-                               ModeCoeffs(desk_model, data))
+        states = solve_forward(ModeCoeffs(desk_model, data))
         rep = carleman_report(mode, states[:, desk_model.mode_position(mode)],
                               time_grid_for(desk_model), None, eta,
                               desk_model.grid, [s0, 2.0 * s0, 4.0 * s0])
@@ -270,22 +268,20 @@ def test_c08_restricted_gram_oracles(request):
             t0, 20.0, problems, f"c_emp(12) {cs[-1]:.4f}")
 
 
-def test_c09_observability_monotone_and_oracle(desk_model, desk_op,
-                                               desk_spec):
+def test_c09_observability_monotone_and_oracle(desk_model, desk_spec):
     t0 = time.monotonic()
     problems = []
     # nested frequency caps on the full torus, decoupled route
     model16 = build_model(ModelConfig(alpha=0.5, T_horizon=0.5,
                                       n_theta_max=16, n_r=120, n_time=32))
-    op16 = assemble_radial_operator(0.5, model16.grid)
-    spec16 = radial_spectrum(op16, 4)
+    spec16 = radial_spectrum(model16.op, 4)
     full = [truncated_observability(model16, spec16, (0.0, 2.0 * math.pi),
                                     0.3, 0.6, j, k_max=4).c_emp
             for j in range(5)]
     if not all(b >= a * (1.0 - 1e-6) for a, b in zip(full, full[1:])):
         problems.append(f"full-torus constants not monotone: {full}")
     # proper subinterval couples the modes; nesting must still hold
-    spec2 = radial_spectrum(desk_op, 2)
+    spec2 = radial_spectrum(desk_model.op, 2)
     part = [truncated_observability(desk_model, spec2, (0.0, math.pi),
                                     0.3, 0.6, j, k_max=2).c_emp
             for j in range(3)]
@@ -310,15 +306,14 @@ def test_c09_observability_monotone_and_oracle(desk_model, desk_op,
             f"patch {part[0]:.3e}..{part[-1]:.3e}")
 
 
-def test_c10_penalized_control_suite(request, desk_model, desk_op,
-                                     desk_phi0):
+def test_c10_penalized_control_suite(request, desk_model, desk_phi0):
     t0 = time.monotonic()
     problems = []
     res = request.getfixturevalue("desk_hum")
     cases = [(res, 1e-8)]
     for eps in (1e-8, 1e-4):
-        cases.append((hum_control(desk_model, desk_op, desk_phi0,
-                                  Cylinder(0.3, 0.6), eps, cg_tol=1e-9),
+        cases.append((hum_control(desk_phi0, Cylinder(0.3, 0.6), eps,
+                                  cg_tol=1e-9),
                       1e-9))
     for case, cg_tol in cases:
         if case.identity_gap > 10.0 * cg_tol * case.phi0_norm:
@@ -338,8 +333,8 @@ def test_c10_penalized_control_suite(request, desk_model, desk_op,
         (desk_model.n_modes, desk_model.n_radial)))
     z = ModeCoeffs(desk_model, rng.standard_normal(
         (desk_model.n_modes, desk_model.n_radial)))
-    gx = apply_control_gramian(desk_model, desk_op, Cylinder(0.3, 0.6), x)
-    gz = apply_control_gramian(desk_model, desk_op, Cylinder(0.3, 0.6), z)
+    gx = apply_control_gramian(Cylinder(0.3, 0.6), x)
+    gz = apply_control_gramian(Cylinder(0.3, 0.6), z)
     sym = abs(coeffs_inner(gx, z) - coeffs_inner(x, gz)) \
         / math.sqrt(coeffs_inner(x, x) * coeffs_inner(z, z))
     if sym > 1e-9:
@@ -350,7 +345,7 @@ def test_c10_penalized_control_suite(request, desk_model, desk_op,
             f"dense rel {rel:.2e}")
 
 
-def test_c11_block_control(desk_model, desk_op, desk_spec):
+def test_c11_block_control(desk_model, desk_spec):
     t0 = time.monotonic()
     problems = []
     rng = np.random.default_rng(0)
@@ -360,7 +355,7 @@ def test_c11_block_control(desk_model, desk_op, desk_spec):
             data[i] = desk_spec.vectors[:, :4] @ rng.standard_normal(4)
     nrm = math.sqrt(float(np.sum(desk_model.grid.mass[None, :] * data ** 2)))
     phi0 = ModeCoeffs(desk_model, data / nrm)
-    res = lr_control(desk_model, desk_op, phi0, Cylinder(0.3, 0.6), 1e-3)
+    res = lr_control(phi0, Cylinder(0.3, 0.6), 1e-3)
     if not res.converged or res.final_residual > 1e-3:
         problems.append(f"final residual {res.final_residual:.2e}")
     if not all(a > b for a, b in zip(res.block_norms, res.block_norms[1:])):
@@ -436,8 +431,7 @@ def test_c13_derivative_growth_and_extension(meas_model, meas_full_spec,
     problems = []
     noise = meas_family[6]
     for t in (0.25, 1.0):
-        rep = derivative_bound_report(meas_model, meas_full_spec, noise, t,
-                                      l_max=8)
+        rep = derivative_bound_report(meas_full_spec, noise, t, l_max=8)
         for order, disc, bound in zip(rep.orders, rep.discrete_max,
                                       rep.calculus_bound):
             if order >= 1 and disc > bound * (1.0 + 1e-12):
@@ -446,17 +440,17 @@ def test_c13_derivative_growth_and_extension(meas_model, meas_full_spec,
     mix = sum(d.data for d in meas_family[:6])
     nrm = math.sqrt(float(np.sum(meas_model.grid.mass[None, :] * mix ** 2)))
     phi0 = ModeCoeffs(meas_model, mix / nrm)
-    ext = extended_field(meas_model, meas_full_spec, phi0, 0.5,
-                         np.linspace(0.0, 2.0, 9), cap=8)
+    ext = extended_field(meas_full_spec, phi0, 0.5, np.linspace(0.0, 2.0, 9),
+                         cap=8)
     if ext.snapshot_gap > 1e-9:
         problems.append(f"snapshot gap {ext.snapshot_gap:.2e}")
     if ext.elliptic_residual > 1e-6:
         problems.append(f"elliptic residual {ext.elliptic_residual:.2e}")
     # a datum inside the kept span is reproduced exactly at the base slice
     pure = meas_family[0]
-    ext0 = extended_field(meas_model, meas_full_spec, pure, 0.5,
-                          np.linspace(0.0, 1.0, 5), cap=8)
-    prop = SpectralPropagator(meas_model, meas_full_spec, pure)
+    ext0 = extended_field(meas_full_spec, pure, 0.5, np.linspace(0.0, 1.0, 5),
+                          cap=8)
+    prop = SpectralPropagator(meas_full_spec, pure)
     gap0 = float(np.max(np.abs(ext0.samples[0] - prop.field_at(0.5))))
     if gap0 > 1e-9:
         problems.append(f"base-slice restriction gap {gap0:.2e}")

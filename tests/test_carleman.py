@@ -106,22 +106,22 @@ def test_weights_validation(eta):
     assert s0_default(2.0) == pytest.approx(10.0 * 2.0 ** 16)
 
 
-def _family_rows(model, op, spec, eta, s_values):
+def _family_rows(model, spec, eta, s_values):
     rows = []
     for parity, n, k in (("cos", 0, 1), ("cos", 1, 1), ("sin", 2, 2)):
         data = np.zeros((model.n_modes, model.n_radial))
         data[model.mode_position(ModeIndex(parity, n))] = spec.vectors[:, k - 1]
         mode = ModeIndex(parity, n)
-        states = solve_forward(model, op, ModeCoeffs(model, data))
+        states = solve_forward(ModeCoeffs(model, data))
         rows.extend(carleman_report(
             mode, states[:, model.mode_position(mode)], time_grid_for(model),
             None, eta, model.grid, s_values).rows)
     return rows
 
 
-def test_report_rows_finite_and_flagged(desk_model, desk_op, desk_spec, eta):
+def test_report_rows_finite_and_flagged(desk_model, desk_spec, eta):
     s0 = s0_default(1.0)
-    rows = _family_rows(desk_model, desk_op, desk_spec, eta,
+    rows = _family_rows(desk_model, desk_spec, eta,
                         [0.5 * s0, s0, 2.0 * s0])
     for row in rows:
         assert np.isfinite(row.ratio) and row.ratio > 0.0
@@ -131,13 +131,13 @@ def test_report_rows_finite_and_flagged(desk_model, desk_op, desk_spec, eta):
         assert row.below_s0 == (row.s < s0)
 
 
-def test_report_ratio_regression(desk_model, desk_op, desk_spec, eta):
+def test_report_ratio_regression(desk_model, desk_spec, eta):
     s0 = s0_default(1.0)
-    rows = _family_rows(desk_model, desk_op, desk_spec, eta, [s0, 2.0 * s0])
+    rows = _family_rows(desk_model, desk_spec, eta, [s0, 2.0 * s0])
     check_golden("carleman_ratios", [row.ratio for row in rows])
 
 
-def test_report_with_sources(desk_model, desk_op, desk_spec, eta, rng):
+def test_report_with_sources(desk_model, desk_spec, eta, rng):
     mode = ModeIndex("cos", 1)
     pos = desk_model.mode_position(mode)
     data = np.zeros((desk_model.n_modes, desk_model.n_radial))
@@ -145,8 +145,7 @@ def test_report_with_sources(desk_model, desk_op, desk_spec, eta, rng):
     n_time = desk_model.config.n_time
     sources = np.zeros((n_time, desk_model.n_modes, desk_model.n_radial))
     sources[:, pos] = 0.01 * rng.standard_normal((n_time, desk_model.n_radial))
-    states = solve_forward(desk_model, desk_op, ModeCoeffs(desk_model, data),
-                           sources)
+    states = solve_forward(ModeCoeffs(desk_model, data), sources)
     tgrid = time_grid_for(desk_model)
     rep = carleman_report(mode, states[:, pos], tgrid, sources[:, pos], eta,
                           desk_model.grid, [s0_default(1.0)])

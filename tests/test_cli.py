@@ -212,6 +212,50 @@ def test_density_seq_nonconvergence_exit_code(tmp_path):
     assert manifest["status"] == "non-convergence"
 
 
+@pytest.mark.parametrize("m_max", [10 ** 30, 10 ** 400])
+def test_density_seq_huge_m_max_is_nonconvergence(tmp_path, m_max):
+    # no capped gap scale keeps the last terms apart; nothing is allocated
+    code, out = _run(tmp_path, "density-seq", dict(BASE, m_max=m_max))
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-convergence"
+    assert "round to the target" in manifest["error"]
+
+
+def test_density_seq_outcomes_at_the_rounding_edge(tmp_path):
+    # at the default intervals, ell and q, 54 terms stay apart and 55 do
+    # not; the full search decides 55, the early test fires from 56 on
+    code, out = _run(tmp_path, "density-seq", dict(BASE, m_max=54), out="54")
+    assert code == 0
+    doc = json.loads((out / "density_seq.json").read_text())
+    assert len(doc["values"]) == 54
+    for m_max, early in ((55, False), (56, True)):
+        code, out = _run(tmp_path, "density-seq", dict(BASE, m_max=m_max),
+                         out=str(m_max))
+        assert code == 3
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert ("round to the target" in error) == early
+
+
+def test_measurable_huge_m_max_notes_the_failed_sequence(tmp_path):
+    payload = dict(BASE, family_size=2, n_quad=4, m_max=10 ** 30)
+    code, out = _run(tmp_path, "measurable", payload)
+    assert code == 0
+    doc = json.loads((out / "measurable.json").read_text())
+    assert doc["ell_sequence"] == []
+    assert "round to the target" in doc["sequence_note"]
+
+
+def test_unresolved_gram_eigenvalue_is_nonconvergence(tmp_path):
+    # an interval of length 1e-300 exhausts the precision ladder at K = 1
+    payload = dict(BASE, interval_c=0.0, interval_d=1e-300)
+    code, out = _run(tmp_path, "spectral-ineq", payload)
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-convergence"
+    assert "smallest Gram eigenvalue" in manifest["error"]
+
+
 def test_solve_snapshot_layout(tmp_path):
     payload = dict(BASE, initial_parity="cos", initial_n=1, initial_k=1,
                    snapshot_times=[0.5])

@@ -7,9 +7,8 @@ import pytest
 from scipy.linalg import cho_solve_banded
 
 from degenctrl import (ConfigError, InvariantError, ModeCoeffs, ModeIndex,
-                       ModelConfig, TimeGrid, assemble_radial_operator,
-                       build_model, coeffs_inner, evolve_mode,
-                       radial_spectrum, solve_adjoint, solve_forward,
+                       ModelConfig, TimeGrid, build_model, coeffs_inner,
+                       evolve_mode, solve_adjoint, solve_forward,
                        time_grid_for, zero_coeffs)
 from degenctrl.evolution import _Stepper
 from degenctrl.spectral import full_spectrum
@@ -21,28 +20,29 @@ def _scalar_march(mu, dt, steps):
     return rho ** steps
 
 
-def test_single_mode_matches_scalar_oracle(desk_model, desk_op, desk_spec):
+def test_single_mode_matches_scalar_oracle(desk_model, desk_spec):
     # an eigenvector reduces the scheme to the scalar recurrence exactly
     mode = ModeIndex("cos", 2)
     mu = desk_spec.values[0] + 4.0
     tgrid = time_grid_for(desk_model)
-    states = evolve_mode(desk_op, mode, desk_spec.vectors[:, 0], None, tgrid)
+    states = evolve_mode(desk_model.op, mode, desk_spec.vectors[:, 0], None,
+                         tgrid)
     for k in range(tgrid.n_time + 1):
         expected = _scalar_march(mu, tgrid.dt, k) * desk_spec.vectors[:, 0]
         assert np.max(np.abs(states[k] - expected)) < 1e-10
 
 
 @pytest.mark.parametrize("n_freq", [0, 1, 2, 4])
-def test_stepper_bitwise_matches_scipy_banded_solve(desk_op, rng, n_freq):
+def test_stepper_bitwise_matches_scipy_banded_solve(desk_model, rng, n_freq):
     # the direct LAPACK call reproduces the scipy wrapper bit for bit, on
     # the explicit part written in the scheme's own association order
     dt = 1.0 / 48
-    stepper = _Stepper(desk_op, n_freq, dt)
-    m, shift = desk_op.mass, float(n_freq * n_freq)
+    stepper = _Stepper(desk_model.op, n_freq, dt)
+    m, shift = desk_model.op.mass, float(n_freq * n_freq)
     for _ in range(3):
         v = rng.standard_normal(m.size)
         src = rng.standard_normal(m.size)
-        rhs = m * v - 0.5 * dt * (desk_op.apply(v) + shift * m * v)
+        rhs = m * v - 0.5 * dt * (desk_model.op.apply(v) + shift * m * v)
         expected = cho_solve_banded((stepper.factor, False), rhs)
         assert np.array_equal(stepper.step(v), expected)
         expected = cho_solve_banded((stepper.factor, False),
@@ -82,16 +82,16 @@ def _fixed_point_cases(n_time, size, rng):
                                   "minus_zero_sources", "mixed_zero_sources",
                                   "late_source_row",
                                   "zero_and_nonzero_columns"])
-def test_fixed_point_exit_matches_every_step_march(desk_model, desk_op, rng,
-                                                   case):
+def test_fixed_point_exit_matches_every_step_march(desk_model, rng, case):
     # the early exit must return the bits, signed zeros included, that
     # stepping all n_time times returns
     tgrid = time_grid_for(desk_model)
     phi0, sources = _fixed_point_cases(tgrid.n_time, desk_model.n_radial,
                                        rng)[case]
     mode = ModeIndex("sin", 2)
-    got = evolve_mode(desk_op, mode, phi0, sources, tgrid)
-    expected = evolve_mode_every_step(desk_op, mode, phi0, sources, tgrid)
+    got = evolve_mode(desk_model.op, mode, phi0, sources, tgrid)
+    expected = evolve_mode_every_step(desk_model.op, mode, phi0, sources,
+                                      tgrid)
     assert _same_bits(got, expected)
 
 
@@ -101,8 +101,8 @@ def test_fixed_point_exit_matches_every_step_march(desk_model, desk_op, rng,
                                         ("mixed_zero_sources", 48),
                                         ("late_source_row", 48),
                                         ("zero_and_nonzero_columns", 48)])
-def test_fixed_point_exit_step_count(desk_model, desk_op, rng, monkeypatch,
-                                      case, steps):
+def test_fixed_point_exit_step_count(desk_model, rng, monkeypatch, case,
+                                     steps):
     tgrid = time_grid_for(desk_model)
     assert tgrid.n_time == 48
     phi0, sources = _fixed_point_cases(tgrid.n_time, desk_model.n_radial,
@@ -111,32 +111,31 @@ def test_fixed_point_exit_step_count(desk_model, desk_op, rng, monkeypatch,
     step = _Stepper.step
     monkeypatch.setattr(_Stepper, "step",
                         lambda self, *args: calls.append(1) or step(self, *args))
-    evolve_mode(desk_op, ModeIndex("cos", 1), phi0, sources, tgrid)
+    evolve_mode(desk_model.op, ModeIndex("cos", 1), phi0, sources, tgrid)
     assert len(calls) == steps
 
 
-def test_nan_datum_is_invariant_error(desk_model, desk_op):
+def test_nan_datum_is_invariant_error(desk_model):
     # a NaN state can repeat its own bits; the finite check still runs
     tgrid = time_grid_for(desk_model)
     phi0 = np.full(desk_model.n_radial, np.nan)
     for march in (evolve_mode, evolve_mode_every_step):
         with pytest.raises(InvariantError):
-            march(desk_op, ModeIndex("cos", 1), phi0, None, tgrid)
+            march(desk_model.op, ModeIndex("cos", 1), phi0, None, tgrid)
 
 
-def test_nonfinite_source_is_invariant_error(desk_model, desk_op):
+def test_nonfinite_source_is_invariant_error(desk_model):
     # steps skip the finite check; the end-of-march check must catch it
     tgrid = time_grid_for(desk_model)
     sources = np.zeros((tgrid.n_time, desk_model.n_radial))
     sources[tgrid.n_time // 2, 3] = np.nan
     with pytest.raises(InvariantError):
-        evolve_mode(desk_op, ModeIndex("cos", 1),
+        evolve_mode(desk_model.op, ModeIndex("cos", 1),
                     np.ones(desk_model.n_radial), sources, tgrid)
 
 
 @pytest.mark.parametrize("sourced", [False, True])
-def test_block_march_matches_single_marches_bitwise(desk_model, desk_op, rng,
-                                                    sourced):
+def test_block_march_matches_single_marches_bitwise(desk_model, rng, sourced):
     # a (size, 3) block is three independent marches sharing each solve
     tgrid = time_grid_for(desk_model)
     size = desk_model.n_radial
@@ -144,38 +143,38 @@ def test_block_march_matches_single_marches_bitwise(desk_model, desk_op, rng,
     phi0 = rng.standard_normal((size, 3))
     sources = (rng.standard_normal((tgrid.n_time, size, 3)) if sourced
                else None)
-    block = evolve_mode(desk_op, mode, phi0, sources, tgrid)
+    block = evolve_mode(desk_model.op, mode, phi0, sources, tgrid)
     assert block.shape == (tgrid.n_time + 1, size, 3)
     for j in range(3):
-        single = evolve_mode(desk_op, mode, phi0[:, j],
+        single = evolve_mode(desk_model.op, mode, phi0[:, j],
                              None if sources is None else sources[:, :, j],
                              tgrid)
         assert np.array_equal(block[:, :, j], single)
 
 
-def test_block_march_shapes_validated(desk_model, desk_op):
+def test_block_march_shapes_validated(desk_model):
     tgrid = time_grid_for(desk_model)
     size = desk_model.n_radial
     mode = ModeIndex("cos", 1)
     with pytest.raises(ConfigError):
-        evolve_mode(desk_op, mode, np.ones((size, 2, 2)), None, tgrid)
+        evolve_mode(desk_model.op, mode, np.ones((size, 2, 2)), None, tgrid)
     with pytest.raises(ConfigError):
-        evolve_mode(desk_op, mode, np.ones((size, 3)),
+        evolve_mode(desk_model.op, mode, np.ones((size, 3)),
                     np.zeros((tgrid.n_time, size, 2)), tgrid)
     with pytest.raises(ConfigError):
-        evolve_mode(desk_op, mode, np.ones((size, 3)),
+        evolve_mode(desk_model.op, mode, np.ones((size, 3)),
                     np.zeros((tgrid.n_time, size)), tgrid)
 
 
-def test_nonfinite_block_column_is_invariant_error(desk_model, desk_op):
+def test_nonfinite_block_column_is_invariant_error(desk_model):
     tgrid = time_grid_for(desk_model)
     phi0 = np.ones((desk_model.n_radial, 3))
     phi0[4, 1] = np.nan
     with pytest.raises(InvariantError):
-        evolve_mode(desk_op, ModeIndex("cos", 2), phi0, None, tgrid)
+        evolve_mode(desk_model.op, ModeIndex("cos", 2), phi0, None, tgrid)
 
 
-def test_dt_halving_second_order(desk_op, desk_spec):
+def test_dt_halving_second_order(desk_model, desk_spec):
     # error against the exact exponential shrinks by ~4 per dt halving
     mu = desk_spec.values[0]
     mode = ModeIndex("cos", 0)
@@ -183,32 +182,33 @@ def test_dt_halving_second_order(desk_op, desk_spec):
     errs = []
     for n_time in (16, 32, 64):
         tgrid = TimeGrid(T, n_time)
-        states = evolve_mode(desk_op, mode, desk_spec.vectors[:, 0], None, tgrid)
+        states = evolve_mode(desk_model.op, mode, desk_spec.vectors[:, 0],
+                             None, tgrid)
         end = states[-1][0] / desk_spec.vectors[0, 0]
         errs.append(abs(end - math.exp(-mu * T)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.8 <= coarse / fine <= 4.2
 
 
-def test_energy_monotone_every_step(desk_model, desk_op, rng):
+def test_energy_monotone_every_step(desk_model, rng):
     data = rng.standard_normal((desk_model.n_modes, desk_model.n_radial))
-    states = solve_forward(desk_model, desk_op, ModeCoeffs(desk_model, data))
+    states = solve_forward(ModeCoeffs(desk_model, data))
     norms = np.sqrt(np.sum(desk_model.grid.mass * states ** 2, axis=(1, 2)))
     for before, after in zip(norms, norms[1:]):
         assert after <= before * (1.0 + 1e-14)
 
 
-def test_discrete_duality_identity(desk_model, desk_op, rng):
+def test_discrete_duality_identity(desk_model, rng):
     # <v(T), y(T)> = dt sum <s^{k+1/2}, (y^k + y^{k+1})/2> when v starts at 0;
     # this exact identity is what makes the control Gramian symmetric
     tgrid = time_grid_for(desk_model)
     y_term = ModeCoeffs(
         desk_model,
         rng.standard_normal((desk_model.n_modes, desk_model.n_radial)))
-    adjoint = solve_adjoint(desk_model, desk_op, y_term)
+    adjoint = solve_adjoint(y_term)
     sources = rng.standard_normal(
         (tgrid.n_time, desk_model.n_modes, desk_model.n_radial))
-    v = solve_forward(desk_model, desk_op, zero_coeffs(desk_model), sources)
+    v = solve_forward(zero_coeffs(desk_model), sources)
     lhs = coeffs_inner(ModeCoeffs(desk_model, v[-1]), y_term)
     mass = desk_model.grid.mass
     rhs = 0.0
@@ -218,26 +218,27 @@ def test_discrete_duality_identity(desk_model, desk_op, rng):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
-def test_adjoint_is_time_reversed_forward(desk_model, desk_op, rng):
+def test_adjoint_is_time_reversed_forward(desk_model, rng):
     y_term = ModeCoeffs(
         desk_model,
         rng.standard_normal((desk_model.n_modes, desk_model.n_radial)))
-    adjoint = solve_adjoint(desk_model, desk_op, y_term)
-    forward = solve_forward(desk_model, desk_op, y_term)
+    adjoint = solve_adjoint(y_term)
+    forward = solve_forward(y_term)
     assert np.array_equal(adjoint, forward[::-1])
 
 
-def test_marched_states_are_read_only(desk_model, desk_op, rng):
+def test_marched_states_are_read_only(desk_model, rng):
     tgrid = time_grid_for(desk_model)
     size = desk_model.n_radial
     mode = ModeIndex("cos", 1)
     y_term = ModeCoeffs(
         desk_model, rng.standard_normal((desk_model.n_modes, size)))
     marched = {
-        "single": evolve_mode(desk_op, mode, np.ones(size), None, tgrid),
-        "block": evolve_mode(desk_op, mode, np.ones((size, 2)), None, tgrid),
-        "forward": solve_forward(desk_model, desk_op, y_term),
-        "adjoint": solve_adjoint(desk_model, desk_op, y_term),
+        "single": evolve_mode(desk_model.op, mode, np.ones(size), None, tgrid),
+        "block": evolve_mode(desk_model.op, mode, np.ones((size, 2)), None,
+                             tgrid),
+        "forward": solve_forward(y_term),
+        "adjoint": solve_adjoint(y_term),
     }
     assert marched["forward"].shape == (tgrid.n_time + 1, desk_model.n_modes,
                                         size)
@@ -247,7 +248,7 @@ def test_marched_states_are_read_only(desk_model, desk_op, rng):
             states[0] = 0.0
 
 
-def test_source_shape_validated(desk_model, desk_op):
+def test_source_shape_validated(desk_model):
     tgrid = time_grid_for(desk_model)
     n_modes, size = desk_model.n_modes, desk_model.n_radial
     zero = zero_coeffs(desk_model)
@@ -255,11 +256,27 @@ def test_source_shape_validated(desk_model, desk_op):
                 np.zeros((tgrid.n_time, size)),
                 np.zeros((n_modes, tgrid.n_time, size))):
         with pytest.raises(ConfigError):
-            solve_forward(desk_model, desk_op, zero, bad)
+            solve_forward(zero, bad)
     # the former form, one (n_time, n_r - 1) block per mode, is refused
     per_mode = [np.zeros((tgrid.n_time, size)) for _ in range(n_modes)]
     with pytest.raises(ConfigError):
-        solve_forward(desk_model, desk_op, zero, per_mode)
+        solve_forward(zero, per_mode)
+
+
+def test_forward_marches_on_the_datum_model(rng):
+    # another alpha and another n_time: both come from the datum's model
+    model = build_model(ModelConfig(alpha=0.3, T_horizon=1.0, n_theta_max=2,
+                                    n_r=40, n_time=20))
+    phi0 = ModeCoeffs(model, rng.standard_normal(
+        (model.n_modes, model.n_radial)))
+    states = solve_forward(phi0)
+    assert states.shape == (model.config.n_time + 1, model.n_modes,
+                            model.n_radial)
+    tgrid = time_grid_for(model)
+    for i, mode in enumerate(model.modes):
+        assert np.array_equal(
+            states[:, i], evolve_mode(model.op, mode, phi0.data[i], None,
+                                      tgrid))
 
 
 def test_full_spectrum_sorted_and_complete(meas_model, meas_full_spec):

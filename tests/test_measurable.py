@@ -59,7 +59,7 @@ def test_region_validation():
 
 
 @pytest.mark.parametrize("horizon", [0.96, 2.0])
-def test_horizon_must_match_the_model(meas_model, meas_op, meas_full_spec,
+def test_horizon_must_match_the_model(meas_model, meas_full_spec,
                                       meas_family, horizon):
     # a set built for another time slab must not be read on this model
     region = _region(horizon=horizon)
@@ -67,7 +67,7 @@ def test_horizon_must_match_the_model(meas_model, meas_op, meas_full_spec,
         measurable_observability_ratio(meas_model, meas_full_spec,
                                        meas_family, region)
     with pytest.raises(ConfigError, match="horizon"):
-        hum_control(meas_model, meas_op, meas_family[0], region, 1e-4)
+        hum_control(meas_family[0], region, 1e-4)
 
 
 def test_contains_and_slice_mask_agree(meas_model):
@@ -117,7 +117,7 @@ def test_slice_indicator_dominated_by_region(meas_model):
 
 def test_density_sequence_full_interval():
     slices = TimeSliceSet(threshold=0.0, intervals=((0.0, 1.0),),
-                          measure=1.0, horizon=1.0)
+                          horizon=1.0)
     seq = density_sequence(slices, 0.5, 0.5, m_max=4)
     assert np.allclose(seq.values, (0.9, 0.7, 0.6, 0.55), atol=1e-12)
     assert all(f >= 1.0 - 1e-12 for f in seq.gap_fractions)
@@ -127,7 +127,7 @@ def test_density_sequence_full_interval():
 
 def test_density_sequence_gap_identity_random():
     slices = TimeSliceSet(threshold=0.0, intervals=((0.0, 1.0),),
-                          measure=1.0, horizon=1.0)
+                          horizon=1.0)
     for q in (0.3, 0.6, 0.9):
         seq = density_sequence(slices, 0.4, q, m_max=6)
         gaps = -np.diff(seq.values)
@@ -150,16 +150,14 @@ def test_density_sequence_dyadic_holes():
         prev = max(prev, hi)
     if prev < 1.0:
         keep.append((prev, 1.0))
-    measure = sum(hi - lo for lo, hi in keep)
-    slices = TimeSliceSet(threshold=0.0, intervals=tuple(keep),
-                          measure=measure, horizon=1.0)
+    slices = TimeSliceSet(threshold=0.0, intervals=tuple(keep), horizon=1.0)
     seq = density_sequence(slices, 1.0 / 3.0, 0.5, m_max=8)
     assert all(f >= 1.0 / 3.0 - 1e-12 for f in seq.gap_fractions)
 
 
 def test_density_sequence_fails_off_the_set():
     slices = TimeSliceSet(threshold=0.0, intervals=((0.4, 0.5),),
-                          measure=0.1, horizon=1.0)
+                          horizon=1.0)
     with pytest.raises(NonConvergenceError):
         density_sequence(slices, 0.6, 0.9, m_max=8)
 
@@ -167,7 +165,7 @@ def test_density_sequence_fails_off_the_set():
 def test_density_point_is_largest_interval_midpoint():
     slices = TimeSliceSet(threshold=0.0,
                           intervals=((0.0, 0.1), (0.3, 0.8), (0.9, 1.0)),
-                          measure=0.7, horizon=1.0)
+                          horizon=1.0)
     assert density_point_of(slices) == pytest.approx(0.55)
 
 
@@ -185,10 +183,10 @@ def test_choose_q_oracle():
         choose_q(1.0, 1.0)
 
 
-def test_propagator_matches_march(meas_model, meas_op, meas_full_spec, rng):
+def test_propagator_matches_march(meas_model, meas_full_spec, rng):
     data = rng.standard_normal((meas_model.n_modes, meas_model.n_radial))
     phi0 = ModeCoeffs(meas_model, data)
-    prop = SpectralPropagator(meas_model, meas_full_spec, phi0)
+    prop = SpectralPropagator(meas_full_spec, phi0)
     # exact reconstruction at t=0
     assert np.max(np.abs(prop.data_at(0.0) - data)) < 1e-9
     # time derivative against a centered difference
@@ -203,28 +201,27 @@ def test_propagator_matches_march(meas_model, meas_op, meas_full_spec, rng):
                             @ rng.standard_normal(2)
                             for _ in range(meas_model.n_modes)])
     smooth = ModeCoeffs(meas_model, smooth_data)
-    sprop = SpectralPropagator(meas_model, meas_full_spec, smooth)
-    terminal = solve_forward(meas_model, meas_op, smooth)[-1]
+    sprop = SpectralPropagator(meas_full_spec, smooth)
+    terminal = solve_forward(smooth)[-1]
     T = meas_model.config.T_horizon
     assert sprop.norm_at(T) == pytest.approx(
         math.sqrt(np.sum(meas_model.grid.mass * terminal ** 2)), rel=5e-2)
 
 
-def test_propagator_requires_full_spectrum(meas_model, meas_op):
+def test_propagator_requires_full_spectrum(meas_model):
     from degenctrl import radial_spectrum
-    small = radial_spectrum(meas_op, 3)
+    small = radial_spectrum(meas_model.op, 3)
     phi0 = ModeCoeffs(meas_model, np.zeros((meas_model.n_modes,
                                             meas_model.n_radial)))
     with pytest.raises(ConfigError):
-        SpectralPropagator(meas_model, small, phi0)
+        SpectralPropagator(small, phi0)
 
 
-def test_field_at_stacks_the_scalar_calls(meas_model, meas_full_spec,
-                                          meas_family):
+def test_field_at_stacks_the_scalar_calls(meas_full_spec, meas_family):
     # the late times put mu t past 708 for the high modes
     times = np.array([0.0, 0.013, 0.25, 0.5, 0.77, 1.0])
     for phi0 in meas_family[::6]:
-        prop = SpectralPropagator(meas_model, meas_full_spec, phi0)
+        prop = SpectralPropagator(meas_full_spec, phi0)
         stacked = prop.field_at(times)
         assert stacked.shape == (times.size,) + prop.field_at(0.5).shape
         assert np.array_equal(stacked,
@@ -259,10 +256,10 @@ def test_observed_l1_past_one_chunk_matches_the_oracle(
     _assert_records_match_oracle(meas_model, meas_full_spec,
                                  meas_family[:3], meas_region, n_quad)
     slices = build_time_slices(meas_region, meas_model)
-    rep = slab_interpolation_report(meas_model, meas_full_spec,
-                                    meas_family[0], 0.0, meas_region.horizon,
-                                    slices, meas_region, n_quad=n_quad)
-    prop = SpectralPropagator(meas_model, meas_full_spec, meas_family[0])
+    rep = slab_interpolation_report(meas_full_spec, meas_family[0], 0.0,
+                                    meas_region.horizon, slices, meas_region,
+                                    n_quad=n_quad)
+    prop = SpectralPropagator(meas_full_spec, meas_family[0])
     assert rep.observed == observed_l1_per_node(
         meas_model, prop, meas_region,
         _pieces_within(meas_region, slices.intervals), n_quad)
@@ -272,8 +269,7 @@ def test_coeff_at_flushes_only_subnormal_products(meas_model,
                                                   meas_full_spec):
     data = np.zeros((meas_model.n_modes, meas_model.n_radial))
     data[:] = meas_full_spec.vectors[:, -6:].sum(axis=1)
-    prop = SpectralPropagator(meas_model, meas_full_spec,
-                              ModeCoeffs(meas_model, data))
+    prop = SpectralPropagator(meas_full_spec, ModeCoeffs(meas_model, data))
     t = 720.0 / float(np.max(prop.mu))
     tiny = np.finfo(float).tiny
     for order in (0, 1):
@@ -298,13 +294,13 @@ def _eigen_datum(model, spectrum, pos, k):
 def test_extended_field_invariants(meas_model, meas_full_spec):
     phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
     tau = np.linspace(0.0, 0.5, 6)
-    ext = extended_field(meas_model, meas_full_spec, phi0, 0.5, tau, cap=8)
+    ext = extended_field(meas_full_spec, phi0, 0.5, tau, cap=8)
     assert ext.snapshot_gap <= 1e-9
     assert ext.elliptic_residual <= 1e-6
     norms = [ext.norm_at_tau(j) for j in range(tau.size)]
     assert all(a < b for a, b in zip(norms, norms[1:]))
     # tau=0 column reproduces the free solution of the capped part
-    prop = SpectralPropagator(meas_model, meas_full_spec, phi0)
+    prop = SpectralPropagator(meas_full_spec, phi0)
     gap = np.max(np.abs(ext.samples[0] - prop.field_at(0.5)))
     assert gap <= 1e-9
 
@@ -312,14 +308,12 @@ def test_extended_field_invariants(meas_model, meas_full_spec):
 def test_extended_field_validation(meas_model, meas_full_spec):
     phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
     with pytest.raises(ConfigError):
-        extended_field(meas_model, meas_full_spec, phi0, 0.0,
-                       np.array([0.0]), cap=4)
+        extended_field(meas_full_spec, phi0, 0.0, np.array([0.0]), cap=4)
     with pytest.raises(ConfigError):
-        extended_field(meas_model, meas_full_spec, phi0, 0.5,
-                       np.array([0.0]), cap=0)
+        extended_field(meas_full_spec, phi0, 0.5, np.array([0.0]), cap=0)
     with pytest.raises(ConfigError):
         # sqrt(mu_max) tau_max beyond the overflow guard
-        extended_field(meas_model, meas_full_spec, phi0, 0.5,
+        extended_field(meas_full_spec, phi0, 0.5,
                        np.array([0.0, 1000.0]),
                        cap=meas_model.n_modes * meas_model.n_radial)
 
@@ -327,24 +321,24 @@ def test_extended_field_validation(meas_model, meas_full_spec):
 def test_derivative_bound_and_factorial(meas_model, meas_full_spec):
     phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
     for t in (0.25, 1.0):
-        rep = derivative_bound_report(meas_model, meas_full_spec, phi0, t, 8)
+        rep = derivative_bound_report(meas_full_spec, phi0, t, 8)
         assert not rep.capped
         for l, disc, bound in zip(rep.orders, rep.discrete_max,
                                   rep.calculus_bound):
             if l == 0:
                 continue
             assert disc <= bound * (1.0 + 1e-12)
-    rep = derivative_bound_report(meas_model, meas_full_spec, phi0, 1.0, 8)
+    rep = derivative_bound_report(meas_full_spec, phi0, 1.0, 8)
     check_golden("factorial_ratio_max", max(rep.factorial_ratio))
 
 
 def test_derivative_bound_capped_flag(meas_model, meas_full_spec):
     phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
-    rep = derivative_bound_report(meas_model, meas_full_spec, phi0, 0.5, 300)
+    rep = derivative_bound_report(meas_full_spec, phi0, 0.5, 300)
     assert rep.capped
     assert rep.orders[-1] == 200
     with pytest.raises(ConfigError):
-        derivative_bound_report(meas_model, meas_full_spec, phi0, 0.0, 4)
+        derivative_bound_report(meas_full_spec, phi0, 0.0, 4)
 
 
 def test_slab_interpolation_thin_box(meas_model, meas_full_spec):
@@ -352,8 +346,8 @@ def test_slab_interpolation_thin_box(meas_model, meas_full_spec):
                      band=(0.3, 0.6))
     slices = build_time_slices(region, None)
     phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
-    rep = slab_interpolation_report(meas_model, meas_full_spec, phi0,
-                                    0.15, 0.35, slices, region)
+    rep = slab_interpolation_report(meas_full_spec, phi0, 0.15, 0.35, slices,
+                                    region)
     assert not rep.degenerate
     assert 0.0 < rep.h_emp < 1.0
     check_golden("slab_h_emp", rep.h_emp)
@@ -368,9 +362,9 @@ def test_nonpositive_quadrature_count_is_config_error(
                                        n_quad=n_quad)
     slices = build_time_slices(meas_region, meas_model)
     with pytest.raises(ConfigError, match="n_quad"):
-        slab_interpolation_report(meas_model, meas_full_spec, meas_family[0],
-                                  0.0, meas_region.horizon, slices,
-                                  meas_region, n_quad=n_quad)
+        slab_interpolation_report(meas_full_spec, meas_family[0], 0.0,
+                                  meas_region.horizon, slices, meas_region,
+                                  n_quad=n_quad)
 
 
 def test_datum_family_deterministic(meas_model, meas_full_spec):

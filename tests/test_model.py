@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenctrl import (ConfigError, Field2D, ModeCoeffs, ModeIndex,
-                       ModelConfig, build_model, build_radial_grid,
-                       coeffs_inner, mode_set, project_modes,
-                       synthesize_field)
+                       ModelConfig, assemble_radial_operator, build_model,
+                       build_radial_grid, coeffs_inner, mode_set,
+                       project_modes, synthesize_field)
 from degenctrl.model import angular_basis_value, field_norm2
 
 
@@ -68,6 +68,24 @@ def test_radial_grid_shapes_and_monotonicity():
     # cells tile the span between the first and last half nodes
     assert np.sum(grid.mass) == pytest.approx(
         grid.half_nodes[-1] - grid.half_nodes[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_model_operator_is_the_assembled_one_bitwise(alpha):
+    cfg = ModelConfig(alpha=alpha, T_horizon=1.0, n_theta_max=2, n_r=40)
+    model = build_model(cfg)
+    ref = assemble_radial_operator(cfg.alpha, model.grid)
+    assert model.op.alpha == cfg.alpha and model.op.grid is model.grid
+    for name in ("diag", "off", "conductance"):
+        assert getattr(model.op, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_band_is_the_open_interval_of_nodes():
+    grid = build_radial_grid(0.5, 20, 4.0 / 3.0)
+    mask = grid.band(grid.nodes[3], grid.nodes[9])
+    assert mask.dtype == bool
+    assert np.flatnonzero(mask).tolist() == list(range(4, 9))
+    assert not grid.band(0.0, grid.nodes[0]).any()
 
 
 def test_mode_position_roundtrip(desk_model):

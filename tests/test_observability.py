@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from degenctrl import (ConfigError, ModelConfig, NonConvergenceError,
-                       assemble_radial_operator, build_model,
-                       mode_observability_constant, mode_set, radial_spectrum,
-                       torus_smallest_gram_eigenvalue,
+                       build_model, mode_observability_constant, mode_set,
+                       radial_spectrum, torus_smallest_gram_eigenvalue,
                        truncated_observability)
 from degenctrl import observability
 from degenctrl.observability import _angular_gram, _restricted_overlap
@@ -141,10 +140,10 @@ def test_full_torus_reduces_to_mode_maximum(desk_model, desk_spec):
     assert est.basis_dim == 9 * 4
 
 
-def test_partial_interval_monotone_and_escalates(desk_model, desk_op):
+def test_partial_interval_monotone_and_escalates(desk_model):
     # proper subinterval couples the modes; constants grow with the cap
     from degenctrl import radial_spectrum
-    spec = radial_spectrum(desk_op, 2)
+    spec = radial_spectrum(desk_model.op, 2)
     ests = [truncated_observability(desk_model, spec, (0.0, math.pi),
                                     0.3, 0.6, j, k_max=2) for j in (0, 1, 2)]
     vals = [e.c_emp for e in ests]
@@ -222,7 +221,7 @@ def test_mp_route_matches_inverse_oracle(desk_model, desk_spec, monkeypatch,
 def test_restricted_overlap_is_exactly_symmetric():
     model = build_model(ModelConfig(alpha=0.5, T_horizon=1.0, n_theta_max=2,
                                     n_r=120, n_time=8))
-    spec = radial_spectrum(assemble_radial_operator(0.5, model.grid), 24)
+    spec = radial_spectrum(model.op, 24)
     overlap = _restricted_overlap(spec, 0.3, 0.6, 24)
     assert np.array_equal(overlap, overlap.T)
 

@@ -78,13 +78,14 @@ def test_discrete_spectrum_converges_to_bessel():
     assert np.all(np.diff(spec.values) > 0)
 
 
-def test_eigenvectors_mass_orthonormal(desk_op, desk_spec):
+def test_eigenvectors_mass_orthonormal(desk_model, desk_spec):
+    op = desk_model.op
     v = desk_spec.vectors
-    gram = v.T @ (desk_op.mass[:, None] * v)
+    gram = v.T @ (op.mass[:, None] * v)
     assert np.max(np.abs(gram - np.eye(v.shape[1]))) < 1e-12
     # and they satisfy the generalized eigenproblem
     for i in range(v.shape[1]):
-        res = desk_op.apply(v[:, i]) - desk_spec.values[i] * desk_op.mass * v[:, i]
+        res = op.apply(v[:, i]) - desk_spec.values[i] * op.mass * v[:, i]
         assert np.max(np.abs(res)) < 1e-9 * desk_spec.values[i]
 
 
@@ -95,11 +96,11 @@ def test_spectral_gap_lower_bound():
         assert (1.0 - alpha) ** 2 / 4.0 < lam1
 
 
-def test_spectrum_argument_validation(desk_op):
+def test_spectrum_argument_validation(desk_model):
     with pytest.raises(ConfigError):
-        radial_spectrum(desk_op, 0)
+        radial_spectrum(desk_model.op, 0)
     with pytest.raises(ConfigError):
-        radial_spectrum(desk_op, 10 ** 6)
+        radial_spectrum(desk_model.op, 10 ** 6)
 
 
 def test_hardy_bound_value():
