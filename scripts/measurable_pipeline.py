@@ -12,7 +12,7 @@ import sys
 
 from degenctrl import (BoxUnionSet, ModelConfig, NonConvergenceError,
                        build_model, datum_family,
-                       measurable_observability_ratio, radial_spectrum)
+                       measurable_observability_ratio)
 
 DEFAULT_BOXES = (
     ((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
@@ -39,14 +39,13 @@ def main(argv=None):
                       n_theta_max=args.n_theta_max, n_r=args.n_r,
                       n_time=args.n_time)
     model = build_model(cfg)
-    spec = radial_spectrum(model.op, model.n_radial)
     region = BoxUnionSet(boxes=DEFAULT_BOXES, band_a=args.band[0],
                          band_b=args.band[1], horizon=args.horizon)
-    family = datum_family(model, spec, args.family_size, args.seed)
+    family = datum_family(model, args.family_size, args.seed)
 
     try:
         rep = measurable_observability_ratio(
-            model, spec, family, region, c_calib=args.c_calib,
+            family, region, c_calib=args.c_calib,
             h_calib=args.h_calib, m_max=args.m_max)
     except NonConvergenceError as exc:
         print(f"density-point search failed: {exc}", file=sys.stderr)

@@ -45,15 +45,16 @@ _MODEL_OPTIONAL = ("grid_power", "n_time", "theta_quad_points")
 _DEFAULT_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
                   ((3.0, 5.5), (0.45, 0.58), (0.5, 0.95)))
 
-# key -> (kind, default); kind in {real, int, str, list}
+# key -> (kind, default); kind in {real, int, str, list, reals, ints},
+# where reals and ints are flat lists of finite numbers and of integers
 _OPTION_SCHEMAS = {
     "spectrum": {"k_eigen": ("int", 5)},
     "hardy": {"n_samples": ("int", 1000)},
     "solve": {"initial_parity": ("str", "cos"), "initial_n": ("int", 0),
-              "initial_k": ("int", 1), "snapshot_times": ("list", ())},
+              "initial_k": ("int", 1), "snapshot_times": ("reals", ())},
     "carleman": {"band_a": ("real", 0.3), "band_b": ("real", 0.6),
-                 "s_values": ("list", ())},
-    "spectral-ineq": {"freq_caps": ("list", (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+                 "s_values": ("reals", ())},
+    "spectral-ineq": {"freq_caps": ("ints", (0, 1, 2, 3, 4, 5, 6, 7, 8)),
                       "interval_c": ("real", 0.0),
                       "interval_d": ("real", 1.0)},
     "observability": {"band_a": ("real", 0.3), "band_b": ("real", 0.6),
@@ -99,10 +100,13 @@ def _coerce(key, kind, value):
         if not isinstance(value, str):
             raise ConfigError(f"field '{key}' must be a string")
         return value
-    if kind == "list":
+    if kind in ("list", "reals", "ints"):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"field '{key}' must be a list")
-        return _tuplify(key, value)
+        if kind == "list":
+            return _tuplify(key, value)
+        return tuple(_coerce(f"{key}[{i}]", kind[:-1], v)
+                     for i, v in enumerate(value))
     raise ConfigError(f"unhandled kind for '{key}'")
 
 
@@ -287,9 +291,7 @@ def _cmd_solve(out, config, options, seed):
     # validate every snapshot before any file is written
     snapshot_nodes = []
     for t_req in options["snapshot_times"]:
-        if isinstance(t_req, bool) or not isinstance(t_req, (int, float)):
-            raise ConfigError("snapshot_times must hold numbers")
-        node = int(round(float(t_req) / tgrid.dt))
+        node = int(round(t_req / tgrid.dt))
         if not (0 <= node <= tgrid.n_time):
             raise ConfigError(f"snapshot time {t_req} outside the horizon")
         snapshot_nodes.append(node)
@@ -326,9 +328,6 @@ def _cmd_carleman(out, config, options, seed):
     eta = build_eta(config.alpha, a, b)
     s0 = s0_default(config.T_horizon)
     s_values = options["s_values"] or (s0, 2.0 * s0, 4.0 * s0)
-    for s in s_values:
-        if isinstance(s, bool) or not isinstance(s, (int, float)):
-            raise ConfigError("s_values must hold numbers")
     k_need = max(k for _, _, k in _CARLEMAN_FAMILY)
     spec = radial_spectrum(model.op, k_need)
     tgrid = time_grid_for(model)
@@ -340,7 +339,7 @@ def _cmd_carleman(out, config, options, seed):
         states = evolve_mode(model.op, mode, spec.vectors[:, k - 1],
                              None, tgrid)
         rep = carleman_report(mode, states, tgrid, None, eta, model.grid,
-                              [float(s) for s in s_values])
+                              s_values)
         for row in rep.rows:
             rows.append((row.s, row.parity, row.n, row.lhs_grad, row.lhs_zero,
                          row.rhs_f, row.rhs_obs, row.ratio))
@@ -362,8 +361,6 @@ def _cmd_spectral_ineq(out, config, options, seed):
     c, d = options["interval_c"], options["interval_d"]
     rows = []
     for cap in options["freq_caps"]:
-        if isinstance(cap, bool) or not isinstance(cap, int):
-            raise ConfigError("freq_caps must hold integers")
         tg = torus_smallest_gram_eigenvalue(cap, (c, d))
         rows.append((cap, tg.lambda_min, tg.c_emp, tg.dps_used))
     _write_csv(out / "spectral_ineq.csv",
@@ -472,7 +469,6 @@ def _cmd_lr(out, config, options, seed):
 
 def _cmd_measurable(out, config, options, seed):
     model = build_model(config)
-    spec = radial_spectrum(model.op, model.n_radial)
     try:
         region = BoxUnionSet(boxes=options["boxes"], band_a=options["band_a"],
                              band_b=options["band_b"],
@@ -485,9 +481,9 @@ def _cmd_measurable(out, config, options, seed):
             "the default region was used for boxes; it needs "
             f"T_horizon >= 0.95, band_a <= 0.32 and band_b >= 0.58 ({exc})"
         ) from exc
-    family = datum_family(model, spec, options["family_size"], seed)
+    family = datum_family(model, options["family_size"], seed)
     rep = measurable_observability_ratio(
-        model, spec, family, region, options["c_calib"], options["h_calib"],
+        family, region, options["c_calib"], options["h_calib"],
         options["m_max"], options["n_quad"])
     _write_json(out / "measurable.json", {
         "E_intervals": [list(iv) for iv in rep.e_intervals],

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import Model, ModeCoeffs, TWO_PI, _frozen, synthesize_field
-from .spectral import RadialSpectrum
 
 
 def _merge_intervals(pieces):
@@ -373,9 +372,9 @@ _TINY = np.finfo(float).tiny
 class SpectralPropagator:
     """Exact-in-time free evolution of one datum on the discrete eigenbasis.
 
-    Expands the datum mode by mode in the radial eigenvectors; snapshots,
-    norms, and time derivatives then come from scalar exponentials with
-    rates lam_k + n^2, with no marching error.
+    Expands the datum mode by mode in Model.spectrum, the complete radial
+    eigenbasis; snapshots, norms, and time derivatives then come from
+    scalar exponentials with rates lam_k + n^2, with no marching error.
 
     Coefficients of magnitude below the smallest normal float are set to
     zero. A flushed term c_k v_jk is under half an ulp of any partial sum
@@ -385,16 +384,13 @@ class SpectralPropagator:
     which cost several times the normal rate.
     """
 
-    def __init__(self, spectrum: RadialSpectrum, phi0: ModeCoeffs):
+    def __init__(self, phi0: ModeCoeffs):
         model = phi0.model
-        if spectrum.values.size != model.n_radial:
-            raise ConfigError("propagation needs the full radial spectrum")
         self.model = model
-        self.spectrum = spectrum
         weighted = model.grid.mass[None, :] * phi0.data
-        self.coeffs = weighted @ spectrum.vectors          # (modes, k)
+        self.coeffs = weighted @ model.spectrum.vectors    # (modes, k)
         freqs = np.array([m.n for m in model.modes], dtype=float)
-        self.mu = spectrum.values[None, :] + freqs[:, None] ** 2
+        self.mu = model.spectrum.values[None, :] + freqs[:, None] ** 2
         self.norm0 = float(np.sqrt(np.sum(self.coeffs ** 2)))
 
     def coeff_at(self, t, order: int = 0) -> np.ndarray:
@@ -407,7 +403,7 @@ class SpectralPropagator:
         return damp
 
     def data_at(self, t, order: int = 0) -> np.ndarray:
-        return self.coeff_at(t, order) @ self.spectrum.vectors.T
+        return self.coeff_at(t, order) @ self.model.spectrum.vectors.T
 
     def norm_at(self, t: float, order: int = 0) -> float:
         return float(np.sqrt(np.sum(self.coeff_at(t, order) ** 2)))
@@ -473,13 +469,13 @@ class ExtendedField:
         return num / den if den > 0 else 0.0
 
 
-def extended_field(spectrum: RadialSpectrum, phi0: ModeCoeffs, t: float,
-                   tau_grid, cap: int) -> ExtendedField:
+def extended_field(phi0: ModeCoeffs, t: float, tau_grid,
+                   cap: int) -> ExtendedField:
     """Evaluate the auxiliary-variable extension on the lowest cap modes."""
     if t <= 0:
         raise ConfigError("extension requires a positive time")
     model = phi0.model
-    prop = SpectralPropagator(spectrum, phi0)
+    prop = SpectralPropagator(phi0)
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size == 0:
         raise ConfigError("tau grid must be a non-empty 1D array")
@@ -505,7 +501,7 @@ def extended_field(spectrum: RadialSpectrum, phi0: ModeCoeffs, t: float,
         vals = amps * np.exp(-mu * t + np.sqrt(mu) * tau)
         data = np.zeros((n_modes, n_rad))
         np.add.at(data, (mode_of, k_of), vals)
-        nodal = data @ spectrum.vectors.T
+        nodal = data @ model.spectrum.vectors.T
         samples[j] = synthesize_field(ModeCoeffs(model, nodal)).values
 
     full = prop.coeff_at(t)
@@ -548,8 +544,8 @@ class DerivativeBoundReport:
     capped: bool
 
 
-def derivative_bound_report(spectrum: RadialSpectrum, phi0: ModeCoeffs,
-                            t: float, l_max: int) -> DerivativeBoundReport:
+def derivative_bound_report(phi0: ModeCoeffs, t: float,
+                            l_max: int) -> DerivativeBoundReport:
     """Check max mu^(2l) e^(-mu t) against its calculus envelope.
 
     All spectral sums run in log space, so large orders degrade to zeros
@@ -561,7 +557,7 @@ def derivative_bound_report(spectrum: RadialSpectrum, phi0: ModeCoeffs,
         raise ConfigError("l_max must be >= 0")
     capped = l_max > 200
     l_max = min(l_max, 200)
-    prop = SpectralPropagator(spectrum, phi0)
+    prop = SpectralPropagator(phi0)
     mu = prop.mu.ravel()
     log_mu = np.log(mu)
     coeffs2 = prop.coeffs.ravel() ** 2
@@ -663,10 +659,9 @@ def _pieces_within(region: BoxUnionSet, intervals):
     return pieces
 
 
-def slab_interpolation_report(spectrum: RadialSpectrum, phi0: ModeCoeffs,
-                              t1: float, t2: float, slices: TimeSliceSet,
-                              region: BoxUnionSet, k_calib: float = 1.0,
-                              eta: float = 0.05,
+def slab_interpolation_report(phi0: ModeCoeffs, t1: float, t2: float,
+                              slices: TimeSliceSet, region: BoxUnionSet,
+                              k_calib: float = 1.0, eta: float = 0.05,
                               n_quad: int = 32) -> SlabReport:
     """Empirical interpolation exponent between two time levels.
 
@@ -686,7 +681,7 @@ def slab_interpolation_report(spectrum: RadialSpectrum, phi0: ModeCoeffs,
         raise ConfigError(
             f"kept set too thin: measure {slices.measure:.3e} under "
             f"eta (t2 - t1) = {eta * (t2 - t1):.3e}")
-    prop = SpectralPropagator(spectrum, phi0)
+    prop = SpectralPropagator(phi0)
     n1 = prop.norm_at(t1)
     n2 = prop.norm_at(t2)
     observed = _observed_l1(prop, _slice_weights(
@@ -727,14 +722,14 @@ class MeasurableReport:
     per_datum: tuple
 
 
-def datum_family(model: Model, spectrum: RadialSpectrum, count: int,
-                 seed: int) -> tuple:
+def datum_family(model: Model, count: int, seed: int) -> tuple:
     """Unit-norm data: the lowest pure eigenmodes, then seeded noise."""
     if count < 1:
         raise ConfigError("family needs at least one datum")
     rng = np.random.default_rng(seed)
     out = []
     n_low = min(count // 2 + 1, 6)
+    spectrum = model.spectrum
     flat_mu = (spectrum.values[None, :]
                + np.array([m.n for m in model.modes], dtype=float)[:, None] ** 2)
     order = np.lexsort((np.arange(flat_mu.size), flat_mu.ravel()))
@@ -752,8 +747,7 @@ def datum_family(model: Model, spectrum: RadialSpectrum, count: int,
     return tuple(out)
 
 
-def measurable_observability_ratio(model: Model, spectrum: RadialSpectrum,
-                                   family, region: BoxUnionSet,
+def measurable_observability_ratio(family, region: BoxUnionSet,
                                    c_calib: float = 1.0, h_calib: float = 0.5,
                                    m_max: int = 32,
                                    n_quad: int = 16) -> MeasurableReport:
@@ -763,8 +757,13 @@ def measurable_observability_ratio(model: Model, spectrum: RadialSpectrum,
     density point at the midpoint of its largest interval, contraction
     ratio from the calibration constants, geometric approach sequence.
     Data whose observed mass underflows are excluded and logged, never
-    silently divided.
+    silently divided. The data must share one Model object.
     """
+    if not family:
+        raise ConfigError("family needs at least one datum")
+    model = family[0].model
+    if any(phi0.model is not model for phi0 in family):
+        raise ConfigError("family data belong to different models")
     if n_quad < 1:
         raise ConfigError(f"n_quad must be >= 1, got {n_quad}")
     slices = build_time_slices(region, model)
@@ -782,7 +781,7 @@ def measurable_observability_ratio(model: Model, spectrum: RadialSpectrum,
     horizon = region.horizon
 
     def run(idx, phi0):
-        prop = SpectralPropagator(spectrum, phi0)
+        prop = SpectralPropagator(phi0)
         terminal = prop.norm_at(horizon)
         observed = _observed_l1(prop, weights)
         if observed < 1e-300:

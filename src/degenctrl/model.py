@@ -22,7 +22,8 @@ interior cell measures m_i = r_{i+1/2} - r_{i-1/2} define the radial inner
 product used by every module.
 
 The model owns its radial operator A u = -(r^alpha u')', vanishing at
-both ends, assembled once by build_model. Its discretization is a flux-form
+both ends, assembled once by build_model, and its complete eigenbasis,
+solved on first use. The operator's discretization is a flux-form
 finite volume scheme on the graded mesh. Each face between neighbouring
 nodes carries a conductance equal to the reciprocal of the resistivity
 integral of the cell,
@@ -38,6 +39,7 @@ pointwise sampling of the vanishing coefficient stalls near first order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -266,6 +268,13 @@ class Model:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
+
+    @cached_property
+    def spectrum(self):
+        """All n_r - 1 radial eigenpairs of op, solved once on first use."""
+        # imported here: spectral imports this module
+        from .spectral import radial_spectrum
+        return radial_spectrum(self.op, self.n_radial)
 
     def mode_position(self, mode: ModeIndex) -> int:
         try:

@@ -180,6 +180,11 @@ def _time_factor_matrix(mu: np.ndarray, T: float) -> np.ndarray:
     return -np.expm1(-s * T) / s
 
 
+def _check_spectrum(model: Model, spectrum: RadialSpectrum):
+    if spectrum.grid is not model.grid or spectrum.alpha != model.op.alpha:
+        raise ConfigError("the radial spectrum belongs to another model")
+
+
 def _restricted_overlap(spectrum: RadialSpectrum, a: float, b: float,
                         k_max: int) -> np.ndarray:
     sel = spectrum.grid.band(a, b)
@@ -208,8 +213,9 @@ def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
 
     Assembled on the first k_max radial eigenmodes; the terminal form is
     diagonal and the observation form combines closed-form time integrals
-    with eigenvector overlaps on the radial band.
+    with eigenvector overlaps on the radial band, from a spectrum of model.op.
     """
+    _check_spectrum(model, spectrum)
     if not (0.0 < a < b <= 1.0):
         raise ConfigError(f"need 0 < a < b <= 1, got ({a}, {b})")
     if n < 0:
@@ -315,6 +321,7 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     problem is solved in double precision when its Cholesky factorization
     survives and in adaptive arbitrary precision otherwise.
     """
+    _check_spectrum(model, spectrum)
     if j < 0:
         raise ConfigError("subspace index j must be >= 0")
     cap = 2 ** j

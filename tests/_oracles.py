@@ -231,7 +231,7 @@ def bessel_oracle_brentq(alpha, k):
 def field_at_per_node(prop, t):
     """Field of a SpectralPropagator at one time, subnormals kept."""
     coeffs = prop.coeffs * np.exp(-prop.mu * t)
-    data = coeffs @ prop.spectrum.vectors.T
+    data = coeffs @ prop.model.spectrum.vectors.T
     return synthesize_field(ModeCoeffs(prop.model, data)).values
 
 
@@ -251,12 +251,13 @@ def observed_l1_per_node(model, prop, region, pieces, n_quad):
     return total
 
 
-def measurable_datum_per_node(model, spectrum, phi0, region, n_quad):
+def measurable_datum_per_node(phi0, region, n_quad):
     """(rho, terminal_norm, observed_l1) of one datum over the horizon."""
-    prop = SpectralPropagator(spectrum, phi0)
+    prop = SpectralPropagator(phi0)
     horizon = region.horizon
     terminal = float(np.sqrt(np.sum(
         (prop.coeffs * np.exp(-prop.mu * horizon)) ** 2)))
     observed = observed_l1_per_node(
-        model, prop, region, _pieces_within(region, [(0.0, horizon)]), n_quad)
+        prop.model, prop, region, _pieces_within(region, [(0.0, horizon)]),
+        n_quad)
     return terminal / observed, terminal, observed

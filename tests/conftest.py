@@ -59,16 +59,11 @@ def desk_dense_hum_y(desk_model, desk_phi0):
     return (np.linalg.solve(a_sym, rhs) / w).reshape(desk_model.n_modes, -1)
 
 
-# smaller strip used by the measurable-set pipeline, with a full spectrum
+# smaller strip used by the measurable-set pipeline
 @pytest.fixture(scope="session")
 def meas_model():
     return build_model(ModelConfig(alpha=0.5, T_horizon=1.0, n_theta_max=2,
                                    n_r=48, n_time=32))
-
-
-@pytest.fixture(scope="session")
-def meas_full_spec(meas_model):
-    return radial_spectrum(meas_model.op, meas_model.n_radial)
 
 
 @pytest.fixture(scope="session")
@@ -77,14 +72,13 @@ def meas_region():
 
 
 @pytest.fixture(scope="session")
-def meas_family(meas_model, meas_full_spec):
-    return datum_family(meas_model, meas_full_spec, 20, 11)
+def meas_family(meas_model):
+    return datum_family(meas_model, 20, 11)
 
 
 @pytest.fixture(scope="session")
-def meas_report(meas_model, meas_full_spec, meas_family, meas_region):
-    return measurable_observability_ratio(meas_model, meas_full_spec,
-                                          meas_family, meas_region)
+def meas_report(meas_family, meas_region):
+    return measurable_observability_ratio(meas_family, meas_region)
 
 
 @pytest.fixture(scope="session")

@@ -425,13 +425,12 @@ def test_c12_measurable_set_pipeline(request, meas_model, meas_region):
             t0, 60.0, problems, f"rho_max {rep.rho_max:.3e}")
 
 
-def test_c13_derivative_growth_and_extension(meas_model, meas_full_spec,
-                                             meas_family):
+def test_c13_derivative_growth_and_extension(meas_model, meas_family):
     t0 = time.monotonic()
     problems = []
     noise = meas_family[6]
     for t in (0.25, 1.0):
-        rep = derivative_bound_report(meas_full_spec, noise, t, l_max=8)
+        rep = derivative_bound_report(noise, t, l_max=8)
         for order, disc, bound in zip(rep.orders, rep.discrete_max,
                                       rep.calculus_bound):
             if order >= 1 and disc > bound * (1.0 + 1e-12):
@@ -440,17 +439,15 @@ def test_c13_derivative_growth_and_extension(meas_model, meas_full_spec,
     mix = sum(d.data for d in meas_family[:6])
     nrm = math.sqrt(float(np.sum(meas_model.grid.mass[None, :] * mix ** 2)))
     phi0 = ModeCoeffs(meas_model, mix / nrm)
-    ext = extended_field(meas_full_spec, phi0, 0.5, np.linspace(0.0, 2.0, 9),
-                         cap=8)
+    ext = extended_field(phi0, 0.5, np.linspace(0.0, 2.0, 9), cap=8)
     if ext.snapshot_gap > 1e-9:
         problems.append(f"snapshot gap {ext.snapshot_gap:.2e}")
     if ext.elliptic_residual > 1e-6:
         problems.append(f"elliptic residual {ext.elliptic_residual:.2e}")
     # a datum inside the kept span is reproduced exactly at the base slice
     pure = meas_family[0]
-    ext0 = extended_field(meas_full_spec, pure, 0.5, np.linspace(0.0, 1.0, 5),
-                          cap=8)
-    prop = SpectralPropagator(meas_full_spec, pure)
+    ext0 = extended_field(pure, 0.5, np.linspace(0.0, 1.0, 5), cap=8)
+    prop = SpectralPropagator(pure)
     gap0 = float(np.max(np.abs(ext0.samples[0] - prop.field_at(0.5))))
     if gap0 > 1e-9:
         problems.append(f"base-slice restriction gap {gap0:.2e}")

@@ -400,6 +400,25 @@ def test_non_finite_number_in_a_list_is_config_error(tmp_path, command, key,
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("spectral-ineq", "freq_caps", [1.5]),
+    ("spectral-ineq", "freq_caps", [True]),
+    ("solve", "snapshot_times", [[0.5]]),
+    ("carleman", "s_values", ["10"]),
+], ids=["freq_caps-1.5", "freq_caps-true", "snapshot_times-nested",
+        "s_values-string"])
+def test_list_element_of_the_wrong_type_is_config_error(tmp_path, command,
+                                                        key, value):
+    code, out = _run(tmp_path, command, dict(BASE, **{key: value}))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert key in manifest["error"]
+    # rejected while parsing, like every other malformed option
+    assert manifest["config"] is None
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_hum_command_outputs(tmp_path):
     payload = dict(BASE, band_a=0.3, band_b=0.6, epsilon=1e-4,
                    cg_tol=1e-6, max_iter=300, initial="desk")

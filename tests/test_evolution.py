@@ -279,7 +279,7 @@ def test_forward_marches_on_the_datum_model(rng):
                                       tgrid))
 
 
-def test_full_spectrum_sorted_and_complete(meas_model, meas_full_spec):
+def test_full_spectrum_sorted_and_complete(meas_model):
     bound = 60.0
     recs = full_spectrum(meas_model, bound)
     vals = [r[3] for r in recs]
@@ -288,7 +288,7 @@ def test_full_spectrum_sorted_and_complete(meas_model, meas_full_spec):
     # cross-check against the dense spectrum plus angular shifts
     expected = []
     for m in meas_model.modes:
-        for lam in meas_full_spec.values:
+        for lam in meas_model.spectrum.values:
             v = lam + m.n ** 2
             if v <= bound:
                 expected.append(v)

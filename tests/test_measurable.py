@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenctrl import (BoxUnionSet, ConfigError, ModeCoeffs,
+from degenctrl import (BoxUnionSet, ConfigError, ModeCoeffs, ModelConfig,
                        NonConvergenceError, SpectralPropagator, TimeSliceSet,
-                       build_time_slices, choose_q, datum_family,
+                       build_model, build_time_slices, choose_q, datum_family,
                        density_point_of, density_sequence,
                        derivative_bound_report, extended_field, hum_control,
                        measurable_observability_ratio,
@@ -59,13 +59,11 @@ def test_region_validation():
 
 
 @pytest.mark.parametrize("horizon", [0.96, 2.0])
-def test_horizon_must_match_the_model(meas_model, meas_full_spec,
-                                      meas_family, horizon):
+def test_horizon_must_match_the_model(meas_family, horizon):
     # a set built for another time slab must not be read on this model
     region = _region(horizon=horizon)
     with pytest.raises(ConfigError, match="horizon"):
-        measurable_observability_ratio(meas_model, meas_full_spec,
-                                       meas_family, region)
+        measurable_observability_ratio(meas_family, region)
     with pytest.raises(ConfigError, match="horizon"):
         hum_control(meas_family[0], region, 1e-4)
 
@@ -183,10 +181,10 @@ def test_choose_q_oracle():
         choose_q(1.0, 1.0)
 
 
-def test_propagator_matches_march(meas_model, meas_full_spec, rng):
+def test_propagator_matches_march(meas_model, rng):
     data = rng.standard_normal((meas_model.n_modes, meas_model.n_radial))
     phi0 = ModeCoeffs(meas_model, data)
-    prop = SpectralPropagator(meas_full_spec, phi0)
+    prop = SpectralPropagator(phi0)
     # exact reconstruction at t=0
     assert np.max(np.abs(prop.data_at(0.0) - data)) < 1e-9
     # time derivative against a centered difference
@@ -197,79 +195,84 @@ def test_propagator_matches_march(meas_model, meas_full_spec, rng):
     # terminal norm against the marched trajectory; the trapezoidal march
     # is not L-stable, so rough components with mu*dt >> 1 barely decay
     # under it and the comparison only makes sense on a resolved datum
-    smooth_data = np.stack([meas_full_spec.vectors[:, :2]
+    smooth_data = np.stack([meas_model.spectrum.vectors[:, :2]
                             @ rng.standard_normal(2)
                             for _ in range(meas_model.n_modes)])
     smooth = ModeCoeffs(meas_model, smooth_data)
-    sprop = SpectralPropagator(meas_full_spec, smooth)
+    sprop = SpectralPropagator(smooth)
     terminal = solve_forward(smooth)[-1]
     T = meas_model.config.T_horizon
     assert sprop.norm_at(T) == pytest.approx(
         math.sqrt(np.sum(meas_model.grid.mass * terminal ** 2)), rel=5e-2)
 
 
-def test_propagator_requires_full_spectrum(meas_model):
-    from degenctrl import radial_spectrum
-    small = radial_spectrum(meas_model.op, 3)
-    phi0 = ModeCoeffs(meas_model, np.zeros((meas_model.n_modes,
-                                            meas_model.n_radial)))
-    with pytest.raises(ConfigError):
-        SpectralPropagator(small, phi0)
+def test_family_fixes_the_model_of_the_ratio(meas_model, meas_family,
+                                             meas_region):
+    # the eigenbasis comes with the data: an alpha 0.3 family is measured
+    # on the alpha 0.3 operator, never on one passed beside it
+    other = build_model(ModelConfig(alpha=0.3, T_horizon=1.0,
+                                    n_theta_max=2, n_r=48, n_time=32))
+    family = datum_family(other, 20, 11)
+    rep = measurable_observability_ratio(family, meas_region)
+    assert rep.rho_max == pytest.approx(0.26823, rel=1e-4)
+    for rec, phi0 in zip(rep.per_datum, family):
+        assert rec.rho == measurable_datum_per_node(phi0, meas_region, 16)[0]
+    # one Model object per family, even for an equal config
+    twin = build_model(meas_model.config)
+    for mixed in (family[:2] + meas_family[:2],
+                  meas_family[:2] + datum_family(twin, 1, 11)):
+        with pytest.raises(ConfigError, match="different models"):
+            measurable_observability_ratio(mixed, meas_region)
+    with pytest.raises(ConfigError, match="at least one datum"):
+        measurable_observability_ratio((), meas_region)
 
 
-def test_field_at_stacks_the_scalar_calls(meas_full_spec, meas_family):
+def test_field_at_stacks_the_scalar_calls(meas_family):
     # the late times put mu t past 708 for the high modes
     times = np.array([0.0, 0.013, 0.25, 0.5, 0.77, 1.0])
     for phi0 in meas_family[::6]:
-        prop = SpectralPropagator(meas_full_spec, phi0)
+        prop = SpectralPropagator(phi0)
         stacked = prop.field_at(times)
         assert stacked.shape == (times.size,) + prop.field_at(0.5).shape
         assert np.array_equal(stacked,
                               np.stack([prop.field_at(t) for t in times]))
 
 
-def _assert_records_match_oracle(model, spectrum, family, region, n_quad):
-    rep = measurable_observability_ratio(model, spectrum, family, region,
-                                         n_quad=n_quad)
+def _assert_records_match_oracle(family, region, n_quad):
+    rep = measurable_observability_ratio(family, region, n_quad=n_quad)
     for rec, phi0 in zip(rep.per_datum, family):
         rho, terminal, observed = measurable_datum_per_node(
-            model, spectrum, phi0, region, n_quad)
+            phi0, region, n_quad)
         assert not rec.excluded
         assert rec.observed_l1 == observed
         assert rec.terminal_norm == terminal
         assert rec.rho == rho
 
 
-def test_records_match_the_per_node_oracle(meas_model, meas_full_spec,
-                                           meas_family, meas_region):
-    _assert_records_match_oracle(meas_model, meas_full_spec, meas_family,
-                                 meas_region, 16)
+def test_records_match_the_per_node_oracle(meas_family, meas_region):
+    _assert_records_match_oracle(meas_family, meas_region, 16)
     # one box whose time piece is short
     short = _region((((0.5, 2.0), (0.32, 0.45), (0.2, 0.23)),))
-    _assert_records_match_oracle(meas_model, meas_full_spec, meas_family,
-                                 short, 16)
+    _assert_records_match_oracle(meas_family, short, 16)
 
 
 def test_observed_l1_past_one_chunk_matches_the_oracle(
-        meas_model, meas_full_spec, meas_family, meas_region):
+        meas_model, meas_family, meas_region):
     n_quad = 2 * _FIELD_CHUNK + 5
-    _assert_records_match_oracle(meas_model, meas_full_spec,
-                                 meas_family[:3], meas_region, n_quad)
+    _assert_records_match_oracle(meas_family[:3], meas_region, n_quad)
     slices = build_time_slices(meas_region, meas_model)
-    rep = slab_interpolation_report(meas_full_spec, meas_family[0], 0.0,
-                                    meas_region.horizon, slices, meas_region,
-                                    n_quad=n_quad)
-    prop = SpectralPropagator(meas_full_spec, meas_family[0])
+    rep = slab_interpolation_report(meas_family[0], 0.0, meas_region.horizon,
+                                    slices, meas_region, n_quad=n_quad)
+    prop = SpectralPropagator(meas_family[0])
     assert rep.observed == observed_l1_per_node(
         meas_model, prop, meas_region,
         _pieces_within(meas_region, slices.intervals), n_quad)
 
 
-def test_coeff_at_flushes_only_subnormal_products(meas_model,
-                                                  meas_full_spec):
+def test_coeff_at_flushes_only_subnormal_products(meas_model):
     data = np.zeros((meas_model.n_modes, meas_model.n_radial))
-    data[:] = meas_full_spec.vectors[:, -6:].sum(axis=1)
-    prop = SpectralPropagator(meas_full_spec, ModeCoeffs(meas_model, data))
+    data[:] = meas_model.spectrum.vectors[:, -6:].sum(axis=1)
+    prop = SpectralPropagator(ModeCoeffs(meas_model, data))
     t = 720.0 / float(np.max(prop.mu))
     tiny = np.finfo(float).tiny
     for order in (0, 1):
@@ -285,69 +288,67 @@ def test_coeff_at_flushes_only_subnormal_products(meas_model,
         assert np.all(got[~normal] == 0.0)
 
 
-def _eigen_datum(model, spectrum, pos, k):
+def _eigen_datum(model, pos, k):
     data = np.zeros((model.n_modes, model.n_radial))
-    data[pos] = spectrum.vectors[:, k]
+    data[pos] = model.spectrum.vectors[:, k]
     return ModeCoeffs(model, data)
 
 
-def test_extended_field_invariants(meas_model, meas_full_spec):
-    phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
+def test_extended_field_invariants(meas_model):
+    phi0 = _eigen_datum(meas_model, 0, 0)
     tau = np.linspace(0.0, 0.5, 6)
-    ext = extended_field(meas_full_spec, phi0, 0.5, tau, cap=8)
+    ext = extended_field(phi0, 0.5, tau, cap=8)
     assert ext.snapshot_gap <= 1e-9
     assert ext.elliptic_residual <= 1e-6
     norms = [ext.norm_at_tau(j) for j in range(tau.size)]
     assert all(a < b for a, b in zip(norms, norms[1:]))
     # tau=0 column reproduces the free solution of the capped part
-    prop = SpectralPropagator(meas_full_spec, phi0)
+    prop = SpectralPropagator(phi0)
     gap = np.max(np.abs(ext.samples[0] - prop.field_at(0.5)))
     assert gap <= 1e-9
 
 
-def test_extended_field_validation(meas_model, meas_full_spec):
-    phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
+def test_extended_field_validation(meas_model):
+    phi0 = _eigen_datum(meas_model, 0, 0)
     with pytest.raises(ConfigError):
-        extended_field(meas_full_spec, phi0, 0.0, np.array([0.0]), cap=4)
+        extended_field(phi0, 0.0, np.array([0.0]), cap=4)
     with pytest.raises(ConfigError):
-        extended_field(meas_full_spec, phi0, 0.5, np.array([0.0]), cap=0)
+        extended_field(phi0, 0.5, np.array([0.0]), cap=0)
     with pytest.raises(ConfigError):
         # sqrt(mu_max) tau_max beyond the overflow guard
-        extended_field(meas_full_spec, phi0, 0.5,
-                       np.array([0.0, 1000.0]),
+        extended_field(phi0, 0.5, np.array([0.0, 1000.0]),
                        cap=meas_model.n_modes * meas_model.n_radial)
 
 
-def test_derivative_bound_and_factorial(meas_model, meas_full_spec):
-    phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
+def test_derivative_bound_and_factorial(meas_model):
+    phi0 = _eigen_datum(meas_model, 0, 0)
     for t in (0.25, 1.0):
-        rep = derivative_bound_report(meas_full_spec, phi0, t, 8)
+        rep = derivative_bound_report(phi0, t, 8)
         assert not rep.capped
         for l, disc, bound in zip(rep.orders, rep.discrete_max,
                                   rep.calculus_bound):
             if l == 0:
                 continue
             assert disc <= bound * (1.0 + 1e-12)
-    rep = derivative_bound_report(meas_full_spec, phi0, 1.0, 8)
+    rep = derivative_bound_report(phi0, 1.0, 8)
     check_golden("factorial_ratio_max", max(rep.factorial_ratio))
 
 
-def test_derivative_bound_capped_flag(meas_model, meas_full_spec):
-    phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
-    rep = derivative_bound_report(meas_full_spec, phi0, 0.5, 300)
+def test_derivative_bound_capped_flag(meas_model):
+    phi0 = _eigen_datum(meas_model, 0, 0)
+    rep = derivative_bound_report(phi0, 0.5, 300)
     assert rep.capped
     assert rep.orders[-1] == 200
     with pytest.raises(ConfigError):
-        derivative_bound_report(meas_full_spec, phi0, 0.0, 4)
+        derivative_bound_report(phi0, 0.0, 4)
 
 
-def test_slab_interpolation_thin_box(meas_model, meas_full_spec):
+def test_slab_interpolation_thin_box(meas_model):
     region = _region((((0.0, 0.2), (0.3, 0.35), (0.2, 0.3)),),
                      band=(0.3, 0.6))
     slices = build_time_slices(region, None)
-    phi0 = _eigen_datum(meas_model, meas_full_spec, 0, 0)
-    rep = slab_interpolation_report(meas_full_spec, phi0, 0.15, 0.35, slices,
-                                    region)
+    phi0 = _eigen_datum(meas_model, 0, 0)
+    rep = slab_interpolation_report(phi0, 0.15, 0.35, slices, region)
     assert not rep.degenerate
     assert 0.0 < rep.h_emp < 1.0
     check_golden("slab_h_emp", rep.h_emp)
@@ -355,21 +356,19 @@ def test_slab_interpolation_thin_box(meas_model, meas_full_spec):
 
 @pytest.mark.parametrize("n_quad", [0, -2])
 def test_nonpositive_quadrature_count_is_config_error(
-        meas_model, meas_full_spec, meas_family, meas_region, n_quad):
+        meas_model, meas_family, meas_region, n_quad):
     with pytest.raises(ConfigError, match="n_quad"):
-        measurable_observability_ratio(meas_model, meas_full_spec,
-                                       meas_family, meas_region,
+        measurable_observability_ratio(meas_family, meas_region,
                                        n_quad=n_quad)
     slices = build_time_slices(meas_region, meas_model)
     with pytest.raises(ConfigError, match="n_quad"):
-        slab_interpolation_report(meas_full_spec, meas_family[0], 0.0,
-                                  meas_region.horizon, slices, meas_region,
-                                  n_quad=n_quad)
+        slab_interpolation_report(meas_family[0], 0.0, meas_region.horizon,
+                                  slices, meas_region, n_quad=n_quad)
 
 
-def test_datum_family_deterministic(meas_model, meas_full_spec):
-    fam1 = datum_family(meas_model, meas_full_spec, 8, 11)
-    fam2 = datum_family(meas_model, meas_full_spec, 8, 11)
+def test_datum_family_deterministic(meas_model):
+    fam1 = datum_family(meas_model, 8, 11)
+    fam2 = datum_family(meas_model, 8, 11)
     assert len(fam1) == 8
     mass = meas_model.grid.mass
     for a, b in zip(fam1, fam2):
@@ -381,8 +380,7 @@ def test_datum_family_deterministic(meas_model, meas_full_spec):
     assert rows == 1
 
 
-def test_measurable_pipeline_end_to_end(meas_model, meas_full_spec,
-                                        meas_region, meas_family,
+def test_measurable_pipeline_end_to_end(meas_region, meas_family,
                                         meas_report):
     rep = meas_report
     assert rep.sequence_note == "ok"
@@ -395,8 +393,7 @@ def test_measurable_pipeline_end_to_end(meas_model, meas_full_spec,
     check_golden("measurable_rho_max", rep.rho_max)
     # a much larger observation region must observe at least as well
     big = _region((((0.0, 6.28), (0.31, 0.59), (0.05, 0.95)),))
-    rep_big = measurable_observability_ratio(meas_model, meas_full_spec,
-                                             meas_family, big)
+    rep_big = measurable_observability_ratio(meas_family, big)
     assert rep_big.rho_max < rep.rho_max
 
 

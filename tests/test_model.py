@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from degenctrl import (ConfigError, Field2D, ModeCoeffs, ModeIndex,
                        ModelConfig, assemble_radial_operator, build_model,
                        build_radial_grid, coeffs_inner, mode_set,
-                       project_modes, synthesize_field)
+                       project_modes, radial_spectrum, synthesize_field)
 from degenctrl.model import angular_basis_value, field_norm2
 
 
@@ -78,6 +78,12 @@ def test_model_operator_is_the_assembled_one_bitwise(alpha):
     assert model.op.alpha == cfg.alpha and model.op.grid is model.grid
     for name in ("diag", "off", "conductance"):
         assert getattr(model.op, name).tobytes() == getattr(ref, name).tobytes()
+    # the full eigenbasis is solved once, from the model's own operator
+    full = radial_spectrum(model.op, model.n_radial)
+    assert model.spectrum is model.spectrum
+    assert model.spectrum.grid is model.grid
+    assert np.array_equal(model.spectrum.values, full.values)
+    assert np.array_equal(model.spectrum.vectors, full.vectors)
 
 
 def test_band_is_the_open_interval_of_nodes():

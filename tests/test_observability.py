@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from degenctrl import (ConfigError, ModelConfig, NonConvergenceError,
-                       build_model, mode_observability_constant, mode_set,
+                       assemble_radial_operator, build_model,
+                       mode_observability_constant, mode_set,
                        radial_spectrum, torus_smallest_gram_eigenvalue,
                        truncated_observability)
 from degenctrl import observability
@@ -216,6 +217,26 @@ def test_mp_route_matches_inverse_oracle(desk_model, desk_spec, monkeypatch,
     assert np.max(np.abs(sign * est.extremal - extremal)) <= 1e-20
     assert np.linalg.norm(est.extremal) == pytest.approx(1.0, abs=1e-12)
     assert est.residual < 1e-30 and residual < 1e-30
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda model, spec: mode_observability_constant(model, spec, 0, 0.3, 0.6,
+                                                    k_max=8),
+    lambda model, spec: truncated_observability(model, spec, (0.0, 1.0),
+                                                0.3, 0.6, 1, k_max=6),
+], ids=["mode", "truncated"])
+def test_spectrum_of_another_model_is_config_error(desk_model, estimate):
+    # another operator's basis gives another constant (8.6e-5 against
+    # 3.2e-3 for the mode, 1.19 against 17.6 truncated), so it is refused
+    assert estimate(desk_model, radial_spectrum(desk_model.op, 8)).c_emp > 0
+    other = build_model(ModelConfig(alpha=0.3, T_horizon=1.0, n_theta_max=4,
+                                    n_r=60, n_time=48))
+    foreign = (radial_spectrum(other.op, 8),
+               radial_spectrum(assemble_radial_operator(0.3, desk_model.grid),
+                               8))
+    for spec in foreign:
+        with pytest.raises(ConfigError, match="another model"):
+            estimate(desk_model, spec)
 
 
 def test_restricted_overlap_is_exactly_symmetric():
