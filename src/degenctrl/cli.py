@@ -46,7 +46,9 @@ _DEFAULT_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
                   ((3.0, 5.5), (0.45, 0.58), (0.5, 0.95)))
 
 # key -> (kind, default); kind in {real, int, str, list, reals, ints},
-# where reals and ints are flat lists of finite numbers and of integers
+# where reals and ints are flat lists whose elements each pass the scalar
+# rule named here and must be finite
+_ELEMENT_KINDS = {"reals": "real", "ints": "int"}
 _OPTION_SCHEMAS = {
     "spectrum": {"k_eigen": ("int", 5)},
     "hardy": {"n_samples": ("int", 1000)},
@@ -100,13 +102,16 @@ def _coerce(key, kind, value):
         if not isinstance(value, str):
             raise ConfigError(f"field '{key}' must be a string")
         return value
-    if kind in ("list", "reals", "ints"):
+    if kind == "list" or kind in _ELEMENT_KINDS:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"field '{key}' must be a list")
         if kind == "list":
             return _tuplify(key, value)
-        return tuple(_coerce(f"{key}[{i}]", kind[:-1], v)
-                     for i, v in enumerate(value))
+        items = tuple(_coerce(f"{key}[{i}]", _ELEMENT_KINDS[kind], v)
+                      for i, v in enumerate(value))
+        if not all(_is_finite(v) for v in items):   # an int beyond float range
+            raise ConfigError(f"field '{key}' must hold finite numbers")
+        return items
     raise ConfigError(f"unhandled kind for '{key}'")
 
 

@@ -179,7 +179,8 @@ def test_parse_config_accepts_finite_or_raises_config_error(
 
     assert all(math.isfinite(x)
                for key, (kind, _) in cli._OPTION_SCHEMAS[command].items()
-               if kind == "list" for x in numbers(options[key]))
+               if kind in ("list", "reals", "ints")
+               for x in numbers(options[key]))
 
 
 def test_density_seq_reproduces_reference_values(tmp_path):
@@ -405,8 +406,9 @@ def test_non_finite_number_in_a_list_is_config_error(tmp_path, command, key,
     ("spectral-ineq", "freq_caps", [True]),
     ("solve", "snapshot_times", [[0.5]]),
     ("carleman", "s_values", ["10"]),
+    ("spectral-ineq", "freq_caps", [10 ** 400]),
 ], ids=["freq_caps-1.5", "freq_caps-true", "snapshot_times-nested",
-        "s_values-string"])
+        "s_values-string", "freq_caps-401-digits"])
 def test_list_element_of_the_wrong_type_is_config_error(tmp_path, command,
                                                         key, value):
     code, out = _run(tmp_path, command, dict(BASE, **{key: value}))
