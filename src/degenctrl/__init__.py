@@ -10,13 +10,13 @@ independent route.
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import (Field2D, Model, ModelConfig, ModeCoeffs, ModeIndex,
-                    RadialGrid, RadialOperator, assemble_radial_operator,
-                    build_model, build_radial_grid, coeffs_inner, mode_set,
-                    project_modes, synthesize_field, zero_coeffs)
+                    RadialGrid, RadialOperator, TimeGrid,
+                    assemble_radial_operator, build_model, build_radial_grid,
+                    coeffs_inner, mode_set, project_modes, synthesize_field,
+                    zero_coeffs)
 from .spectral import (HardyReport, RadialSpectrum, bessel_oracle,
                        hardy_ratio, radial_spectrum)
-from .evolution import (TimeGrid, evolve_mode, solve_adjoint, solve_forward,
-                        time_grid_for)
+from .evolution import evolve_mode, solve_adjoint, solve_forward
 from .carleman import (CarlemanReport, CarlemanWeights, EtaWeight,
                        ThetaBoundReport, build_carleman_weights, build_eta,
                        carleman_report, s0_default, verify_theta_bounds)
@@ -56,7 +56,7 @@ __all__ = [
     "measurable_observability_ratio", "mode_observability_constant",
     "mode_set", "project_modes", "radial_spectrum", "s0_default",
     "slab_interpolation_report", "solve_adjoint", "solve_forward",
-    "synthesize_field", "time_grid_for",
+    "synthesize_field",
     "torus_smallest_gram_eigenvalue", "truncated_observability",
     "zero_coeffs",
 ]

@@ -27,8 +27,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .evolution import TimeGrid
-from .model import ModeIndex, RadialGrid
+from .model import ModeIndex, RadialGrid, TimeGrid
 
 
 def _left_eta(alpha, r):
@@ -238,7 +237,11 @@ def build_carleman_weights(eta: EtaWeight, T: float, s: float) -> CarlemanWeight
 
 def s0_default(T: float) -> float:
     """Default lower threshold for the weight strength parameter."""
-    return 10.0 * max(1.0, T ** 16)
+    try:
+        return 10.0 * max(1.0, T ** 16)
+    except OverflowError:
+        raise ConfigError(
+            f"T_horizon = {T!r} is too long: s0 = 10 T^16 overflows") from None
 
 
 @dataclass(frozen=True)
@@ -339,6 +342,12 @@ def carleman_report(mode: ModeIndex, states: np.ndarray, tgrid: TimeGrid,
     window = grid.band(eta.a, eta.b)
     w_nodes = r ** eta.alpha
     zero_weight = r ** (2.0 - eta.alpha)
+    with np.errstate(over="ignore", divide="ignore"):
+        theta = theta_weight(times, T)[:, None]
+        theta_cubed = theta ** 3
+    if not np.all(np.isfinite(theta_cubed)):
+        raise ConfigError(f"T_horizon = {T!r} is too short: the time weight "
+                          "Theta^3 overflows on the time grid")
 
     rows = []
     for s in s_values:
@@ -351,17 +360,16 @@ def carleman_report(mode: ModeIndex, states: np.ndarray, tgrid: TimeGrid,
         xi = weights.xi(r, times)
         xi_min = float(np.min(xi))
         damp = np.exp(-2.0 * s * (xi - xi_min))
-        theta = weights.theta(times)[:, None]
 
         def integrate(values):
             return float(np.sum(twt[:, None] * values * mass[None, :]))
 
         lhs_grad = s * integrate(theta * w_nodes[None, :] * dstates ** 2 * damp)
         lhs_zero = s_cubed * integrate(
-            theta ** 3 * zero_weight[None, :] * states ** 2 * damp)
+            theta_cubed * zero_weight[None, :] * states ** 2 * damp)
         rhs_f = integrate(node_sources ** 2 * damp)
         rhs_obs = s_cubed * integrate(
-            theta ** 3 * np.where(window[None, :], states ** 2, 0.0) * damp)
+            theta_cubed * np.where(window[None, :], states ** 2, 0.0) * damp)
         denom = rhs_f + rhs_obs
         ratio = (lhs_grad + lhs_zero) / denom if denom > 0.0 else float("inf")
         for quantity in (lhs_grad, lhs_zero, rhs_f, rhs_obs):

@@ -26,7 +26,7 @@ from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import (Model, ModelConfig, ModeCoeffs, ModeIndex, TWO_PI,
                     build_model, synthesize_field)
 from .spectral import bessel_oracle, hardy_ratio, radial_spectrum
-from .evolution import evolve_mode, solve_forward, time_grid_for
+from .evolution import evolve_mode, solve_forward
 from .carleman import build_eta, carleman_report, s0_default
 from .observability import (mode_observability_constant,
                             torus_smallest_gram_eigenvalue,
@@ -45,10 +45,13 @@ _MODEL_OPTIONAL = ("grid_power", "n_time", "theta_quad_points")
 _DEFAULT_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
                   ((3.0, 5.5), (0.45, 0.58), (0.5, 0.95)))
 
-# key -> (kind, default); kind in {real, int, str, list, reals, ints},
-# where reals and ints are flat lists whose elements each pass the scalar
-# rule named here and must be finite
-_ELEMENT_KINDS = {"reals": "real", "ints": "int"}
+# key -> (kind, default); kind is a scalar (real, int, str) or a list kind
+# of _ELEMENT_KINDS: a list whose elements each pass the rule of the kind
+# named there, with a fixed length where one is given. An interval is a
+# [lo, hi] pair of reals and a box three intervals (theta, r, t).
+_ELEMENT_KINDS = {"reals": ("real", None), "ints": ("int", None),
+                  "interval": ("real", 2), "intervals": ("interval", None),
+                  "box": ("interval", 3), "boxes": ("box", None)}
 _OPTION_SCHEMAS = {
     "spectrum": {"k_eigen": ("int", 5)},
     "hardy": {"n_samples": ("int", 1000)},
@@ -69,12 +72,12 @@ _OPTION_SCHEMAS = {
     "lr": {"band_a": ("real", 0.3), "band_b": ("real", 0.6),
            "tol": ("real", 1e-3), "n_blocks": ("int", 3),
            "initial": ("str", "lowpass")},
-    "measurable": {"boxes": ("list", _DEFAULT_BOXES),
+    "measurable": {"boxes": ("boxes", _DEFAULT_BOXES),
                    "band_a": ("real", 0.3), "band_b": ("real", 0.6),
                    "family_size": ("int", 20),
                    "c_calib": ("real", 1.0), "h_calib": ("real", 0.5),
                    "m_max": ("int", 32), "n_quad": ("int", 16)},
-    "density-seq": {"e_intervals": ("list", ((0.0, 1.0),)),
+    "density-seq": {"e_intervals": ("intervals", ((0.0, 1.0),)),
                     "ell": ("real", 0.5), "q": ("real", 0.5),
                     "m_max": ("int", 8)},
 }
@@ -102,14 +105,16 @@ def _coerce(key, kind, value):
         if not isinstance(value, str):
             raise ConfigError(f"field '{key}' must be a string")
         return value
-    if kind == "list" or kind in _ELEMENT_KINDS:
+    if kind in _ELEMENT_KINDS:
+        element, length = _ELEMENT_KINDS[kind]
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"field '{key}' must be a list")
-        if kind == "list":
-            return _tuplify(key, value)
-        items = tuple(_coerce(f"{key}[{i}]", _ELEMENT_KINDS[kind], v)
+        if length is not None and len(value) != length:
+            raise ConfigError(f"field '{key}' must hold {length} entries")
+        items = tuple(_coerce(f"{key}[{i}]", element, v)
                       for i, v in enumerate(value))
-        if not all(_is_finite(v) for v in items):   # an int beyond float range
+        # an int beyond float range
+        if element == "int" and not all(_is_finite(v) for v in items):
             raise ConfigError(f"field '{key}' must hold finite numbers")
         return items
     raise ConfigError(f"unhandled kind for '{key}'")
@@ -120,18 +125,6 @@ def _seed(value):
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return seed
-
-
-def _tuplify(key, value):
-    """Nested lists as nested tuples; each number must be a finite float."""
-    items = []
-    for v in value:
-        if isinstance(v, (list, tuple)):
-            v = _tuplify(key, v)
-        elif isinstance(v, (int, float)) and not _is_finite(v):
-            raise ConfigError(f"field '{key}' must hold finite numbers")
-        items.append(v)
-    return tuple(items)
 
 
 def parse_config(path: str, command: str):
@@ -167,16 +160,8 @@ def parse_config(path: str, command: str):
     config = ModelConfig(**{key: raw[key] for key in
                             _MODEL_REQUIRED + _MODEL_OPTIONAL if key in raw})
 
-    options = {}
-    try:
-        # _tuplify and _sanitize recurse once per nesting level of a list
-        for key, (kind, default) in schema.items():
-            options[key] = (_coerce(key, kind, raw[key]) if key in raw
-                            else (_tuplify(key, default)
-                                  if kind == "list" else default))
-        echoed = {key: _sanitize(options[key]) for key in sorted(options)}
-    except RecursionError as exc:
-        raise ConfigError("config nests a list option too deeply") from exc
+    options = {key: _coerce(key, kind, raw[key]) if key in raw else default
+               for key, (kind, default) in schema.items()}
     seed = _seed(raw.get("seed", 0))
 
     resolved = {
@@ -185,7 +170,7 @@ def parse_config(path: str, command: str):
         "grid_power": config.grid_power, "n_time": config.n_time,
         "theta_quad_points": config.theta_quad_points, "seed": seed,
     }
-    resolved.update(echoed)
+    resolved.update({key: _sanitize(options[key]) for key in sorted(options)})
     return config, options, seed, resolved
 
 
@@ -292,7 +277,7 @@ def _cmd_solve(out, config, options, seed):
     spec = radial_spectrum(model.op, max(k, 1))
     data = _eigen_datum(model, spec, options["initial_parity"],
                         options["initial_n"], k)
-    tgrid = time_grid_for(model)
+    tgrid = model.tgrid
     # validate every snapshot before any file is written
     snapshot_nodes = []
     for t_req in options["snapshot_times"]:
@@ -335,7 +320,7 @@ def _cmd_carleman(out, config, options, seed):
     s_values = options["s_values"] or (s0, 2.0 * s0, 4.0 * s0)
     k_need = max(k for _, _, k in _CARLEMAN_FAMILY)
     spec = radial_spectrum(model.op, k_need)
-    tgrid = time_grid_for(model)
+    tgrid = model.tgrid
     rows, meta_rows = [], []
     for parity, n, k in _CARLEMAN_FAMILY:
         if n > config.n_theta_max:
@@ -417,10 +402,10 @@ def _cmd_hum(out, config, options, seed):
     region = Cylinder(options["band_a"], options["band_b"])
     res = hum_control(phi0, region, options["epsilon"], options["cg_tol"],
                       options["max_iter"])
-    tgrid = time_grid_for(model)
     # one row per (half step, theta node, radial node), radial fastest
     _write_grid_csv(out / "hum_control.csv", ("t", "theta", "r", "control"),
-                    (tgrid.half_nodes, model.theta_nodes, model.grid.nodes),
+                    (model.tgrid.half_nodes, model.theta_nodes,
+                     model.grid.nodes),
                     res.control_values)
     _write_json(out / "hum_summary.json", {
         "residual": res.terminal_residual, "iterations": res.iterations,
@@ -504,15 +489,10 @@ def _cmd_measurable(out, config, options, seed):
 
 
 def _cmd_density_seq(out, config, options, seed):
-    intervals = []
-    for iv in options["e_intervals"]:
-        if (not isinstance(iv, (list, tuple)) or len(iv) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                       for x in iv)
-                or not 0 <= iv[0] < iv[1] <= config.T_horizon):
-            raise ConfigError("e_intervals must hold [lo, hi] number pairs "
-                              "with 0 <= lo < hi <= T_horizon")
-        intervals.append((float(iv[0]), float(iv[1])))
+    intervals = options["e_intervals"]
+    if not all(0 <= lo < hi <= config.T_horizon for lo, hi in intervals):
+        raise ConfigError("e_intervals must hold [lo, hi] pairs "
+                          "with 0 <= lo < hi <= T_horizon")
     slices = TimeSliceSet(threshold=0.0, intervals=intervals,
                           horizon=config.T_horizon)
     seq = density_sequence(slices, options["ell"], options["q"],

@@ -32,10 +32,9 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import (Model, ModeCoeffs, ModeIndex, RadialOperator, _frozen,
-                    zero_coeffs)
-from .evolution import (TimeGrid, evolve_mode, solve_adjoint, solve_forward,
-                        time_grid_for)
+from .model import (Model, ModeCoeffs, ModeIndex, RadialOperator, TimeGrid,
+                    _frozen, zero_coeffs)
+from .evolution import evolve_mode, solve_adjoint, solve_forward
 from .measurable import BoxUnionSet
 
 
@@ -69,11 +68,10 @@ class _RegionAction:
     def __init__(self, model: Model, region):
         self.model = model
         self.region = region
-        self.tgrid = time_grid_for(model)
         if isinstance(region, Cylinder):
             self.mask = _radial_mask(model, region.a, region.b)
         elif isinstance(region, BoxUnionSet):
-            self.mask = region.grid_masks(model, self.tgrid.half_nodes)
+            self.mask = region.grid_masks(model, model.tgrid.half_nodes)
             if not self.mask.any():
                 raise ConfigError("control region misses every grid point")
         else:
@@ -131,9 +129,9 @@ class HUMResult:
     converged: bool
 
 
-def _field_cost(model: Model, tgrid: TimeGrid, field: np.ndarray) -> float:
+def _field_cost(model: Model, field: np.ndarray) -> float:
     cells = model.theta_weight * model.grid.mass[None, None, :]
-    return float(tgrid.dt * np.sum(field ** 2 * cells))
+    return float(model.tgrid.dt * np.sum(field ** 2 * cells))
 
 
 def hum_control(phi0: ModeCoeffs, region, epsilon: float,
@@ -215,7 +213,7 @@ def hum_control(phi0: ModeCoeffs, region, epsilon: float,
         raise InvariantError(
             f"penalized identity violated: gap {identity_gap:.3e} vs "
             f"allowance {10.0 * cg_tol * phi0_norm:.3e}")
-    cost = _field_cost(model, action.tgrid, field)
+    cost = _field_cost(model, field)
     ratio = (float(np.max(np.abs(field)) / phi0_norm) if phi0_norm > 0 else 0.0)
     return HUMResult(
         model=model, region=region, epsilon=float(epsilon),
@@ -272,6 +270,11 @@ def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
     (tol/2) 2^-k, and its second half decays freely. Frequencies above the
     cap always decay freely. The budget law makes the block residuals
     geometrically summable against tol.
+
+    Every march is one whole-model solve_forward on the block's own time
+    grid. The adjoint data of the modes above the cap are zero rows, so
+    those modes march under zero sources, which leaves their bits as a
+    free march would (up to the sign of a zero).
     """
     if not isinstance(region, Cylinder):
         raise ConfigError("dyadic-block control needs a Cylinder region")
@@ -280,13 +283,12 @@ def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
     if n_blocks < 1:
         raise ConfigError("need at least one block")
     model = phi0.model
-    op = model.op
     mask = _radial_mask(model, region.a, region.b)
     mass = model.grid.mass
     T = model.config.T_horizon
     n_time = model.config.n_time
 
-    state = phi0.data.copy()
+    state = phi0
     boundaries = [0.0]
     caps, costs, norms, epsilons = [], [], [], []
 
@@ -300,23 +302,21 @@ def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
         budget = 0.5 * tol * 2.0 ** (-k)
         controlled = [i for i, m in enumerate(model.modes) if m.n <= cap]
         grams = {}
-        frees = {}
         for i in controlled:
             n = model.modes[i].n
             if n not in grams:
-                grams[n] = _mode_block_gramian(op, n, mask, sub)
-            frees[i] = evolve_mode(op, model.modes[i], state[i], None, sub)[-1]
+                grams[n] = _mode_block_gramian(model.op, n, mask, sub)
+        free = solve_forward(state, tgrid=sub)[-1]
 
         eps = 1e-4
+        # terminal adjoint data; the modes above the cap stay zero rows
+        y = np.zeros_like(state.data)
         while True:
             low_energy = 0.0
-            ys = {}
             for i in controlled:
-                n = model.modes[i].n
-                g = grams[n]
-                y = np.linalg.solve(g + eps * np.eye(g.shape[0]), -frees[i])
-                ys[i] = y
-                low_energy += mode_norm2(eps * y)
+                g = grams[model.modes[i].n]
+                y[i] = np.linalg.solve(g + eps * np.eye(g.shape[0]), -free[i])
+                low_energy += mode_norm2(eps * y[i])
             if math.sqrt(low_energy) <= budget or eps <= _EPS_FLOOR:
                 break
             eps /= 10.0
@@ -326,29 +326,23 @@ def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
                 f"penalty floor {_EPS_FLOOR:.1e}")
         epsilons.append(eps)
 
+        back = solve_adjoint(ModeCoeffs(model, y), sub)
+        src = 0.5 * (back[:-1] + back[1:]) * mask
+        # per mode: one sum over the whole array rounds differently
         block_cost = 0.0
-        new_state = state.copy()
-        for i, mode in enumerate(model.modes):
-            if i in ys:
-                back = evolve_mode(op, mode, ys[i], None, sub)[::-1]
-                src = 0.5 * (back[:-1] + back[1:]) * mask[None, :]
-                block_cost += sub.dt * float(np.sum(src ** 2 * mass[None, :]))
-                new_state[i] = evolve_mode(op, mode, state[i], src, sub)[-1]
-            else:
-                new_state[i] = evolve_mode(op, mode, state[i], None, sub)[-1]
-        for i, mode in enumerate(model.modes):
-            new_state[i] = evolve_mode(op, mode, new_state[i], None, sub)[-1]
-        state = new_state
+        for i in controlled:
+            block_cost += sub.dt * float(np.sum(src[:, i] ** 2 * mass[None, :]))
+        forced = ModeCoeffs(model, solve_forward(state, src, sub)[-1])
+        state = ModeCoeffs(model, solve_forward(forced, tgrid=sub)[-1])
         caps.append(k)
         costs.append(block_cost)
-        norms.append(math.sqrt(float(np.sum(mass[None, :] * state ** 2))))
+        norms.append(math.sqrt(float(np.sum(mass[None, :] * state.data ** 2))))
         boundaries.append(T * (1.0 - 2.0 ** (-k - 1)))
 
     tail = TimeGrid(T * 2.0 ** (-n_blocks), n_time)
-    for i, mode in enumerate(model.modes):
-        state[i] = evolve_mode(op, mode, state[i], None, tail)[-1]
+    final_state = solve_forward(state, tgrid=tail)[-1]
     boundaries.append(T)
-    final = math.sqrt(float(np.sum(mass[None, :] * state ** 2)))
+    final = math.sqrt(float(np.sum(mass[None, :] * final_state ** 2)))
     return LRResult(
         boundaries=tuple(boundaries), caps=tuple(caps),
         block_costs=tuple(costs), block_norms=tuple(norms),

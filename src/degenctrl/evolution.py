@@ -38,45 +38,17 @@ row k at time node k. solve_forward is the one whole-model entry point:
 initial modes plus, optionally, one (n_time, n_modes, n_r - 1) array of
 half-step sources; its states have shape (n_time + 1, n_modes, n_r - 1),
 so row k is the ModeCoeffs.data of node k. The datum's model supplies the
-operator and the time grid. Turning a control field on the grid into mode
-sources is the caller's job (control), and spectra live in spectral.
+operator and, unless the caller passes another one, the time grid (the
+dyadic blocks of control.lr_control march on shorter grids). Turning a
+control field on the grid into mode sources is the caller's job
+(control), and spectra live in spectral.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigError, InvariantError
-from .model import Model, ModeCoeffs, ModeIndex, RadialOperator, _frozen
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform partition of (0, T) into n_time steps."""
-
-    T: float
-    n_time: int
-
-    def __post_init__(self):
-        if self.T <= 0.0 or self.n_time < 2:
-            raise ConfigError("time grid needs T > 0 and at least 2 steps")
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.n_time
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.n_time + 1) * self.dt
-
-    @property
-    def half_nodes(self) -> np.ndarray:
-        return (np.arange(self.n_time) + 0.5) * self.dt
-
-
-def time_grid_for(model: Model) -> TimeGrid:
-    return TimeGrid(model.config.T_horizon, model.config.n_time)
+from .model import ModeCoeffs, ModeIndex, RadialOperator, TimeGrid, _frozen
 
 
 class _Stepper:
@@ -177,17 +149,18 @@ def evolve_mode(op: RadialOperator, mode: ModeIndex, phi0: np.ndarray,
     return _frozen(states)
 
 
-def solve_forward(phi0: ModeCoeffs, sources=None) -> np.ndarray:
+def solve_forward(phi0: ModeCoeffs, sources=None,
+                  tgrid: TimeGrid = None) -> np.ndarray:
     """Evolve all modes from phi0, optionally under half-step sources.
 
-    The operator and the time grid are those of phi0.model. sources, when
-    given, is one (n_time, n_modes, n_r - 1) array: row k holds the mode
-    data of the source at half step k. Returns the read-only states, shape
-    (n_time + 1, n_modes, n_r - 1), whose row k is the mode data at node
-    k. Each mode marches on its own.
+    The operator is that of phi0.model, and so is the time grid unless
+    tgrid gives another. sources, when given, is one (n_time, n_modes,
+    n_r - 1) array: row k holds the mode data of the source at half step
+    k. Returns the read-only states, shape (n_time + 1, n_modes, n_r - 1),
+    whose row k is the mode data at node k. Each mode marches on its own.
     """
     model = phi0.model
-    tgrid = time_grid_for(model)
+    tgrid = model.tgrid if tgrid is None else tgrid
     shape = (tgrid.n_time, model.n_modes, model.n_radial)
     if sources is not None and (not isinstance(sources, np.ndarray)
                                 or sources.shape != shape):
@@ -200,13 +173,15 @@ def solve_forward(phi0: ModeCoeffs, sources=None) -> np.ndarray:
     return _frozen(states)
 
 
-def solve_adjoint(y_terminal: ModeCoeffs) -> np.ndarray:
+def solve_adjoint(y_terminal: ModeCoeffs,
+                  tgrid: TimeGrid = None) -> np.ndarray:
     """Backward solve with terminal data, stored on forward time indices.
 
     The generator is self adjoint, so the backward flow equals the forward
     flow run for the elapsed time T - t. We run forward from the terminal
-    data and reverse the rows: row k of the result is the adjoint state at
-    time t_k, and row 0 is the retrievable initial value y(0).
+    data, on tgrid or the model's grid, and reverse the rows: row k of the
+    result is the adjoint state at time t_k, and row 0 is the retrievable
+    initial value y(0).
     """
     # a view: the forward array is read-only, and so is its reversal
-    return solve_forward(y_terminal)[::-1]
+    return solve_forward(y_terminal, tgrid=tgrid)[::-1]

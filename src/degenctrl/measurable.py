@@ -67,7 +67,7 @@ class BoxUnionSet:
     band_a: float
     band_b: float
     horizon: float
-    measure: float = 0.0
+    measure: float = field(init=False)
 
     def __post_init__(self):
         if not self.boxes:
@@ -167,11 +167,9 @@ class BoxUnionSet:
 
     def counting_measure(self, model: Model) -> float:
         """Cell-counting measure on the model grid, for cross-checks."""
-        dt = model.config.T_horizon / model.config.n_time
-        t_mids = (np.arange(model.config.n_time) + 0.5) * dt
-        cell = model.theta_weight * model.grid.mass[None, :] * dt
+        cell = model.theta_weight * model.grid.mass[None, :] * model.tgrid.dt
         total = 0.0
-        for mask in self.grid_masks(model, t_mids):
+        for mask in self.grid_masks(model, model.tgrid.half_nodes):
             total += float(np.sum(mask * cell))
         return total
 
@@ -230,7 +228,7 @@ def build_time_slices(region: BoxUnionSet, model: Model = None) -> TimeSliceSet:
         d_th = TWO_PI / model.config.theta_quad_points
         d_r = float(np.max(np.diff(np.concatenate(
             ([0.0], model.grid.half_nodes, [1.0])))))
-        d_t = region.horizon / model.config.n_time
+        d_t = model.tgrid.dt
         allow = 0.0
         for (h0, h1), (r0, r1), (t0, t1) in region.boxes:
             vol = (h1 - h0) * (r1 - r0) * (t1 - t0)

@@ -21,9 +21,9 @@ power of r there. Half nodes follow the same map at half-integer indices;
 interior cell measures m_i = r_{i+1/2} - r_{i-1/2} define the radial inner
 product used by every module.
 
-The model owns its radial operator A u = -(r^alpha u')', vanishing at
-both ends, assembled once by build_model, and its complete eigenbasis,
-solved on first use. The operator's discretization is a flux-form
+The model owns its time grid, its radial operator A u = -(r^alpha u')',
+vanishing at both ends, assembled once by build_model, and its complete
+eigenbasis, solved on first use. The operator's discretization is a flux-form
 finite volume scheme on the graded mesh. Each face between neighbouring
 nodes carries a conductance equal to the reciprocal of the resistivity
 integral of the cell,
@@ -215,6 +215,30 @@ def assemble_radial_operator(alpha: float, grid: RadialGrid) -> RadialOperator:
     )
 
 
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform partition of (0, T) into n_time steps."""
+
+    T: float
+    n_time: int
+
+    def __post_init__(self):
+        if self.T <= 0.0 or self.n_time < 2:
+            raise ConfigError("time grid needs T > 0 and at least 2 steps")
+
+    @property
+    def dt(self) -> float:
+        return self.T / self.n_time
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return np.arange(self.n_time + 1) * self.dt
+
+    @property
+    def half_nodes(self) -> np.ndarray:
+        return (np.arange(self.n_time) + 0.5) * self.dt
+
+
 @dataclass(frozen=True, order=True)
 class ModeIndex:
     """One angular Fourier mode: parity 'cos' or 'sin' and frequency n.
@@ -268,6 +292,11 @@ class Model:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
+
+    @cached_property
+    def tgrid(self) -> TimeGrid:
+        """The uniform time grid of (0, T_horizon) in n_time steps."""
+        return TimeGrid(self.config.T_horizon, self.config.n_time)
 
     @cached_property
     def spectrum(self):

@@ -16,6 +16,13 @@ one unit column at a time, two single-vector marches per column. The
 production ``_mode_block_gramian`` marches all columns as one block; the
 tests require the two to agree bit for bit.
 
+``lr_control_per_mode`` is the dyadic-block control as it stood before
+production ``lr_control`` marched the whole model: every march is one
+``evolve_mode`` call per mode, the controlled modes' free marches apart
+from the rest, and the modes above the cap march without sources rather
+than under zero rows. The tests require the same bits, or the same
+``NonConvergenceError`` message.
+
 ``gram_lambda_min_full`` and ``coupled_observability_inverse_mp`` are the
 arbitrary-precision routes as they stood before the production code was
 cut down: one ``mp.eigsy`` on the full restricted Gram (no parity split),
@@ -46,11 +53,13 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import jv
 
+from degenctrl.control import (_EPS_FLOOR, LRResult, _mode_block_gramian,
+                               _radial_mask)
 from degenctrl.errors import ConfigError, InvariantError, NonConvergenceError
 from degenctrl.evolution import _Stepper, evolve_mode
 from degenctrl.measurable import SpectralPropagator, _pieces_within
-from degenctrl.model import (ModeCoeffs, ModeIndex, _frozen, mode_set,
-                             synthesize_field)
+from degenctrl.model import (ModeCoeffs, ModeIndex, TimeGrid, _frozen,
+                             mode_set, synthesize_field)
 from degenctrl.observability import (_angular_gram, _coupled_matrices_mp,
                                      torus_smallest_gram_eigenvalue)
 from degenctrl.spectral import bessel_order
@@ -153,6 +162,85 @@ def mode_block_gramian_columns(op, n_freq, mask, tgrid):
         src = 0.5 * (back[:-1] + back[1:]) * mask[None, :]
         cols[:, j] = evolve_mode(op, mode, np.zeros(size), src, tgrid)[-1]
     return cols
+
+
+def lr_control_per_mode(phi0, region, tol, n_blocks=3):
+    """Dyadic-block control with one evolve_mode call per mode and march."""
+    model = phi0.model
+    op = model.op
+    mask = _radial_mask(model, region.a, region.b)
+    mass = model.grid.mass
+    T = model.config.T_horizon
+    n_time = model.config.n_time
+
+    state = phi0.data.copy()
+    boundaries = [0.0]
+    caps, costs, norms, epsilons = [], [], [], []
+
+    def mode_norm2(vec):
+        return float(np.sum(mass * vec ** 2))
+
+    for k in range(n_blocks):
+        half_len = T * 2.0 ** (-k - 2)
+        sub = TimeGrid(half_len, n_time)
+        cap = 2 ** k
+        budget = 0.5 * tol * 2.0 ** (-k)
+        controlled = [i for i, m in enumerate(model.modes) if m.n <= cap]
+        grams = {}
+        frees = {}
+        for i in controlled:
+            n = model.modes[i].n
+            if n not in grams:
+                grams[n] = _mode_block_gramian(op, n, mask, sub)
+            frees[i] = evolve_mode(op, model.modes[i], state[i], None, sub)[-1]
+
+        eps = 1e-4
+        while True:
+            low_energy = 0.0
+            ys = {}
+            for i in controlled:
+                n = model.modes[i].n
+                g = grams[n]
+                y = np.linalg.solve(g + eps * np.eye(g.shape[0]), -frees[i])
+                ys[i] = y
+                low_energy += mode_norm2(eps * y)
+            if math.sqrt(low_energy) <= budget or eps <= _EPS_FLOOR:
+                break
+            eps /= 10.0
+        if math.sqrt(low_energy) > budget:
+            raise NonConvergenceError(
+                f"block {k} budget {budget:.3e} unreachable at "
+                f"penalty floor {_EPS_FLOOR:.1e}")
+        epsilons.append(eps)
+
+        block_cost = 0.0
+        new_state = state.copy()
+        for i, mode in enumerate(model.modes):
+            if i in ys:
+                back = evolve_mode(op, mode, ys[i], None, sub)[::-1]
+                src = 0.5 * (back[:-1] + back[1:]) * mask[None, :]
+                block_cost += sub.dt * float(np.sum(src ** 2 * mass[None, :]))
+                new_state[i] = evolve_mode(op, mode, state[i], src, sub)[-1]
+            else:
+                new_state[i] = evolve_mode(op, mode, state[i], None, sub)[-1]
+        for i, mode in enumerate(model.modes):
+            new_state[i] = evolve_mode(op, mode, new_state[i], None, sub)[-1]
+        state = new_state
+        caps.append(k)
+        costs.append(block_cost)
+        norms.append(math.sqrt(float(np.sum(mass[None, :] * state ** 2))))
+        boundaries.append(T * (1.0 - 2.0 ** (-k - 1)))
+
+    tail = TimeGrid(T * 2.0 ** (-n_blocks), n_time)
+    for i, mode in enumerate(model.modes):
+        state[i] = evolve_mode(op, mode, state[i], None, tail)[-1]
+    boundaries.append(T)
+    final = math.sqrt(float(np.sum(mass[None, :] * state ** 2)))
+    return LRResult(
+        boundaries=tuple(boundaries), caps=tuple(caps),
+        block_costs=tuple(costs), block_norms=tuple(norms),
+        epsilons=tuple(epsilons), final_residual=final, tol=float(tol),
+        converged=final <= tol)
 
 
 def gram_lambda_min_full(K, interval):

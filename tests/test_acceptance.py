@@ -23,7 +23,7 @@ from degenctrl import (BoxUnionSet, Cylinder, ModeCoeffs, ModeIndex,
                        hardy_ratio, hum_control, lr_control,
                        mode_observability_constant, mode_set, project_modes,
                        radial_spectrum, s0_default, solve_forward,
-                       synthesize_field, time_grid_for,
+                       synthesize_field,
                        torus_smallest_gram_eigenvalue,
                        truncated_observability, verify_theta_bounds)
 from degenctrl.cli import _CARLEMAN_FAMILY, main
@@ -102,7 +102,7 @@ def test_c04_time_stepping_oracle_order_dissipation(desk_model, desk_spec):
     problems = []
     # eigendatum reduces the scheme to the scalar recurrence exactly
     mu = desk_spec.values[0] + 4.0
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     rho = (1.0 - 0.5 * tgrid.dt * mu) / (1.0 + 0.5 * tgrid.dt * mu)
     states = evolve_mode(desk_model.op, ModeIndex("cos", 2),
                          desk_spec.vectors[:, 0], None, tgrid)
@@ -205,7 +205,7 @@ def test_c07_weighted_estimate_regression(desk_model, desk_spec):
         mode = ModeIndex(parity, n)
         states = solve_forward(ModeCoeffs(desk_model, data))
         rep = carleman_report(mode, states[:, desk_model.mode_position(mode)],
-                              time_grid_for(desk_model), None, eta,
+                              desk_model.tgrid, None, eta,
                               desk_model.grid, [s0, 2.0 * s0, 4.0 * s0])
         for row in rep.rows:
             if not (np.isfinite(row.ratio) and row.ratio > 0.0):

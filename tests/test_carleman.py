@@ -5,7 +5,7 @@ import pytest
 
 from degenctrl import (ConfigError, ModeCoeffs, ModeIndex,
                        build_carleman_weights, build_eta, carleman_report,
-                       s0_default, solve_forward, time_grid_for,
+                       s0_default, solve_forward,
                        verify_theta_bounds)
 from degenctrl.carleman import theta_weight, theta_weight_d1, theta_weight_d2
 from ._golden import check_golden
@@ -114,7 +114,7 @@ def _family_rows(model, spec, eta, s_values):
         mode = ModeIndex(parity, n)
         states = solve_forward(ModeCoeffs(model, data))
         rows.extend(carleman_report(
-            mode, states[:, model.mode_position(mode)], time_grid_for(model),
+            mode, states[:, model.mode_position(mode)], model.tgrid,
             None, eta, model.grid, s_values).rows)
     return rows
 
@@ -146,7 +146,7 @@ def test_report_with_sources(desk_model, desk_spec, eta, rng):
     sources = np.zeros((n_time, desk_model.n_modes, desk_model.n_radial))
     sources[:, pos] = 0.01 * rng.standard_normal((n_time, desk_model.n_radial))
     states = solve_forward(ModeCoeffs(desk_model, data), sources)
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     rep = carleman_report(mode, states[:, pos], tgrid, sources[:, pos], eta,
                           desk_model.grid, [s0_default(1.0)])
     assert rep.rows[0].rhs_f > 0.0

@@ -179,7 +179,7 @@ def test_parse_config_accepts_finite_or_raises_config_error(
 
     assert all(math.isfinite(x)
                for key, (kind, _) in cli._OPTION_SCHEMAS[command].items()
-               if kind in ("list", "reals", "ints")
+               if kind in ("reals", "ints", "intervals", "boxes")
                for x in numbers(options[key]))
 
 
@@ -386,6 +386,19 @@ def test_carleman_s_past_float_range_is_config_error(tmp_path, s):
     assert manifest["artifacts"] == []
 
 
+@pytest.mark.parametrize("horizon", [2e19, 1e-15])
+def test_carleman_horizon_past_float_range_is_config_error(tmp_path, horizon):
+    # T^16 overflows in s0 at the first; Theta^3 on the time grid at the
+    # second, whose weighted integrals would be inf * 0
+    code, out = _run(tmp_path, "carleman",
+                     dict(BASE, T_horizon=horizon, s_values=[10]))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "T_horizon" in manifest["error"]
+    assert manifest["artifacts"] == []
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 400],
                          ids=["nan", "inf", "401-digit"])
 @pytest.mark.parametrize("command, key", [("solve", "snapshot_times"),
@@ -407,8 +420,13 @@ def test_non_finite_number_in_a_list_is_config_error(tmp_path, command, key,
     ("solve", "snapshot_times", [[0.5]]),
     ("carleman", "s_values", ["10"]),
     ("spectral-ineq", "freq_caps", [10 ** 400]),
+    ("density-seq", "e_intervals", [[0]]),
+    ("density-seq", "e_intervals", [[0, "1"]]),
+    ("measurable", "boxes", [[[0.5, 2.0], [0.32, 0.45]]]),
+    ("measurable", "boxes", [[[0.5, 2.0], [0.32, 0.45], [0.05, True]]]),
 ], ids=["freq_caps-1.5", "freq_caps-true", "snapshot_times-nested",
-        "s_values-string", "freq_caps-401-digits"])
+        "s_values-string", "freq_caps-401-digits", "e_intervals-one-edge",
+        "e_intervals-string", "boxes-two-edges", "boxes-true"])
 def test_list_element_of_the_wrong_type_is_config_error(tmp_path, command,
                                                         key, value):
     code, out = _run(tmp_path, command, dict(BASE, **{key: value}))
@@ -452,7 +470,7 @@ def test_hum_csv_matches_per_row_route(tmp_path, monkeypatch, initial):
     assert code == 0
     (res,) = results
     model = res.model
-    half_nodes = cli.time_grid_for(model).half_nodes
+    half_nodes = model.tgrid.half_nodes
     axes = np.meshgrid(half_nodes, model.theta_nodes, model.grid.nodes,
                        indexing="ij")
     columns = [a.ravel().tolist() for a in axes]

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from degenctrl import (BoxUnionSet, ConfigError, Cylinder, ModeCoeffs,
-                       ModeIndex, ModelConfig, TimeGrid, apply_control_gramian,
-                       build_model, coeffs_inner, hum_control, lr_control,
-                       zero_coeffs)
+                       ModeIndex, ModelConfig, NonConvergenceError, TimeGrid,
+                       apply_control_gramian, build_model, coeffs_inner,
+                       hum_control, lr_control, radial_spectrum, zero_coeffs)
 from degenctrl import control, evolution
 from degenctrl.control import _mode_block_gramian, _radial_mask
 from ._golden import check_golden
-from ._oracles import evolve_mode_every_step, mode_block_gramian_columns
+from ._oracles import (evolve_mode_every_step, lr_control_per_mode,
+                       mode_block_gramian_columns)
 
 
 def _unit_eigendatum(model, spec, parity, n, k):
@@ -237,6 +238,41 @@ def test_lr_desk_case(desk_model, desk_spec, rng):
     hum = hum_control(phi0, Cylinder(0.3, 0.6), 1e-6)
     assert hum.terminal_residual / hum.phi0_norm <= 1e-3
     check_golden("lr_desk_block_norms", norms)
+
+
+def _lr_bits(res):
+    return ([x.hex() for x in res.block_costs],
+            [x.hex() for x in res.block_norms],
+            [x.hex() for x in res.epsilons], res.final_residual.hex(),
+            res.boundaries, res.caps, res.converged)
+
+
+@pytest.mark.parametrize("n_theta_max, n_r, n_time",
+                         [(4, 60, 48), (2, 40, 32), (8, 60, 48)],
+                         ids=["desk", "c14", "n_theta_max-8"])
+def test_lr_bitwise_matches_per_mode_march(n_theta_max, n_r, n_time):
+    # the c11 datum; at n_theta_max 8 the modes above every cap are zero
+    model = build_model(ModelConfig(alpha=0.5, T_horizon=1.0,
+                                    n_theta_max=n_theta_max, n_r=n_r,
+                                    n_time=n_time))
+    vectors = radial_spectrum(model.op, 6).vectors[:, :4]
+    phi0 = _smooth_lowpass(model, vectors, np.random.default_rng(0))
+    region = Cylinder(0.3, 0.6)
+    got = lr_control(phi0, region, 1e-3)
+    assert got.converged
+    assert _lr_bits(got) == _lr_bits(lr_control_per_mode(phi0, region, 1e-3))
+
+
+def test_lr_random_datum_fails_as_the_per_mode_march(desk_model):
+    # nonzero modes above the cap; the first block's budget is out of reach
+    phi0 = ModeCoeffs(desk_model, np.random.default_rng(1).standard_normal(
+        (desk_model.n_modes, desk_model.n_radial)))
+    region = Cylinder(0.3, 0.6)
+    with pytest.raises(NonConvergenceError) as got:
+        lr_control(phi0, region, 1e-3)
+    with pytest.raises(NonConvergenceError) as ref:
+        lr_control_per_mode(phi0, region, 1e-3)
+    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("n_r", [12, 40, 61])

@@ -9,7 +9,7 @@ from scipy.linalg import cho_solve_banded
 from degenctrl import (ConfigError, InvariantError, ModeCoeffs, ModeIndex,
                        ModelConfig, TimeGrid, build_model, coeffs_inner,
                        evolve_mode, solve_adjoint, solve_forward,
-                       time_grid_for, zero_coeffs)
+                       zero_coeffs)
 from degenctrl.evolution import _Stepper
 from degenctrl.spectral import full_spectrum
 from ._oracles import evolve_mode_every_step
@@ -24,7 +24,7 @@ def test_single_mode_matches_scalar_oracle(desk_model, desk_spec):
     # an eigenvector reduces the scheme to the scalar recurrence exactly
     mode = ModeIndex("cos", 2)
     mu = desk_spec.values[0] + 4.0
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     states = evolve_mode(desk_model.op, mode, desk_spec.vectors[:, 0], None,
                          tgrid)
     for k in range(tgrid.n_time + 1):
@@ -85,7 +85,7 @@ def _fixed_point_cases(n_time, size, rng):
 def test_fixed_point_exit_matches_every_step_march(desk_model, rng, case):
     # the early exit must return the bits, signed zeros included, that
     # stepping all n_time times returns
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     phi0, sources = _fixed_point_cases(tgrid.n_time, desk_model.n_radial,
                                        rng)[case]
     mode = ModeIndex("sin", 2)
@@ -103,7 +103,7 @@ def test_fixed_point_exit_matches_every_step_march(desk_model, rng, case):
                                         ("zero_and_nonzero_columns", 48)])
 def test_fixed_point_exit_step_count(desk_model, rng, monkeypatch, case,
                                      steps):
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     assert tgrid.n_time == 48
     phi0, sources = _fixed_point_cases(tgrid.n_time, desk_model.n_radial,
                                        rng)[case]
@@ -117,7 +117,7 @@ def test_fixed_point_exit_step_count(desk_model, rng, monkeypatch, case,
 
 def test_nan_datum_is_invariant_error(desk_model):
     # a NaN state can repeat its own bits; the finite check still runs
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     phi0 = np.full(desk_model.n_radial, np.nan)
     for march in (evolve_mode, evolve_mode_every_step):
         with pytest.raises(InvariantError):
@@ -126,7 +126,7 @@ def test_nan_datum_is_invariant_error(desk_model):
 
 def test_nonfinite_source_is_invariant_error(desk_model):
     # steps skip the finite check; the end-of-march check must catch it
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     sources = np.zeros((tgrid.n_time, desk_model.n_radial))
     sources[tgrid.n_time // 2, 3] = np.nan
     with pytest.raises(InvariantError):
@@ -137,7 +137,7 @@ def test_nonfinite_source_is_invariant_error(desk_model):
 @pytest.mark.parametrize("sourced", [False, True])
 def test_block_march_matches_single_marches_bitwise(desk_model, rng, sourced):
     # a (size, 3) block is three independent marches sharing each solve
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     size = desk_model.n_radial
     mode = ModeIndex("sin", 3)
     phi0 = rng.standard_normal((size, 3))
@@ -153,7 +153,7 @@ def test_block_march_matches_single_marches_bitwise(desk_model, rng, sourced):
 
 
 def test_block_march_shapes_validated(desk_model):
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     size = desk_model.n_radial
     mode = ModeIndex("cos", 1)
     with pytest.raises(ConfigError):
@@ -167,7 +167,7 @@ def test_block_march_shapes_validated(desk_model):
 
 
 def test_nonfinite_block_column_is_invariant_error(desk_model):
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     phi0 = np.ones((desk_model.n_radial, 3))
     phi0[4, 1] = np.nan
     with pytest.raises(InvariantError):
@@ -201,7 +201,7 @@ def test_energy_monotone_every_step(desk_model, rng):
 def test_discrete_duality_identity(desk_model, rng):
     # <v(T), y(T)> = dt sum <s^{k+1/2}, (y^k + y^{k+1})/2> when v starts at 0;
     # this exact identity is what makes the control Gramian symmetric
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     y_term = ModeCoeffs(
         desk_model,
         rng.standard_normal((desk_model.n_modes, desk_model.n_radial)))
@@ -228,7 +228,7 @@ def test_adjoint_is_time_reversed_forward(desk_model, rng):
 
 
 def test_marched_states_are_read_only(desk_model, rng):
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     size = desk_model.n_radial
     mode = ModeIndex("cos", 1)
     y_term = ModeCoeffs(
@@ -249,7 +249,7 @@ def test_marched_states_are_read_only(desk_model, rng):
 
 
 def test_source_shape_validated(desk_model):
-    tgrid = time_grid_for(desk_model)
+    tgrid = desk_model.tgrid
     n_modes, size = desk_model.n_modes, desk_model.n_radial
     zero = zero_coeffs(desk_model)
     for bad in (np.zeros((tgrid.n_time + 1, n_modes, size)),
@@ -272,7 +272,7 @@ def test_forward_marches_on_the_datum_model(rng):
     states = solve_forward(phi0)
     assert states.shape == (model.config.n_time + 1, model.n_modes,
                             model.n_radial)
-    tgrid = time_grid_for(model)
+    tgrid = model.tgrid
     for i, mode in enumerate(model.modes):
         assert np.array_equal(
             states[:, i], evolve_mode(model.op, mode, phi0.data[i], None,

@@ -36,6 +36,12 @@ def test_exact_measure_with_overlap():
     assert region.measure == pytest.approx(0.1 - 0.00625, abs=1e-15)
 
 
+def test_box_union_measure_is_derived_not_given():
+    with pytest.raises(TypeError):
+        BoxUnionSet(boxes=TWO_BOXES, band_a=0.3, band_b=0.6, horizon=1.0,
+                    measure=5.0)
+
+
 def test_slice_measure_by_hand():
     boxes = (((0.0, 1.0), (0.32, 0.42), (0.0, 0.5)),
              ((0.5, 1.5), (0.37, 0.47), (0.25, 0.75)))
