@@ -222,13 +222,13 @@ def _write_json(path: Path, obj):
                     + "\n", newline="\n")
 
 
-def _eigen_datum(model: Model, spectrum, parity: str, n: int, k: int,
-                 scale: float = 1.0) -> np.ndarray:
+def _eigen_datum(model: Model, spectrum, parity: str, n: int,
+                 k: int) -> np.ndarray:
     data = np.zeros((model.n_modes, model.n_radial))
     pos = model.mode_position(ModeIndex(parity, n))
     if not (1 <= k <= spectrum.values.size):
         raise ConfigError(f"radial index k={k} outside the computed spectrum")
-    data[pos] = scale * spectrum.vectors[:, k - 1]
+    data[pos] = spectrum.vectors[:, k - 1]
     return data
 
 
@@ -281,10 +281,9 @@ def _cmd_solve(out, config, options, seed):
     # validate every snapshot before any file is written
     snapshot_nodes = []
     for t_req in options["snapshot_times"]:
-        node = int(round(t_req / tgrid.dt))
-        if not (0 <= node <= tgrid.n_time):
+        if not 0 <= t_req <= tgrid.T:
             raise ConfigError(f"snapshot time {t_req} outside the horizon")
-        snapshot_nodes.append(node)
+        snapshot_nodes.append(int(round(t_req / tgrid.dt)))
     states = solve_forward(ModeCoeffs(model, data))
     mass = model.grid.mass
     rows = []

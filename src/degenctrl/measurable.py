@@ -372,7 +372,7 @@ class SpectralPropagator:
 
     Expands the datum mode by mode in Model.spectrum, the complete radial
     eigenbasis; snapshots, norms, and time derivatives then come from
-    scalar exponentials with rates lam_k + n^2, with no marching error.
+    scalar exponentials with the rates Model.mu, with no marching error.
 
     Coefficients of magnitude below the smallest normal float are set to
     zero. A flushed term c_k v_jk is under half an ulp of any partial sum
@@ -387,16 +387,15 @@ class SpectralPropagator:
         self.model = model
         weighted = model.grid.mass[None, :] * phi0.data
         self.coeffs = weighted @ model.spectrum.vectors    # (modes, k)
-        freqs = np.array([m.n for m in model.modes], dtype=float)
-        self.mu = model.spectrum.values[None, :] + freqs[:, None] ** 2
         self.norm0 = float(np.sqrt(np.sum(self.coeffs ** 2)))
 
     def coeff_at(self, t, order: int = 0) -> np.ndarray:
         """Eigen-coefficients at time t, or stacked over a 1-D array of times."""
         t = np.asarray(t, dtype=float)
-        damp = self.coeffs * np.exp(-self.mu * t[..., None, None])
+        mu = self.model.mu
+        damp = self.coeffs * np.exp(-mu * t[..., None, None])
         if order:
-            damp = damp * (-self.mu) ** order
+            damp = damp * (-mu) ** order
         damp[np.abs(damp) < _TINY] = 0.0
         return damp
 
@@ -477,14 +476,12 @@ def extended_field(phi0: ModeCoeffs, t: float, tau_grid,
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size == 0:
         raise ConfigError("tau grid must be a non-empty 1D array")
-    n_modes, n_rad = prop.mu.shape
-    total = n_modes * n_rad
+    n_modes, n_rad = model.mu.shape
+    total = model.mu.size
     if not (1 <= cap <= total):
         raise ConfigError(f"cap must lie in 1..{total}")
-    flat_mu = prop.mu.ravel()
-    order = np.lexsort((np.arange(total), flat_mu))
-    keep = order[:cap]
-    mu = flat_mu[keep]
+    keep = model.mu_order[:cap]
+    mu = model.mu.ravel()[keep]
     amps = prop.coeffs.ravel()[keep]
     tau_max = float(np.max(np.abs(tau_grid)))
     if math.sqrt(float(np.max(mu))) * tau_max > 700.0:
@@ -556,7 +553,7 @@ def derivative_bound_report(phi0: ModeCoeffs, t: float,
     capped = l_max > 200
     l_max = min(l_max, 200)
     prop = SpectralPropagator(phi0)
-    mu = prop.mu.ravel()
+    mu = phi0.model.mu.ravel()
     log_mu = np.log(mu)
     coeffs2 = prop.coeffs.ravel() ** 2
     norm0 = prop.norm0
@@ -728,10 +725,7 @@ def datum_family(model: Model, count: int, seed: int) -> tuple:
     out = []
     n_low = min(count // 2 + 1, 6)
     spectrum = model.spectrum
-    flat_mu = (spectrum.values[None, :]
-               + np.array([m.n for m in model.modes], dtype=float)[:, None] ** 2)
-    order = np.lexsort((np.arange(flat_mu.size), flat_mu.ravel()))
-    for idx in order[:n_low]:
+    for idx in model.mu_order[:n_low]:
         if len(out) == count:
             break
         data = np.zeros((model.n_modes, model.n_radial))

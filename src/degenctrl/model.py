@@ -23,7 +23,8 @@ product used by every module.
 
 The model owns its time grid, its radial operator A u = -(r^alpha u')',
 vanishing at both ends, assembled once by build_model, and its complete
-eigenbasis, solved on first use. The operator's discretization is a flux-form
+eigenbasis with the 2D eigenvalues mu = lam_k + n^2 and their ascending
+order, solved on first use. The operator's discretization is a flux-form
 finite volume scheme on the graded mesh. Each face between neighbouring
 nodes carries a conductance equal to the reciprocal of the resistivity
 integral of the cell,
@@ -107,6 +108,16 @@ class ModelConfig:
         if self.theta_quad_points < q_min:
             raise ConfigError(
                 f"theta_quad_points must be >= {q_min}: {self.theta_quad_points!r}")
+        # numpy cannot index an array of more than intp-max bytes
+        n_modes = 2 * self.n_theta_max + 1
+        for keys, shape in (
+                ("n_r", (self.n_r + 1,)),
+                ("n_theta_max and theta_quad_points",
+                 (self.theta_quad_points, n_modes)),
+                ("n_time", (self.n_time + 1, n_modes, self.n_r - 1))):
+            if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+                raise ConfigError(f"{keys} too large: an array of shape "
+                                  f"{shape} exceeds numpy's index range")
 
 
 def _frozen(arr):
@@ -304,6 +315,23 @@ class Model:
         # imported here: spectral imports this module
         from .spectral import radial_spectrum
         return radial_spectrum(self.op, self.n_radial)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """2D eigenvalues lam_k + n^2, shape (n_modes, n_r - 1), read-only.
+
+        Row i belongs to modes[i] and column k to the k-th column of
+        spectrum.vectors.
+        """
+        freqs = np.array([m.n for m in self.modes], dtype=float)
+        return _frozen(self.spectrum.values[None, :] + freqs[:, None] ** 2)
+
+    @cached_property
+    def mu_order(self) -> np.ndarray:
+        """Flat indices of mu in ascending order, ties by flat index."""
+        order = np.lexsort((np.arange(self.mu.size), self.mu.ravel()))
+        order.flags.writeable = False
+        return order
 
     def mode_position(self, mode: ModeIndex) -> int:
         try:

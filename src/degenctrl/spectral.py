@@ -1,4 +1,4 @@
-"""Spectra of the model's radial operator, 2D eigenvalues, oracle, Hardy.
+"""Spectra of the model's radial operator, eigenvalue oracle, Hardy ratio.
 
 An independent eigenvalue oracle comes from the closed-form solution of
 the continuous problem in terms of Bessel functions of fractional order,
@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import Model, RadialGrid, RadialOperator, _frozen
+from .model import RadialGrid, RadialOperator, _frozen
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,6 @@ class RadialSpectrum:
     vectors: np.ndarray    # shape (n_r - 1, k)
 
 
-def _symmetrized(op: RadialOperator):
-    """Diagonals of M^-1/2 K M^-1/2: the pencil as an ordinary matrix."""
-    m = op.mass
-    return op.diag / m, op.off / np.sqrt(m[:-1] * m[1:])
-
-
 def radial_spectrum(op: RadialOperator, k: int) -> RadialSpectrum:
     """Generalized symmetric tridiagonal eigensolve by bisection.
 
@@ -48,7 +42,8 @@ def radial_spectrum(op: RadialOperator, k: int) -> RadialSpectrum:
     size = m.size
     if not 1 <= k <= size:
         raise ConfigError(f"requested {k} eigenpairs from a size-{size} operator")
-    d, e = _symmetrized(op)
+    # diagonals of M^-1/2 K M^-1/2: the pencil as an ordinary matrix
+    d, e = op.diag / m, op.off / np.sqrt(m[:-1] * m[1:])
     try:
         vals, vecs = eigh_tridiagonal(
             d, e, select="i", select_range=(0, k - 1), lapack_driver="stebz")
@@ -86,31 +81,6 @@ def radial_spectrum(op: RadialOperator, k: int) -> RadialSpectrum:
 
     return RadialSpectrum(
         alpha=op.alpha, grid=op.grid, values=_frozen(vals), vectors=_frozen(phi))
-
-
-def full_spectrum(model: Model, bound: float) -> list:
-    """All 2D eigenvalues lam_k + n^2 up to bound, ascending.
-
-    Returns tuples (parity, n, k, value) with 1-based radial index k.
-    Ties are ordered by (n, k) and then parity, cosine first. Radial
-    eigenvalues are found by a value-range Sturm bisection, so no
-    truncation guesswork is involved.
-    """
-    if bound <= 0.0:
-        raise ConfigError("bound must be positive")
-    d, e = _symmetrized(model.op)
-    lam = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                           select_range=(0.0, bound), lapack_driver="stebz")
-    out = []
-    for mode in model.modes:
-        base = float(mode.n * mode.n)
-        for j, lv in enumerate(lam):
-            val = float(lv) + base
-            if val > bound:
-                break
-            out.append((mode.parity, mode.n, j + 1, val))
-    out.sort(key=lambda rec: (rec[3], rec[1], rec[2], 0 if rec[0] == "cos" else 1))
-    return out
 
 
 def bessel_order(alpha: float) -> float:

@@ -318,7 +318,7 @@ def bessel_oracle_brentq(alpha, k):
 
 def field_at_per_node(prop, t):
     """Field of a SpectralPropagator at one time, subnormals kept."""
-    coeffs = prop.coeffs * np.exp(-prop.mu * t)
+    coeffs = prop.coeffs * np.exp(-prop.model.mu * t)
     data = coeffs @ prop.model.spectrum.vectors.T
     return synthesize_field(ModeCoeffs(prop.model, data)).values
 
@@ -344,7 +344,7 @@ def measurable_datum_per_node(phi0, region, n_quad):
     prop = SpectralPropagator(phi0)
     horizon = region.horizon
     terminal = float(np.sqrt(np.sum(
-        (prop.coeffs * np.exp(-prop.mu * horizon)) ** 2)))
+        (prop.coeffs * np.exp(-prop.model.mu * horizon)) ** 2)))
     observed = observed_l1_per_node(
         prop.model, prop, region, _pieces_within(region, [(0.0, horizon)]),
         n_quad)

@@ -271,13 +271,28 @@ def test_solve_snapshot_layout(tmp_path):
 
 
 def test_bad_snapshot_time_writes_nothing(tmp_path):
-    payload = dict(BASE, initial_parity="cos", initial_n=1, initial_k=1,
-                   snapshot_times=[0.25, 5.0])
-    code, out = _run(tmp_path, "solve", payload)
+    # -0.01 and 1.01 round onto the first and last nodes of the horizon
+    for i, times in enumerate(([0.25, 5.0], [-0.01], [1.01])):
+        payload = dict(BASE, initial_parity="cos", initial_n=1, initial_k=1,
+                       snapshot_times=times)
+        code, out = _run(tmp_path, "solve", payload, out=f"out{i}")
+        assert code == 2, times
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "config-error"
+        assert manifest["artifacts"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command, key", [
+    ("spectrum", "n_r"), ("spectrum", "n_theta_max"),
+    ("spectrum", "theta_quad_points"), ("solve", "n_time"), ("hum", "n_time")])
+def test_size_past_the_index_range_is_config_error(tmp_path, command, key):
+    # 10**30 entries overflow numpy's index range; nothing is allocated
+    code, out = _run(tmp_path, command, dict(BASE, **{key: 10 ** 30}))
     assert code == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
-    assert manifest["artifacts"] == []
+    assert key in manifest["error"]
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 

@@ -11,7 +11,6 @@ from degenctrl import (ConfigError, InvariantError, ModeCoeffs, ModeIndex,
                        evolve_mode, solve_adjoint, solve_forward,
                        zero_coeffs)
 from degenctrl.evolution import _Stepper
-from degenctrl.spectral import full_spectrum
 from ._oracles import evolve_mode_every_step
 
 
@@ -277,24 +276,6 @@ def test_forward_marches_on_the_datum_model(rng):
         assert np.array_equal(
             states[:, i], evolve_mode(model.op, mode, phi0.data[i], None,
                                       tgrid))
-
-
-def test_full_spectrum_sorted_and_complete(meas_model):
-    bound = 60.0
-    recs = full_spectrum(meas_model, bound)
-    vals = [r[3] for r in recs]
-    assert vals == sorted(vals)
-    assert all(v <= bound for v in vals)
-    # cross-check against the dense spectrum plus angular shifts
-    expected = []
-    for m in meas_model.modes:
-        for lam in meas_model.spectrum.values:
-            v = lam + m.n ** 2
-            if v <= bound:
-                expected.append(v)
-    expected.sort()
-    assert len(recs) == len(expected)
-    assert np.allclose(vals, expected, rtol=1e-10)
 
 
 def test_time_grid_validation():

@@ -279,12 +279,12 @@ def test_coeff_at_flushes_only_subnormal_products(meas_model):
     data = np.zeros((meas_model.n_modes, meas_model.n_radial))
     data[:] = meas_model.spectrum.vectors[:, -6:].sum(axis=1)
     prop = SpectralPropagator(ModeCoeffs(meas_model, data))
-    t = 720.0 / float(np.max(prop.mu))
+    t = 720.0 / float(np.max(prop.model.mu))
     tiny = np.finfo(float).tiny
     for order in (0, 1):
-        raw = prop.coeffs * np.exp(-prop.mu * t)
+        raw = prop.coeffs * np.exp(-prop.model.mu * t)
         if order:
-            raw = raw * (-prop.mu) ** order
+            raw = raw * (-prop.model.mu) ** order
         normal = np.abs(raw) >= tiny
         # the test means something only if some products are subnormal
         assert np.any((raw != 0.0) & ~normal)

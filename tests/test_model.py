@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from degenctrl import (ConfigError, Field2D, ModeCoeffs, ModeIndex,
                        ModelConfig, assemble_radial_operator, build_model,
-                       build_radial_grid, coeffs_inner, mode_set,
+                       build_radial_grid, coeffs_inner, datum_family, mode_set,
                        project_modes, radial_spectrum, synthesize_field)
 from degenctrl.model import angular_basis_value, field_norm2
 
@@ -84,6 +85,40 @@ def test_model_operator_is_the_assembled_one_bitwise(alpha):
     assert model.spectrum.grid is model.grid
     assert np.array_equal(model.spectrum.values, full.values)
     assert np.array_equal(model.spectrum.vectors, full.vectors)
+
+
+def test_mu_is_the_spectrum_plus_n_squared_in_one_order(meas_model):
+    model = meas_model
+    mu, order = model.mu, model.mu_order
+    freqs = np.array([m.n for m in model.modes], dtype=float)
+    expected = model.spectrum.values[None, :] + freqs[:, None] ** 2
+    assert mu.shape == (model.n_modes, model.n_radial)
+    assert mu.tobytes() == expected.tobytes()
+    assert model.mu is mu and model.mu_order is order
+    assert not mu.flags.writeable and not order.flags.writeable
+    # a non-decreasing permutation of the flat index, ties by flat index
+    assert np.array_equal(np.sort(order), np.arange(mu.size))
+    ranked = mu.ravel()[order]
+    steps = np.diff(ranked)
+    assert np.all(steps >= 0.0)
+    assert np.any(steps == 0.0)    # cos n and sin n tie for every n >= 1
+    assert np.all(np.diff(order)[steps == 0.0] > 0)
+    # the family's pure eigenmodes are the head of that order
+    family = datum_family(model, 8, 11)
+    for datum, idx in zip(family[:5], order[:5]):
+        data = np.zeros((model.n_modes, model.n_radial))
+        data[idx // model.n_radial] = model.spectrum.vectors[:, idx % model.n_radial]
+        assert datum.data.tobytes() == data.tobytes()
+    # independent route: a value-range bisection of the radial pencil
+    bound = 60.0
+    m = model.grid.mass
+    lam = eigh_tridiagonal(model.op.diag / m, model.op.off / np.sqrt(m[:-1] * m[1:]),
+                           eigvals_only=True, select="v",
+                           select_range=(0.0, bound), lapack_driver="stebz")
+    listed = np.sort([v for n in freqs for v in lam + n ** 2 if v <= bound])
+    head = ranked[ranked <= bound]
+    assert head.size == listed.size > model.n_modes
+    assert np.allclose(head, listed, rtol=1e-10, atol=0.0)
 
 
 def test_band_is_the_open_interval_of_nodes():
