@@ -128,7 +128,7 @@ class EtaWeight:
         return self._branches(r, order)
 
 
-def _middle_extrema(coeffs, scale):
+def _middle_extrema(coeffs):
     """Values of the bridge polynomial at interior critical points."""
     der = np.polynomial.polynomial.polyder(coeffs)
     roots = np.polynomial.polynomial.polyroots(der)
@@ -168,7 +168,7 @@ def build_eta(alpha: float, a: float, b: float) -> EtaWeight:
     def bridge_min(c):
         xs = np.linspace(0.0, 1.0, 10001)
         sampled = float(np.min(np.polynomial.polynomial.polyval(xs, c)))
-        crit = _middle_extrema(c, scale)
+        crit = _middle_extrema(c)
         return min([sampled] + crit) if crit else sampled
 
     if bridge_min(coeffs) <= 0.0:
@@ -179,7 +179,7 @@ def build_eta(alpha: float, a: float, b: float) -> EtaWeight:
             raise InvariantError(
                 "bridge positivity unachievable for this (alpha, a, b)")
 
-    crit_vals = _middle_extrema(coeffs, scale)
+    crit_vals = _middle_extrema(coeffs)
     ends = [lv, rv, float(np.polynomial.polynomial.polyval(0.0, coeffs)),
             float(np.polynomial.polynomial.polyval(1.0, coeffs))]
     sup = max(ends + crit_vals)

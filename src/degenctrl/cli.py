@@ -256,7 +256,6 @@ def _cmd_hardy(out, config, options, seed):
         raise ConfigError("n_samples must be positive")
     nodes = model.grid.nodes
     rows = []
-    bound = 4.0 / (1.0 - config.alpha) ** 2
     for i in range(n):
         deg = int(rng.integers(1, 6))
         coef = rng.standard_normal(deg + 1)
@@ -350,7 +349,10 @@ def _cmd_spectral_ineq(out, config, options, seed):
     c, d = options["interval_c"], options["interval_d"]
     rows = []
     for cap in options["freq_caps"]:
-        tg = torus_smallest_gram_eigenvalue(cap, (c, d))
+        try:
+            tg = torus_smallest_gram_eigenvalue(cap, (c, d))
+        except ConfigError as exc:
+            raise ConfigError(f"freq_caps entry {cap}: {exc}") from exc
         rows.append((cap, tg.lambda_min, tg.c_emp, tg.dps_used))
     _write_csv(out / "spectral_ineq.csv",
                ("freq_cap", "lambda_min", "c_emp", "dps_used"), rows)
@@ -363,7 +365,8 @@ def _cmd_observability(out, config, options, seed):
     j_max = options["j_max"]
     if j_max < 0:
         raise ConfigError("j_max must be >= 0")
-    if 2 ** j_max > config.n_theta_max:
+    # 2^j_max > n_theta_max exactly when j_max >= n_theta_max.bit_length()
+    if j_max >= config.n_theta_max.bit_length():
         raise ConfigError("2^j_max exceeds n_theta_max")
     k_obs = options["k_max"]
     k_spec = min(max(k_obs, options["subspace_k_max"]), model.n_radial)

@@ -609,6 +609,15 @@ class SlabReport:
     degenerate: bool
 
 
+def _check_n_quad(n_quad: int):
+    if n_quad < 1:
+        raise ConfigError(f"n_quad must be >= 1, got {n_quad}")
+    # numpy cannot index an array of more than intp-max bytes
+    if 8 * n_quad > np.iinfo(np.intp).max:
+        raise ConfigError(f"n_quad too large: {n_quad} quadrature times "
+                          "exceed numpy's index range")
+
+
 def _slice_weights(model: Model, region: BoxUnionSet, pieces,
                    n_quad: int) -> list:
     """(times, width, weight) of every piece whose slice meets the grid.
@@ -667,8 +676,7 @@ def slab_interpolation_report(phi0: ModeCoeffs, t1: float, t2: float,
     """
     if not (0.0 <= t1 < t2 <= region.horizon + 1e-12):
         raise ConfigError("need 0 <= t1 < t2 <= horizon")
-    if n_quad < 1:
-        raise ConfigError(f"n_quad must be >= 1, got {n_quad}")
+    _check_n_quad(n_quad)
     for u, v in slices.intervals:
         if u < t1 - 1e-12 or v > t2 + 1e-12:
             raise ConfigError("kept time set must sit inside (t1, t2)")
@@ -756,8 +764,7 @@ def measurable_observability_ratio(family, region: BoxUnionSet,
     model = family[0].model
     if any(phi0.model is not model for phi0 in family):
         raise ConfigError("family data belong to different models")
-    if n_quad < 1:
-        raise ConfigError(f"n_quad must be >= 1, got {n_quad}")
+    _check_n_quad(n_quad)
     slices = build_time_slices(region, model)
     ell = density_point_of(slices)
     q = choose_q(c_calib, h_calib)

@@ -15,7 +15,7 @@ Three estimators live here.
   the space-time observation of the free flow over a radial band (a,b),
   computed exactly on the radial eigenbasis because the time integrals of
   products of decaying exponentials have closed forms. The result is the
-  largest eigenvalue of a small generalized symmetric problem.
+  top eigenvalue of one float64 pencil, shared with the next estimator.
 
 * Truncated-subspace constants with both angular parities up to a cap
   2^j. A full-torus patch decouples into per-mode blocks; a proper
@@ -107,10 +107,16 @@ class TorusGram:
 
     K: int
     interval: tuple
-    gram: np.ndarray       # double-precision mirror of the entries
     lambda_min: float
     c_emp: float           # -log(lambda_min) / max(K, 1)
     dps_used: int
+
+
+def _angular_interval(interval):
+    c, d = float(interval[0]), float(interval[1])
+    if not (0.0 <= c < d <= TWO_PI + 1e-12):
+        raise ConfigError(f"angular interval out of range: ({c}, {d})")
+    return c, d
 
 
 def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
@@ -119,20 +125,20 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     The matrix is assembled from closed-form trigonometric integrals on
     the re-centred interval (-w, w), where it is block diagonal by parity,
     and each block is diagonalized, eigenvalues only, by mpmath's
-    Householder/QL solver. The float gram keeps the original interval's
-    entries. Working precision starts a safe margin beyond the empirical
-    decay rate of the smallest eigenvalue and doubles until the eigenvalue
-    is resolved above the rounding floor, which also bounds the solver's
-    absolute error at the matrix norm scale. Six doublings that leave it
-    unresolved raise NonConvergenceError.
+    Householder/QL solver. Working precision starts a safe margin beyond
+    the empirical decay rate of the smallest eigenvalue and doubles until
+    the eigenvalue is resolved above the rounding floor, which also bounds
+    the solver's absolute error at the matrix norm scale. Six doublings
+    that leave it unresolved raise NonConvergenceError.
     """
-    c, d = float(interval[0]), float(interval[1])
     if K < 0:
         raise ConfigError("frequency cap K must be >= 0")
-    if not (0.0 <= c < d <= TWO_PI + 1e-12):
-        raise ConfigError(f"angular interval out of range: ({c}, {d})")
+    c, d = _angular_interval(interval)
+    # numpy cannot index an array of more than intp-max bytes
+    if 8 * (2 * K + 1) ** 2 > np.iinfo(np.intp).max:
+        raise ConfigError(f"frequency cap K={K} too large: its Gram matrix "
+                          "exceeds numpy's index range")
     modes = mode_set(K)
-    gram_float = _angular_gram(modes, c, d, math)
     # on (-w, w) the cos and sin blocks decouple; re-centring rotates each
     # (cos n, sin n) pair orthogonally, so the spectrum is unchanged
     parts = ([m for m in modes if m.parity == "cos"],
@@ -154,7 +160,7 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
                     raise InvariantError("restricted Gram spectrum out of (0, 1]")
                 cap = max(K, 1)
                 c_emp = float(-mp.log(lam_min) / cap)
-                return TorusGram(K=K, interval=(c, d), gram=gram_float,
+                return TorusGram(K=K, interval=(c, d),
                                  lambda_min=float(lam_min), c_emp=c_emp,
                                  dps_used=dps)
         dps *= 2
@@ -166,8 +172,6 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
 class ObservabilityEstimate:
     """Empirical observability constant on one truncated subspace."""
 
-    label: str
-    patch: str
     c_emp: float
     extremal: np.ndarray     # unit-norm coefficients in the assembled basis
     residual: float          # generalized eigen residual at the extremizer
@@ -175,14 +179,13 @@ class ObservabilityEstimate:
     precision: str           # arithmetic route: float64, mp(dps=..), exact-decoupled
 
 
-def _time_factor_matrix(mu: np.ndarray, T: float) -> np.ndarray:
-    s = mu[:, None] + mu[None, :]
-    return -np.expm1(-s * T) / s
-
-
-def _check_spectrum(model: Model, spectrum: RadialSpectrum):
+def _radial_cut(model: Model, spectrum: RadialSpectrum, k_max: int) -> int:
+    """k_max clipped to a spectrum that must belong to model.op."""
     if spectrum.grid is not model.grid or spectrum.alpha != model.op.alpha:
         raise ConfigError("the radial spectrum belongs to another model")
+    if k_max < 1:
+        raise ConfigError(f"radial truncation k_max must be >= 1, got {k_max}")
+    return min(k_max, spectrum.values.size)
 
 
 def _restricted_overlap(spectrum: RadialSpectrum, a: float, b: float,
@@ -197,13 +200,22 @@ def _restricted_overlap(spectrum: RadialSpectrum, a: float, b: float,
     return upper + np.triu(upper, 1).T
 
 
-def _mode_matrices(spectrum: RadialSpectrum, n: int, a: float, b: float,
-                   T: float, k_max: int):
-    lam = spectrum.values[:k_max]
-    mu = lam + float(n * n)
-    a_mat = np.diag(np.exp(-2.0 * mu * T))
-    b_mat = _time_factor_matrix(mu, T) * _restricted_overlap(spectrum, a, b, k_max)
-    return a_mat, b_mat, mu
+def _pencil_top(mu: np.ndarray, spatial: np.ndarray, T: float):
+    """Top eigenpair of (diag e^{-2 mu T}, E(mu) o spatial) in float64.
+
+    E[i, j] = (1 - e^{-(mu_i + mu_j) T}) / (mu_i + mu_j) holds the time
+    integrals, spatial the Gram of the observed set. Returns the eigenvalue,
+    the unit eigenvector and the relative residual; raises LinAlgError when
+    the observation form is not numerically positive definite.
+    """
+    dim = mu.size
+    a = np.diag(np.exp(-2.0 * mu * T))
+    s = mu[:, None] + mu[None, :]
+    b = -np.expm1(-s * T) / s * spatial
+    vals, vecs = eigh(a, b, subset_by_index=[dim - 1, dim - 1])
+    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    res = np.linalg.norm(a @ x - vals[0] * (b @ x)) / np.linalg.norm(b @ x)
+    return float(vals[0]), x, float(res)
 
 
 def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
@@ -215,29 +227,21 @@ def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
     diagonal and the observation form combines closed-form time integrals
     with eigenvector overlaps on the radial band, from a spectrum of model.op.
     """
-    _check_spectrum(model, spectrum)
+    k_max = _radial_cut(model, spectrum, k_max)
     if not (0.0 < a < b <= 1.0):
         raise ConfigError(f"need 0 < a < b <= 1, got ({a}, {b})")
     if n < 0:
         raise ConfigError("angular frequency must be >= 0")
-    if k_max < 1:
-        raise ConfigError(f"radial truncation k_max must be >= 1, got {k_max}")
-    k_max = min(k_max, spectrum.values.size)
-    T = model.config.T_horizon
-    a_mat, b_mat, _ = _mode_matrices(spectrum, n, a, b, T, k_max)
+    mu = spectrum.values[:k_max] + float(n * n)
+    overlap = _restricted_overlap(spectrum, a, b, k_max)
     try:
-        vals, vecs = eigh(a_mat, b_mat, subset_by_index=[k_max - 1, k_max - 1])
+        c_emp, x, res = _pencil_top(mu, overlap, model.config.T_horizon)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(
             f"observation Gram numerically singular at k_max={k_max}; "
             "reduce the radial truncation for this horizon") from exc
-    c_emp = vals[0]
-    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    res = np.linalg.norm(a_mat @ x - c_emp * (b_mat @ x)) / np.linalg.norm(b_mat @ x)
-    return ObservabilityEstimate(
-        label=f"mode n={n}", patch=f"radial band ({a}, {b})",
-        c_emp=float(c_emp), extremal=x, residual=float(res),
-        basis_dim=k_max, precision="float64")
+    return ObservabilityEstimate(c_emp=c_emp, extremal=x, residual=res,
+                                 basis_dim=k_max, precision="float64")
 
 
 def _coupled_matrices_mp(modes, gram_ang, spectrum, a, b, T, k_max):
@@ -321,24 +325,19 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     problem is solved in double precision when its Cholesky factorization
     survives and in adaptive arbitrary precision otherwise.
     """
-    _check_spectrum(model, spectrum)
+    k_max = _radial_cut(model, spectrum, k_max)
     if j < 0:
         raise ConfigError("subspace index j must be >= 0")
-    cap = 2 ** j
-    if cap > model.config.n_theta_max:
+    # 2^j > n_theta_max exactly when j >= n_theta_max.bit_length()
+    if j >= model.config.n_theta_max.bit_length():
         raise ConfigError(
             f"angular cap 2^{j} exceeds the retained frequencies "
             f"({model.config.n_theta_max})")
-    c, d = float(interval[0]), float(interval[1])
-    if not (0.0 <= c < d <= TWO_PI + 1e-12):
-        raise ConfigError(f"angular interval out of range: ({c}, {d})")
-    if k_max < 1:
-        raise ConfigError(f"radial truncation k_max must be >= 1, got {k_max}")
-    k_max = min(k_max, spectrum.values.size)
+    cap = 2 ** j
+    c, d = _angular_interval(interval)
     T = model.config.T_horizon
     modes = mode_set(cap)
     dim = len(modes) * k_max
-    patch = f"theta ({c:.6g}, {d:.6g}) x radial band ({a}, {b})"
 
     if d - c >= TWO_PI - 1e-12:
         best = None
@@ -351,26 +350,17 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
         # cos modes occupy the first cap+1 blocks in frequency order
         extremal[n_star * k_max:(n_star + 1) * k_max] = est.extremal
         return ObservabilityEstimate(
-            label=f"subspace j={j}", patch=patch, c_emp=est.c_emp,
-            extremal=extremal, residual=est.residual,
+            c_emp=est.c_emp, extremal=extremal, residual=est.residual,
             basis_dim=dim, precision="exact-decoupled")
 
-    gram_ang = _angular_gram(modes, c, d, math)
     overlap = _restricted_overlap(spectrum, a, b, k_max)
-    mu_f = np.concatenate([spectrum.values[:k_max] + m.n * m.n for m in modes])
-    a_f = np.diag(np.exp(-2.0 * mu_f * T))
-    tf = _time_factor_matrix(mu_f, T)
-    b_f = np.kron(gram_ang, overlap) * tf
+    mu = np.concatenate([spectrum.values[:k_max] + m.n * m.n for m in modes])
     try:
-        vals, vecs = eigh(a_f, b_f, subset_by_index=[dim - 1, dim - 1])
-        c_emp = vals[0]
-        x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-        res = np.linalg.norm(a_f @ x - c_emp * (b_f @ x)) / np.linalg.norm(b_f @ x)
+        c_emp, x, res = _pencil_top(
+            mu, np.kron(_angular_gram(modes, c, d, math), overlap), T)
         if res <= 1e-6:
-            return ObservabilityEstimate(
-                label=f"subspace j={j}", patch=patch, c_emp=float(c_emp),
-                extremal=x, residual=float(res), basis_dim=dim,
-                precision="float64")
+            return ObservabilityEstimate(c_emp=c_emp, extremal=x, residual=res,
+                                         basis_dim=dim, precision="float64")
         # factorization survived on a numerically singular form; fall through
     except np.linalg.LinAlgError:
         pass
@@ -393,9 +383,8 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
                                      for i in range(dim)]))
             x = np.array([float(v) for v in x_mp])
             return ObservabilityEstimate(
-                label=f"subspace j={j}", patch=patch, c_emp=float(lam),
-                extremal=x, residual=float(num / mp.norm(bx)), basis_dim=dim,
-                precision=f"mp(dps={dps})")
+                c_emp=float(lam), extremal=x, residual=float(num / mp.norm(bx)),
+                basis_dim=dim, precision=f"mp(dps={dps})")
     raise NonConvergenceError(
         "coupled observation Gram not positive definite at the attempted "
         "precisions; reduce j or k_max")

@@ -285,7 +285,8 @@ def test_bad_snapshot_time_writes_nothing(tmp_path):
 
 @pytest.mark.parametrize("command, key", [
     ("spectrum", "n_r"), ("spectrum", "n_theta_max"),
-    ("spectrum", "theta_quad_points"), ("solve", "n_time"), ("hum", "n_time")])
+    ("spectrum", "theta_quad_points"), ("solve", "n_time"), ("hum", "n_time"),
+    ("observability", "j_max"), ("measurable", "n_quad")])
 def test_size_past_the_index_range_is_config_error(tmp_path, command, key):
     # 10**30 entries overflow numpy's index range; nothing is allocated
     code, out = _run(tmp_path, command, dict(BASE, **{key: 10 ** 30}))

@@ -27,7 +27,8 @@ from ._oracles import (coupled_observability_inverse_mp,
 def test_full_circle_gram_is_identity():
     tg = torus_smallest_gram_eigenvalue(5, (0.0, 2.0 * math.pi))
     assert tg.lambda_min == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(tg.gram - np.eye(11))) < 1e-12
+    gram = _angular_gram(mode_set(5), 0.0, 2.0 * math.pi, math)
+    assert np.max(np.abs(gram - np.eye(11))) < 1e-12
 
 
 def test_k0_gram_is_interval_fraction():
@@ -102,6 +103,9 @@ def test_gram_validation():
         torus_smallest_gram_eigenvalue(2, (1.0, 0.5))
     with pytest.raises(ConfigError):
         torus_smallest_gram_eigenvalue(2, (0.0, 7.0))
+    # a (2K+1)^2 Gram past numpy's index range; nothing is allocated
+    with pytest.raises(ConfigError, match="index range"):
+        torus_smallest_gram_eigenvalue(10 ** 30, (0.0, 1.0))
 
 
 def test_single_mode_scalar_oracle(desk_model, desk_spec):
@@ -160,6 +164,10 @@ def test_truncated_cap_validation(desk_model, desk_spec):
     with pytest.raises(ConfigError):
         truncated_observability(desk_model, desk_spec, (0.0, 1.0),
                                 0.3, 0.6, -1, k_max=2)
+    # refused by its exponent, without building 2^j
+    with pytest.raises(ConfigError, match=r"2\^"):
+        truncated_observability(desk_model, desk_spec, (0.0, 1.0),
+                                0.3, 0.6, 10 ** 30, k_max=2)
 
 
 def test_exhausted_precision_is_nonconvergence(desk_model, desk_spec,
