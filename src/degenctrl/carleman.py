@@ -340,6 +340,8 @@ def carleman_report(mode: ModeIndex, states: np.ndarray, tgrid: TimeGrid,
 
     s0 = s0_default(T)
     window = grid.band(eta.a, eta.b)
+    if not np.any(window):
+        raise ConfigError(f"no radial nodes inside ({eta.a}, {eta.b})")
     w_nodes = r ** eta.alpha
     zero_weight = r ** (2.0 - eta.alpha)
     with np.errstate(over="ignore", divide="ignore"):

@@ -12,6 +12,7 @@ config or usage error, 3 non-convergence.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,8 +40,10 @@ COMMANDS = ("spectrum", "hardy", "solve", "carleman", "spectral-ineq",
             "observability", "hum", "lr", "measurable", "density-seq")
 
 # ModelConfig validates these and holds the defaults of the optional ones
-_MODEL_REQUIRED = ("alpha", "T_horizon", "n_theta_max", "n_r")
-_MODEL_OPTIONAL = ("grid_power", "n_time", "theta_quad_points")
+_MODEL_REQUIRED = tuple(f.name for f in dataclasses.fields(ModelConfig)
+                        if f.default is dataclasses.MISSING)
+_MODEL_OPTIONAL = tuple(f.name for f in dataclasses.fields(ModelConfig)
+                        if f.default is not dataclasses.MISSING)
 
 _DEFAULT_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
                   ((3.0, 5.5), (0.45, 0.58), (0.5, 0.95)))
@@ -164,12 +167,7 @@ def parse_config(path: str, command: str):
                for key, (kind, default) in schema.items()}
     seed = _seed(raw.get("seed", 0))
 
-    resolved = {
-        "alpha": config.alpha, "T_horizon": config.T_horizon,
-        "n_theta_max": config.n_theta_max, "n_r": config.n_r,
-        "grid_power": config.grid_power, "n_time": config.n_time,
-        "theta_quad_points": config.theta_quad_points, "seed": seed,
-    }
+    resolved = dict(dataclasses.asdict(config), seed=seed)
     resolved.update({key: _sanitize(options[key]) for key in sorted(options)})
     return config, options, seed, resolved
 

@@ -42,43 +42,20 @@ TWO_PI = 2.0 * math.pi
 _INVERSE_ITERATIONS = 8
 
 
-def _trig_product_integral(kind1, n1, kind2, n2, c, d, lib):
-    """Integral over (c,d) of the product of two raw trig basis factors."""
-    sin, cos = lib.sin, lib.cos
-
-    def s_diff(k):
-        return sin(k * d) - sin(k * c)
-
-    def c_diff(k):
-        return cos(k * d) - cos(k * c)
-
-    if kind1 == "sin" and kind2 == "cos":
-        kind1, n1, kind2, n2 = kind2, n2, kind1, n1
-
-    if kind1 == "cos" and kind2 == "cos":
-        if n1 == 0 and n2 == 0:
-            return d - c
-        if n1 == n2:
-            return (d - c) / 2 + s_diff(2 * n1) / (4 * n1)
-        if n1 == 0:
-            return s_diff(n2) / n2
-        if n2 == 0:
-            return s_diff(n1) / n1
-        return (s_diff(n1 - n2) / (n1 - n2) + s_diff(n1 + n2) / (n1 + n2)) / 2
-    if kind1 == "sin" and kind2 == "sin":
-        if n1 == n2:
-            return (d - c) / 2 - s_diff(2 * n1) / (4 * n1)
-        return (s_diff(n1 - n2) / (n1 - n2) - s_diff(n1 + n2) / (n1 + n2)) / 2
-    # cos(n1 t) sin(n2 t), n2 >= 1
-    if n1 == n2:
-        return -c_diff(2 * n1) / (4 * n1)
-    if n1 == 0:
-        return -c_diff(n2) / n2
-    return -(c_diff(n1 + n2) / (n1 + n2) + c_diff(n2 - n1) / (n2 - n1)) / 2
-
-
 def _angular_gram(modes, c, d, lib):
-    """Gram matrix of the orthonormal angular basis restricted to (c,d)."""
+    """Gram matrix of the orthonormal angular basis restricted to (c,d).
+
+    Product-to-sum makes every entry half the sum or difference of two
+    moments over (c,d) at a signed k = n_i -+ n_j: sin_mom[k] is the
+    integral of cos(k t) and cos_mom[k] the negated integral of sin(k t).
+    Both tables are built once, so the trig calls grow with the cap, not
+    with its square.
+    """
+    top = 2 * max(m.n for m in modes)
+    ks = [k for k in range(-top, top + 1) if k]
+    sin_mom = {k: (lib.sin(k * d) - lib.sin(k * c)) / k for k in ks}
+    cos_mom = {k: (lib.cos(k * d) - lib.cos(k * c)) / k for k in ks}
+    sin_mom[0], cos_mom[0] = d - c, 0
     pi = lib.pi
     dim = len(modes)
     if lib is math:
@@ -94,7 +71,13 @@ def _angular_gram(modes, c, d, lib):
     for i, mi in enumerate(modes):
         for j in range(i, dim):
             mj = modes[j]
-            raw = _trig_product_integral(mi.parity, mi.n, mj.parity, mj.n, c, d, lib)
+            if mi.parity != mj.parity:
+                p, q = (mi.n, mj.n) if mi.parity == "cos" else (mj.n, mi.n)
+                raw = -(cos_mom[p + q] + cos_mom[q - p]) / 2
+            elif mi.parity == "cos":
+                raw = (sin_mom[mi.n - mj.n] + sin_mom[mi.n + mj.n]) / 2
+            else:
+                raw = (sin_mom[mi.n - mj.n] - sin_mom[mi.n + mj.n]) / 2
             val = norms[i] * norms[j] * raw
             out[i, j] = val
             out[j, i] = val
@@ -105,8 +88,6 @@ def _angular_gram(modes, c, d, lib):
 class TorusGram:
     """Restricted-interval Gram of the angular basis up to frequency K."""
 
-    K: int
-    interval: tuple
     lambda_min: float
     c_emp: float           # -log(lambda_min) / max(K, 1)
     dps_used: int
@@ -160,8 +141,7 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
                     raise InvariantError("restricted Gram spectrum out of (0, 1]")
                 cap = max(K, 1)
                 c_emp = float(-mp.log(lam_min) / cap)
-                return TorusGram(K=K, interval=(c, d),
-                                 lambda_min=float(lam_min), c_emp=c_emp,
+                return TorusGram(lambda_min=float(lam_min), c_emp=c_emp,
                                  dps_used=dps)
         dps *= 2
     raise NonConvergenceError(
@@ -190,6 +170,8 @@ def _radial_cut(model: Model, spectrum: RadialSpectrum, k_max: int) -> int:
 
 def _restricted_overlap(spectrum: RadialSpectrum, a: float, b: float,
                         k_max: int) -> np.ndarray:
+    if not (0.0 < a < b <= 1.0):
+        raise ConfigError(f"need 0 < a < b <= 1, got ({a}, {b})")
     sel = spectrum.grid.band(a, b)
     if not np.any(sel):
         raise ConfigError(f"no radial nodes inside ({a}, {b})")
@@ -228,8 +210,6 @@ def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
     with eigenvector overlaps on the radial band, from a spectrum of model.op.
     """
     k_max = _radial_cut(model, spectrum, k_max)
-    if not (0.0 < a < b <= 1.0):
-        raise ConfigError(f"need 0 < a < b <= 1, got ({a}, {b})")
     if n < 0:
         raise ConfigError("angular frequency must be >= 0")
     mu = spectrum.values[:k_max] + float(n * n)

@@ -23,6 +23,12 @@ from the rest, and the modes above the cap march without sources rather
 than under zero rows. The tests require the same bits, or the same
 ``NonConvergenceError`` message.
 
+``angular_gram_nine_case`` is the restricted angular Gram as it stood
+before production ``_angular_gram`` built it from two moment tables: each
+entry is its own trig integral, picked from nine cases by the two parities
+and frequencies, with its sines and cosines evaluated anew. The tests
+require the same bits, in float64 and in mp.
+
 ``gram_lambda_min_full`` and ``coupled_observability_inverse_mp`` are the
 arbitrary-precision routes as they stood before the production code was
 cut down: one ``mp.eigsy`` on the full restricted Gram (no parity split),
@@ -241,6 +247,66 @@ def lr_control_per_mode(phi0, region, tol, n_blocks=3):
         block_costs=tuple(costs), block_norms=tuple(norms),
         epsilons=tuple(epsilons), final_residual=final, tol=float(tol),
         converged=final <= tol)
+
+
+def _trig_product_integral(kind1, n1, kind2, n2, c, d, lib):
+    """Integral over (c,d) of the product of two raw trig basis factors."""
+    sin, cos = lib.sin, lib.cos
+
+    def s_diff(k):
+        return sin(k * d) - sin(k * c)
+
+    def c_diff(k):
+        return cos(k * d) - cos(k * c)
+
+    if kind1 == "sin" and kind2 == "cos":
+        kind1, n1, kind2, n2 = kind2, n2, kind1, n1
+
+    if kind1 == "cos" and kind2 == "cos":
+        if n1 == 0 and n2 == 0:
+            return d - c
+        if n1 == n2:
+            return (d - c) / 2 + s_diff(2 * n1) / (4 * n1)
+        if n1 == 0:
+            return s_diff(n2) / n2
+        if n2 == 0:
+            return s_diff(n1) / n1
+        return (s_diff(n1 - n2) / (n1 - n2) + s_diff(n1 + n2) / (n1 + n2)) / 2
+    if kind1 == "sin" and kind2 == "sin":
+        if n1 == n2:
+            return (d - c) / 2 - s_diff(2 * n1) / (4 * n1)
+        return (s_diff(n1 - n2) / (n1 - n2) - s_diff(n1 + n2) / (n1 + n2)) / 2
+    # cos(n1 t) sin(n2 t), n2 >= 1
+    if n1 == n2:
+        return -c_diff(2 * n1) / (4 * n1)
+    if n1 == 0:
+        return -c_diff(n2) / n2
+    return -(c_diff(n1 + n2) / (n1 + n2) + c_diff(n2 - n1) / (n2 - n1)) / 2
+
+
+def angular_gram_nine_case(modes, c, d, lib):
+    """Restricted angular Gram with one nine-case trig integral per entry."""
+    pi = lib.pi
+    dim = len(modes)
+    if lib is math:
+        out = np.empty((dim, dim))
+    else:
+        out = mp.zeros(dim)
+    norms = []
+    for m in modes:
+        if m.parity == "cos" and m.n == 0:
+            norms.append(1 / lib.sqrt(2 * pi))
+        else:
+            norms.append(1 / lib.sqrt(pi))
+    for i, mi in enumerate(modes):
+        for j in range(i, dim):
+            mj = modes[j]
+            raw = _trig_product_integral(mi.parity, mi.n, mj.parity, mj.n,
+                                         c, d, lib)
+            val = norms[i] * norms[j] * raw
+            out[i, j] = val
+            out[j, i] = val
+    return out
 
 
 def gram_lambda_min_full(K, interval):

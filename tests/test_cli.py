@@ -391,6 +391,18 @@ def test_carleman_command_outputs(tmp_path):
     assert len(meta["rows"]) == 18
 
 
+def test_carleman_band_without_radial_nodes_is_config_error(tmp_path):
+    # no node of the n_r = 40 grid lies in the band; hum, lr and
+    # observability refuse it with the same message
+    code, out = _run(tmp_path, "carleman",
+                     dict(BASE, band_a=0.3, band_b=0.3001))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "no radial nodes inside (0.3, 0.3001)" in manifest["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("s", [1e300, 1e120, 1e102])
 def test_carleman_s_past_float_range_is_config_error(tmp_path, s):
     # s^3 overflows at the first two; the weighted integrals at the third

@@ -20,7 +20,8 @@ from degenctrl import (ConfigError, ModelConfig, NonConvergenceError,
 from degenctrl import observability
 from degenctrl.observability import _angular_gram, _restricted_overlap
 
-from ._oracles import (coupled_observability_inverse_mp,
+from ._oracles import (angular_gram_nine_case,
+                       coupled_observability_inverse_mp,
                        gram_lambda_min_full, jacobi_eigh_mp)
 
 
@@ -56,6 +57,34 @@ def test_gram_entries_match_direct_quadrature():
                     quad = mp.quad(lambda th: g(th, mi) * g(th, mj), [c, d])
                     assert abs(closed[i, j] - quad) <= mp.mpf(1e-10) \
                         * max(1, abs(quad)), (K, i, j)
+
+
+def test_moment_gram_matches_nine_case_bitwise():
+    # the moment tables give the nine-case integrals bit for bit: float64
+    # with the signs of its zeros, mp on the full mode set and on each
+    # parity block, as the coupled and the re-centred routes call it
+    rng = np.random.default_rng(20)
+    cases = [(0.0, 2.0 * math.pi), (-math.pi, math.pi)]
+    for _ in range(12):
+        c, d = np.sort(rng.uniform(0.0, 2.0 * math.pi, 2))
+        w = rng.uniform(0.01, math.pi)
+        cases += [(float(c), float(d)), (-float(w), float(w))]
+    for idx, (c, d) in enumerate(cases):
+        modes = mode_set(12 - idx % 13)
+        new = _angular_gram(modes, c, d, math)
+        assert new.tobytes() == angular_gram_nine_case(modes, c, d,
+                                                       math).tobytes(), (c, d)
+        parts = (modes, [m for m in modes if m.parity == "cos"],
+                 [m for m in modes if m.parity == "sin"])
+        for dps in (30, 68):
+            with mp.workdps(dps):
+                for part in filter(None, parts):
+                    new, old = (gram(part, mp.mpf(c), mp.mpf(d), mp).tolist()
+                                for gram in (_angular_gram,
+                                             angular_gram_nine_case))
+                    assert ([v._mpf_ for row in new for v in row]
+                            == [v._mpf_ for row in old for v in row]), \
+                        (c, d, dps, len(part))
 
 
 def test_lambda_min_matches_bruteforce_eigen():
@@ -168,6 +197,12 @@ def test_truncated_cap_validation(desk_model, desk_spec):
     with pytest.raises(ConfigError, match=r"2\^"):
         truncated_observability(desk_model, desk_spec, (0.0, 1.0),
                                 0.3, 0.6, 10 ** 30, k_max=2)
+    # a band outside (0, 1] is refused on a proper interval as on the torus
+    for band in ((-1.0, 0.5), (0.3, 5.0)):
+        for interval in ((0.0, 1.0), (0.0, 2.0 * math.pi)):
+            with pytest.raises(ConfigError, match="0 < a < b <= 1"):
+                truncated_observability(desk_model, desk_spec, interval,
+                                        *band, 1, k_max=3)
 
 
 def test_exhausted_precision_is_nonconvergence(desk_model, desk_spec,
