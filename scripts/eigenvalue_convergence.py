@@ -33,7 +33,7 @@ def run_sweep(alpha, base_n, doublings, k, grid_power):
         n_r = base_n * 2 ** j
         power = grid_power if grid_power else 2.0 / (2.0 - alpha)
         t0 = time.perf_counter()
-        grid = build_radial_grid(alpha, n_r, power)
+        grid = build_radial_grid(n_r, power)
         op = assemble_radial_operator(alpha, grid)
         spec = radial_spectrum(op, k)
         dt = time.perf_counter() - t0

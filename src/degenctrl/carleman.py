@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .model import ModeIndex, RadialGrid, TimeGrid
+from .model import Model, ModeIndex
 
 
 def _left_eta(alpha, r):
@@ -296,20 +296,26 @@ class CarlemanReport:
     T: float
 
 
-def carleman_report(mode: ModeIndex, states: np.ndarray, tgrid: TimeGrid,
-                    sources, eta: EtaWeight, grid: RadialGrid,
-                    s_values) -> CarlemanReport:
+def carleman_report(model: Model, mode: ModeIndex, states: np.ndarray,
+                    sources, eta: EtaWeight, s_values) -> CarlemanReport:
     """Evaluate both sides of the weighted estimate for one mode's march.
 
-    states holds the mode's radial vector at every node of tgrid, shape
-    (n_time + 1, n_r - 1), as evolution.evolve_mode returns it; sources
-    holds its half-step rows, shape (n_time, n_r - 1), or is None.
+    states holds the mode's radial vector at every node of model.tgrid,
+    shape (n_time + 1, n_r - 1), as evolution.evolve_mode returns it;
+    sources holds its half-step rows, shape (n_time, n_r - 1), or is None.
+    eta must be built for the model's alpha, and its window (a, b) must
+    hold a radial node.
 
     The quadrature is the tensor of the radial midpoint rule with the
     trapezoid rule over interior time nodes; both time endpoints are
     excluded, where the weight vanishes to all orders anyway. The radial
     derivative uses centered differences with the Dirichlet end values.
     """
+    if eta.alpha != model.op.alpha:
+        raise ConfigError(f"the weight is built for alpha {eta.alpha}, "
+                          f"the model has alpha {model.op.alpha}")
+    grid, tgrid = model.grid, model.tgrid
+    window = grid.observed_band(eta.a, eta.b)
     T = tgrid.T
     nt = tgrid.n_time
     times = tgrid.nodes[1:-1]
@@ -339,9 +345,6 @@ def carleman_report(mode: ModeIndex, states: np.ndarray, tgrid: TimeGrid,
     dstates = (padded[:, 2:] - padded[:, :-2]) / span[None, :]
 
     s0 = s0_default(T)
-    window = grid.band(eta.a, eta.b)
-    if not np.any(window):
-        raise ConfigError(f"no radial nodes inside ({eta.a}, {eta.b})")
     w_nodes = r ** eta.alpha
     zero_weight = r ** (2.0 - eta.alpha)
     with np.errstate(over="ignore", divide="ignore"):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import (Model, ModelConfig, ModeCoeffs, ModeIndex, TWO_PI,
-                    build_model, synthesize_field)
+                    build_model, check_index_range, synthesize_field)
 from .spectral import bessel_oracle, hardy_ratio, radial_spectrum
 from .evolution import evolve_mode, solve_forward
 from .carleman import build_eta, carleman_report, s0_default
@@ -252,6 +252,7 @@ def _cmd_hardy(out, config, options, seed):
     n = options["n_samples"]
     if n < 1:
         raise ConfigError("n_samples must be positive")
+    check_index_range("n_samples", (n,))
     nodes = model.grid.nodes
     rows = []
     for i in range(n):
@@ -312,20 +313,19 @@ def _cmd_carleman(out, config, options, seed):
     model = build_model(config)
     a, b = options["band_a"], options["band_b"]
     eta = build_eta(config.alpha, a, b)
+    model.grid.observed_band(a, b)   # refused before any march
     s0 = s0_default(config.T_horizon)
     s_values = options["s_values"] or (s0, 2.0 * s0, 4.0 * s0)
     k_need = max(k for _, _, k in _CARLEMAN_FAMILY)
     spec = radial_spectrum(model.op, k_need)
-    tgrid = model.tgrid
     rows, meta_rows = [], []
     for parity, n, k in _CARLEMAN_FAMILY:
         if n > config.n_theta_max:
             raise ConfigError("family frequency exceeds n_theta_max")
         mode = ModeIndex(parity, n)
         states = evolve_mode(model.op, mode, spec.vectors[:, k - 1],
-                             None, tgrid)
-        rep = carleman_report(mode, states, tgrid, None, eta, model.grid,
-                              s_values)
+                             None, model.tgrid)
+        rep = carleman_report(model, mode, states, None, eta, s_values)
         for row in rep.rows:
             rows.append((row.s, row.parity, row.n, row.lhs_grad, row.lhs_zero,
                          row.rhs_f, row.rhs_obs, row.ratio))

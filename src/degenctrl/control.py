@@ -50,13 +50,6 @@ class Cylinder:
             raise ConfigError(f"need 0 <= a < b <= 1, got ({self.a}, {self.b})")
 
 
-def _radial_mask(model: Model, a: float, b: float) -> np.ndarray:
-    mask = model.grid.band(a, b).astype(float)
-    if not mask.any():
-        raise ConfigError(f"no radial nodes inside ({a}, {b})")
-    return mask
-
-
 class _RegionAction:
     """Precomputed restriction map for one region on one model.
 
@@ -69,7 +62,7 @@ class _RegionAction:
         self.model = model
         self.region = region
         if isinstance(region, Cylinder):
-            self.mask = _radial_mask(model, region.a, region.b)
+            self.mask = model.grid.observed_band(region.a, region.b)
         elif isinstance(region, BoxUnionSet):
             self.mask = region.grid_masks(model, model.tgrid.half_nodes)
             if not self.mask.any():
@@ -283,7 +276,7 @@ def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
     if n_blocks < 1:
         raise ConfigError("need at least one block")
     model = phi0.model
-    mask = _radial_mask(model, region.a, region.b)
+    mask = model.grid.observed_band(region.a, region.b)
     mass = model.grid.mass
     T = model.config.T_horizon
     n_time = model.config.n_time

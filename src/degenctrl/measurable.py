@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import Model, ModeCoeffs, TWO_PI, _frozen, synthesize_field
+from .model import (Model, ModeCoeffs, TWO_PI, _frozen, check_index_range,
+                    synthesize_field)
 
 
 def _merge_intervals(pieces):
@@ -433,9 +434,7 @@ class ExtendedField:
     difference in tau.
     """
 
-    cap: int
     t: float
-    tau_grid: np.ndarray
     samples: np.ndarray          # (n_tau, theta_quad, n_r - 1)
     mu: np.ndarray               # kept 2D eigenvalues, flat
     amplitudes: np.ndarray       # kept coefficients of the datum, flat
@@ -513,8 +512,7 @@ def extended_field(phi0: ModeCoeffs, t: float, tau_grid,
 
     mu_max = float(np.max(mu))
     d_tau = math.sqrt(1.2e-7) / max(mu_max, 1.0)
-    ext = ExtendedField(cap=cap, t=float(t), tau_grid=_frozen(tau_grid),
-                        samples=_frozen(samples), mu=_frozen(mu),
+    ext = ExtendedField(t=float(t), samples=_frozen(samples), mu=_frozen(mu),
                         amplitudes=_frozen(amps), snapshot_gap=snapshot_gap,
                         elliptic_residual=0.0)
     worst = 0.0
@@ -597,14 +595,9 @@ def derivative_bound_report(phi0: ModeCoeffs, t: float,
 
 @dataclass(frozen=True)
 class SlabReport:
-    """Two-time interpolation data: end norms and the observed L1 mass."""
+    """Two-time interpolation data: the observed L1 mass and the exponent."""
 
-    t1: float
-    t2: float
-    n1: float
-    n2: float
     observed: float
-    k_calib: float
     h_emp: float
     degenerate: bool
 
@@ -612,10 +605,7 @@ class SlabReport:
 def _check_n_quad(n_quad: int):
     if n_quad < 1:
         raise ConfigError(f"n_quad must be >= 1, got {n_quad}")
-    # numpy cannot index an array of more than intp-max bytes
-    if 8 * n_quad > np.iinfo(np.intp).max:
-        raise ConfigError(f"n_quad too large: {n_quad} quadrature times "
-                          "exceed numpy's index range")
+    check_index_range("n_quad", (n_quad,))
 
 
 def _slice_weights(model: Model, region: BoxUnionSet, pieces,
@@ -690,12 +680,11 @@ def slab_interpolation_report(phi0: ModeCoeffs, t1: float, t2: float,
     observed = _observed_l1(prop, _slice_weights(
         phi0.model, region, _pieces_within(region, slices.intervals), n_quad))
     if observed <= 0.0 or n1 <= 0.0:
-        return SlabReport(t1=t1, t2=t2, n1=n1, n2=n2, observed=observed,
-                          k_calib=k_calib, h_emp=float("nan"), degenerate=True)
+        return SlabReport(observed=observed, h_emp=float("nan"),
+                          degenerate=True)
     log_b = k_calib / (t2 - t1) ** 8 + math.log(n1)
     h_emp = (math.log(n2) - log_b) / (math.log(observed) - log_b)
-    return SlabReport(t1=t1, t2=t2, n1=n1, n2=n2, observed=observed,
-                      k_calib=k_calib, h_emp=float(h_emp), degenerate=False)
+    return SlabReport(observed=observed, h_emp=float(h_emp), degenerate=False)
 
 
 @dataclass(frozen=True)
@@ -729,6 +718,7 @@ def datum_family(model: Model, count: int, seed: int) -> tuple:
     """Unit-norm data: the lowest pure eigenmodes, then seeded noise."""
     if count < 1:
         raise ConfigError("family needs at least one datum")
+    check_index_range("family_size", (count, model.n_modes, model.n_radial))
     rng = np.random.default_rng(seed)
     out = []
     n_low = min(count // 2 + 1, 6)

@@ -108,16 +108,18 @@ class ModelConfig:
         if self.theta_quad_points < q_min:
             raise ConfigError(
                 f"theta_quad_points must be >= {q_min}: {self.theta_quad_points!r}")
-        # numpy cannot index an array of more than intp-max bytes
         n_modes = 2 * self.n_theta_max + 1
-        for keys, shape in (
-                ("n_r", (self.n_r + 1,)),
-                ("n_theta_max and theta_quad_points",
-                 (self.theta_quad_points, n_modes)),
-                ("n_time", (self.n_time + 1, n_modes, self.n_r - 1))):
-            if 8 * math.prod(shape) > np.iinfo(np.intp).max:
-                raise ConfigError(f"{keys} too large: an array of shape "
-                                  f"{shape} exceeds numpy's index range")
+        check_index_range("n_r", (self.n_r + 1,))
+        check_index_range("n_theta_max and theta_quad_points",
+                          (self.theta_quad_points, n_modes))
+        check_index_range("n_time", (self.n_time + 1, n_modes, self.n_r - 1))
+
+
+def check_index_range(keys: str, shape: tuple):
+    """Refuse a float64 array past numpy's index range, allocating nothing."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise ConfigError(f"{keys} too large: an array of shape "
+                          f"{shape} exceeds numpy's index range")
 
 
 def _frozen(arr):
@@ -128,46 +130,50 @@ def _frozen(arr):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Graded radial mesh with half nodes, weight samples and cell measures.
+    """Graded radial mesh with half nodes and cell measures.
 
-    nodes holds the interior points r_1 < ... < r_{n_r-1}; the Dirichlet
-    endpoints r_0 = 0 and r_{n_r} = 1 are implicit. half_nodes holds
-    r_{i+1/2} = ((i+1/2)/n_r)^g for i = 0..n_r-1, so half_nodes[i] sits
-    between nodes i and i+1 of the full mesh. mass[i-1] is the measure of
-    the cell around interior node i.
+    The grid is geometry only: the weight exponent alpha belongs to the
+    operator assembled on it. nodes holds the interior points r_1 < ... <
+    r_{n_r-1}; the Dirichlet endpoints r_0 = 0 and r_{n_r} = 1 are
+    implicit. half_nodes holds r_{i+1/2} = ((i+1/2)/n_r)^g for i =
+    0..n_r-1, so half_nodes[i] sits between nodes i and i+1 of the full
+    mesh. mass[i-1] is the measure of the cell around interior node i.
     """
 
     n_r: int
     grid_power: float
-    alpha: float
     nodes: np.ndarray
     cell_widths: np.ndarray    # h_{i+1/2} = r_{i+1} - r_i, length n_r
     half_nodes: np.ndarray     # length n_r
-    half_weights: np.ndarray   # w(r_{i+1/2}) = r_{i+1/2}^alpha, length n_r
     mass: np.ndarray           # length n_r - 1
 
     def band(self, a: float, b: float) -> np.ndarray:
         """Boolean mask of the interior nodes strictly inside (a, b)."""
         return (self.nodes > a) & (self.nodes < b)
 
+    def observed_band(self, a: float, b: float) -> np.ndarray:
+        """band(a, b) of an observation or control band, which needs a node."""
+        mask = self.band(a, b)
+        if not mask.any():
+            raise ConfigError(f"no radial nodes inside ({a}, {b})")
+        return mask
 
-def build_radial_grid(alpha: float, n_r: int, grid_power: float) -> RadialGrid:
+
+def build_radial_grid(n_r: int, grid_power: float) -> RadialGrid:
     idx = np.arange(0, n_r + 1, dtype=float)
     full = (idx / n_r) ** grid_power
     half = ((idx[:-1] + 0.5) / n_r) ** grid_power
     grid = RadialGrid(
         n_r=n_r,
         grid_power=grid_power,
-        alpha=alpha,
         nodes=_frozen(full[1:-1]),
         cell_widths=_frozen(np.diff(full)),
         half_nodes=_frozen(half),
-        half_weights=_frozen(half ** alpha),
         mass=_frozen(half[1:] - half[:-1]),
     )
     if not np.all(np.diff(grid.nodes) > 0.0):
         raise ConfigError("radial nodes are not strictly increasing")
-    if not (np.all(grid.mass > 0.0) and np.all(grid.half_weights > 0.0)):
+    if not (np.all(grid.mass > 0.0) and np.all(grid.half_nodes > 0.0)):
         raise ConfigError("degenerate radial cells")
     return grid
 
@@ -347,7 +353,7 @@ class Model:
 
 
 def build_model(config: ModelConfig) -> Model:
-    grid = build_radial_grid(config.alpha, config.n_r, config.grid_power)
+    grid = build_radial_grid(config.n_r, config.grid_power)
     q = config.theta_quad_points
     theta = np.arange(q, dtype=float) * (TWO_PI / q)
     modes = mode_set(config.n_theta_max)

@@ -35,7 +35,7 @@ import mpmath as mp
 from scipy.linalg import eigh
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import Model, mode_set
+from .model import Model, check_index_range, mode_set
 from .spectral import RadialSpectrum
 
 TWO_PI = 2.0 * math.pi
@@ -115,10 +115,7 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     if K < 0:
         raise ConfigError("frequency cap K must be >= 0")
     c, d = _angular_interval(interval)
-    # numpy cannot index an array of more than intp-max bytes
-    if 8 * (2 * K + 1) ** 2 > np.iinfo(np.intp).max:
-        raise ConfigError(f"frequency cap K={K} too large: its Gram matrix "
-                          "exceeds numpy's index range")
+    check_index_range("frequency cap K", (2 * K + 1, 2 * K + 1))
     modes = mode_set(K)
     # on (-w, w) the cos and sin blocks decouple; re-centring rotates each
     # (cos n, sin n) pair orthogonally, so the spectrum is unchanged
@@ -172,9 +169,7 @@ def _restricted_overlap(spectrum: RadialSpectrum, a: float, b: float,
                         k_max: int) -> np.ndarray:
     if not (0.0 < a < b <= 1.0):
         raise ConfigError(f"need 0 < a < b <= 1, got ({a}, {b})")
-    sel = spectrum.grid.band(a, b)
-    if not np.any(sel):
-        raise ConfigError(f"no radial nodes inside ({a}, {b})")
+    sel = spectrum.grid.observed_band(a, b)
     phi = spectrum.vectors[sel, :k_max]
     w = spectrum.grid.mass[sel]
     upper = np.triu(phi.T @ (w[:, None] * phi))

@@ -111,12 +111,9 @@ def bessel_oracle(alpha: float, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HardyReport:
-    """Both sides of the weighted Hardy inequality for one sample function."""
+    """Weighted Hardy quotient of one sample function against its bound."""
 
-    alpha: float
-    numerator: float        # integral of r^(alpha-2) u^2
-    denominator: float      # integral of r^alpha (u')^2
-    ratio: float
+    ratio: float            # int r^(alpha-2) u^2 / int r^alpha (u')^2
     bound: float            # 4 / (1-alpha)^2
     exceeds_bound: bool
 
@@ -125,7 +122,8 @@ def hardy_ratio(u: np.ndarray, alpha: float, grid: RadialGrid) -> HardyReport:
     """Midpoint-quadrature Hardy quotient for interior samples of u.
 
     u holds values at the interior nodes; the Dirichlet zeros at both ends
-    are implicit, which is exactly the class the inequality covers.
+    are implicit, which is exactly the class the inequality covers. Both
+    sides are weighted with this alpha.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != grid.nodes.shape:
@@ -135,16 +133,11 @@ def hardy_ratio(u: np.ndarray, alpha: float, grid: RadialGrid) -> HardyReport:
     numer = float(np.sum(grid.mass * grid.nodes ** (alpha - 2.0) * u ** 2))
     padded = np.concatenate(([0.0], u, [0.0]))
     slopes = np.diff(padded) / grid.cell_widths
-    denom = float(np.sum(grid.half_weights * slopes ** 2 * grid.cell_widths))
+    denom = float(np.sum(grid.half_nodes ** alpha * slopes ** 2
+                         * grid.cell_widths))
     if denom == 0.0:
         raise ConfigError("zero Hardy denominator")
     bound = 4.0 / (1.0 - alpha) ** 2
     ratio = numer / denom
-    return HardyReport(
-        alpha=alpha,
-        numerator=numer,
-        denominator=denom,
-        ratio=ratio,
-        bound=bound,
-        exceeds_bound=bool(ratio > bound),
-    )
+    return HardyReport(ratio=ratio, bound=bound,
+                       exceeds_bound=bool(ratio > bound))

@@ -59,8 +59,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import jv
 
-from degenctrl.control import (_EPS_FLOOR, LRResult, _mode_block_gramian,
-                               _radial_mask)
+from degenctrl.control import _EPS_FLOOR, LRResult, _mode_block_gramian
 from degenctrl.errors import ConfigError, InvariantError, NonConvergenceError
 from degenctrl.evolution import _Stepper, evolve_mode
 from degenctrl.measurable import SpectralPropagator, _pieces_within
@@ -174,7 +173,7 @@ def lr_control_per_mode(phi0, region, tol, n_blocks=3):
     """Dyadic-block control with one evolve_mode call per mode and march."""
     model = phi0.model
     op = model.op
-    mask = _radial_mask(model, region.a, region.b)
+    mask = model.grid.observed_band(region.a, region.b)
     mass = model.grid.mass
     T = model.config.T_horizon
     n_time = model.config.n_time

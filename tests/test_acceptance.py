@@ -50,7 +50,7 @@ def test_c01_eigenvalues_match_closed_form():
         oracle = bessel_oracle(alpha, 5)
         rel = {}
         for n_r in (4000, 8000):
-            grid = build_radial_grid(alpha, n_r, 2.0 / (2.0 - alpha))
+            grid = build_radial_grid(n_r, 2.0 / (2.0 - alpha))
             op = assemble_radial_operator(alpha, grid)
             vals = radial_spectrum(op, 5).values
             rel[n_r] = np.abs(vals - oracle) / oracle
@@ -69,7 +69,7 @@ def test_c02_spectral_gap_strict():
     for alpha in np.linspace(0.1, 0.9, 9):
         floor = (1.0 - alpha) ** 2 / 4.0
         lam1 = float(bessel_oracle(alpha, 1)[0])
-        grid = build_radial_grid(alpha, 300, 2.0 / (2.0 - alpha))
+        grid = build_radial_grid(300, 2.0 / (2.0 - alpha))
         op = assemble_radial_operator(alpha, grid)
         lam1_d = float(radial_spectrum(op, 1).values[0])
         if not (floor < lam1 and floor < lam1_d):
@@ -82,7 +82,7 @@ def test_c02_spectral_gap_strict():
 def test_c03_hardy_bound_thousand_polynomials():
     t0 = time.monotonic()
     problems = []
-    grid = build_radial_grid(0.5, 200, 4.0 / 3.0)
+    grid = build_radial_grid(200, 4.0 / 3.0)
     rng = np.random.default_rng(12345)
     worst = 0.0
     for i in range(1000):
@@ -204,9 +204,9 @@ def test_c07_weighted_estimate_regression(desk_model, desk_spec):
             desk_spec.vectors[:, k - 1]
         mode = ModeIndex(parity, n)
         states = solve_forward(ModeCoeffs(desk_model, data))
-        rep = carleman_report(mode, states[:, desk_model.mode_position(mode)],
-                              desk_model.tgrid, None, eta,
-                              desk_model.grid, [s0, 2.0 * s0, 4.0 * s0])
+        rep = carleman_report(desk_model, mode,
+                              states[:, desk_model.mode_position(mode)],
+                              None, eta, [s0, 2.0 * s0, 4.0 * s0])
         for row in rep.rows:
             if not (np.isfinite(row.ratio) and row.ratio > 0.0):
                 problems.append(f"{parity}/{n}/{k} s={row.s:.1f}: "

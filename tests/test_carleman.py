@@ -114,8 +114,8 @@ def _family_rows(model, spec, eta, s_values):
         mode = ModeIndex(parity, n)
         states = solve_forward(ModeCoeffs(model, data))
         rows.extend(carleman_report(
-            mode, states[:, model.mode_position(mode)], model.tgrid,
-            None, eta, model.grid, s_values).rows)
+            model, mode, states[:, model.mode_position(mode)], None, eta,
+            s_values).rows)
     return rows
 
 
@@ -146,13 +146,25 @@ def test_report_with_sources(desk_model, desk_spec, eta, rng):
     sources = np.zeros((n_time, desk_model.n_modes, desk_model.n_radial))
     sources[:, pos] = 0.01 * rng.standard_normal((n_time, desk_model.n_radial))
     states = solve_forward(ModeCoeffs(desk_model, data), sources)
-    tgrid = desk_model.tgrid
-    rep = carleman_report(mode, states[:, pos], tgrid, sources[:, pos], eta,
-                          desk_model.grid, [s0_default(1.0)])
+    rep = carleman_report(desk_model, mode, states[:, pos], sources[:, pos],
+                          eta, [s0_default(1.0)])
     assert rep.rows[0].rhs_f > 0.0
     # states need a row per time node, sources a row per half step
     for bad_states, bad_sources in ((states[1:, pos], None),
                                     (states[:, pos], sources[1:, pos])):
         with pytest.raises(ConfigError):
-            carleman_report(mode, bad_states, tgrid, bad_sources, eta,
-                            desk_model.grid, [s0_default(1.0)])
+            carleman_report(desk_model, mode, bad_states, bad_sources, eta,
+                            [s0_default(1.0)])
+
+
+def test_report_refuses_a_weight_for_another_alpha(desk_model, desk_spec):
+    # the states march under the model's alpha 0.5; a weight built for 0.3
+    # used to give ratios of the wrong system without a word
+    mode = ModeIndex("cos", 0)
+    data = np.zeros((desk_model.n_modes, desk_model.n_radial))
+    data[desk_model.mode_position(mode)] = desk_spec.vectors[:, 0]
+    states = solve_forward(ModeCoeffs(desk_model, data))
+    with pytest.raises(ConfigError, match="alpha"):
+        carleman_report(desk_model, mode,
+                        states[:, desk_model.mode_position(mode)], None,
+                        build_eta(0.3, 0.3, 0.6), [s0_default(1.0)])

@@ -286,7 +286,8 @@ def test_bad_snapshot_time_writes_nothing(tmp_path):
 @pytest.mark.parametrize("command, key", [
     ("spectrum", "n_r"), ("spectrum", "n_theta_max"),
     ("spectrum", "theta_quad_points"), ("solve", "n_time"), ("hum", "n_time"),
-    ("observability", "j_max"), ("measurable", "n_quad")])
+    ("observability", "j_max"), ("measurable", "n_quad"),
+    ("hardy", "n_samples"), ("measurable", "family_size")])
 def test_size_past_the_index_range_is_config_error(tmp_path, command, key):
     # 10**30 entries overflow numpy's index range; nothing is allocated
     code, out = _run(tmp_path, command, dict(BASE, **{key: 10 ** 30}))
@@ -391,12 +392,23 @@ def test_carleman_command_outputs(tmp_path):
     assert len(meta["rows"]) == 18
 
 
-def test_carleman_band_without_radial_nodes_is_config_error(tmp_path):
+def test_carleman_band_without_radial_nodes_is_config_error(tmp_path,
+                                                            monkeypatch):
     # no node of the n_r = 40 grid lies in the band; hum, lr and
-    # observability refuse it with the same message
+    # observability refuse it with the same message, and carleman refuses
+    # it before its first march
+    march = cli.evolve_mode
+    marches = []
+
+    def counted(*args, **kwargs):
+        marches.append(args[1])
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve_mode", counted)
     code, out = _run(tmp_path, "carleman",
                      dict(BASE, band_a=0.3, band_b=0.3001))
     assert code == 2
+    assert marches == []
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "config-error"
     assert "no radial nodes inside (0.3, 0.3001)" in manifest["error"]

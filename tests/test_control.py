@@ -10,7 +10,7 @@ from degenctrl import (BoxUnionSet, ConfigError, Cylinder, ModeCoeffs,
                        apply_control_gramian, build_model, coeffs_inner,
                        hum_control, lr_control, radial_spectrum, zero_coeffs)
 from degenctrl import control, evolution
-from degenctrl.control import _mode_block_gramian, _radial_mask
+from degenctrl.control import _mode_block_gramian
 from ._golden import check_golden
 from ._oracles import (evolve_mode_every_step, lr_control_per_mode,
                        mode_block_gramian_columns)
@@ -281,7 +281,7 @@ def test_block_gramian_bitwise_matches_column_loop(n_r):
     # signed zeros included, on the sub-grids of the first three LR blocks
     model = build_model(ModelConfig(alpha=0.5, T_horizon=1.0, n_theta_max=4,
                                     n_r=n_r, n_time=32))
-    mask = _radial_mask(model, 0.3, 0.6)
+    mask = model.grid.observed_band(0.3, 0.6)
     for k in range(3):
         sub = TimeGrid(2.0 ** (-k - 2), 32)
         for n in (0, 1, 2, 4):

@@ -60,7 +60,7 @@ def test_basis_orthonormal_under_quadrature(desk_model):
 
 
 def test_radial_grid_shapes_and_monotonicity():
-    grid = build_radial_grid(0.3, 40, 2.0 / 1.7)
+    grid = build_radial_grid(40, 2.0 / 1.7)
     assert grid.nodes.size == 39
     assert grid.mass.size == 39
     assert grid.half_nodes.size == 40
@@ -122,7 +122,7 @@ def test_mu_is_the_spectrum_plus_n_squared_in_one_order(meas_model):
 
 
 def test_band_is_the_open_interval_of_nodes():
-    grid = build_radial_grid(0.5, 20, 4.0 / 3.0)
+    grid = build_radial_grid(20, 4.0 / 3.0)
     mask = grid.band(grid.nodes[3], grid.nodes[9])
     assert mask.dtype == bool
     assert np.flatnonzero(mask).tolist() == list(range(4, 9))

@@ -19,7 +19,7 @@ def test_flux_stencil_uniform_grid():
     # conductance is the integral-averaged one, exact on the operator kernel;
     # on the uniform 4-cell grid at alpha=0.5 the first face pair gives
     # off = -(1+sqrt(2)) and mass-normalized coupling -4(1+sqrt(2))
-    grid = build_radial_grid(0.5, 4, 1.0)
+    grid = build_radial_grid(4, 1.0)
     op = assemble_radial_operator(0.5, grid)
     expected = -(1.0 + math.sqrt(2.0))
     assert op.off[0] == pytest.approx(expected, rel=1e-14)
@@ -30,7 +30,7 @@ def test_stiffness_exact_on_kernel():
     # A + B r^(1-alpha) solves (r^alpha u')' = 0; interior rows not touching
     # the boundary must vanish identically
     alpha = 0.37
-    grid = build_radial_grid(alpha, 50, 2.0 / (2.0 - alpha))
+    grid = build_radial_grid(50, 2.0 / (2.0 - alpha))
     op = assemble_radial_operator(alpha, grid)
     u = 2.0 + 3.0 * grid.nodes ** (1.0 - alpha)
     res = op.apply(u)
@@ -38,7 +38,7 @@ def test_stiffness_exact_on_kernel():
 
 
 def test_energy_form_matches_apply(rng):
-    grid = build_radial_grid(0.5, 30, 4.0 / 3.0)
+    grid = build_radial_grid(30, 4.0 / 3.0)
     op = assemble_radial_operator(0.5, grid)
     for _ in range(5):
         u = rng.standard_normal(grid.nodes.size)
@@ -69,7 +69,7 @@ def test_bessel_oracle_against_brentq_route(alpha):
 
 def test_discrete_spectrum_converges_to_bessel():
     alpha = 0.5
-    grid = build_radial_grid(alpha, 800, 2.0 / (2.0 - alpha))
+    grid = build_radial_grid(800, 2.0 / (2.0 - alpha))
     op = assemble_radial_operator(alpha, grid)
     spec = radial_spectrum(op, 5)
     oracle = bessel_oracle(alpha, 5)
@@ -104,7 +104,7 @@ def test_spectrum_argument_validation(desk_model):
 
 
 def test_hardy_bound_value():
-    grid = build_radial_grid(0.5, 64, 4.0 / 3.0)
+    grid = build_radial_grid(64, 4.0 / 3.0)
     u = grid.nodes * (1.0 - grid.nodes)
     rep = hardy_ratio(u, 0.5, grid)
     assert rep.bound == pytest.approx(16.0)
@@ -112,8 +112,25 @@ def test_hardy_bound_value():
     assert not rep.exceeds_bound
 
 
+def test_hardy_weights_both_sides_with_its_alpha():
+    # the grid holds no alpha, so nothing but the argument can weight
+    # either side; a plain midpoint loop with alpha 0.3 throughout
+    alpha, n_r, power = 0.3, 60, 4.0 / 3.0
+    grid = build_radial_grid(n_r, power)
+    rep = hardy_ratio(grid.nodes * (1.0 - grid.nodes), alpha, grid)
+    full = [(i / n_r) ** power for i in range(n_r + 1)]
+    half = [((i + 0.5) / n_r) ** power for i in range(n_r)]
+    u = [r * (1.0 - r) for r in full]      # zero at both ends
+    numer = sum((half[i] - half[i - 1]) * full[i] ** (alpha - 2.0) * u[i] ** 2
+                for i in range(1, n_r))
+    denom = sum(half[i] ** alpha * (u[i + 1] - u[i]) ** 2
+                / (full[i + 1] - full[i]) for i in range(n_r))
+    assert rep.ratio == pytest.approx(numer / denom, rel=1e-12)
+    assert rep.ratio == pytest.approx(0.8364120983024182, rel=1e-12)
+
+
 def test_hardy_rejects_zero_and_mismatch():
-    grid = build_radial_grid(0.5, 32, 4.0 / 3.0)
+    grid = build_radial_grid(32, 4.0 / 3.0)
     with pytest.raises(ConfigError):
         hardy_ratio(np.zeros(grid.nodes.size), 0.5, grid)
     with pytest.raises(ConfigError):
@@ -123,7 +140,7 @@ def test_hardy_rejects_zero_and_mismatch():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.15, 0.85))
 def test_hardy_inequality_random_polynomials(seed, alpha):
-    grid = build_radial_grid(alpha, 80, 2.0 / (2.0 - alpha))
+    grid = build_radial_grid(80, 2.0 / (2.0 - alpha))
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal(int(rng.integers(2, 7)))
     u = grid.nodes * (1.0 - grid.nodes) \
