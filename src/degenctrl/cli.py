@@ -316,12 +316,11 @@ def _cmd_carleman(out, config, options, seed):
     model.grid.observed_band(a, b)   # refused before any march
     s0 = s0_default(config.T_horizon)
     s_values = options["s_values"] or (s0, 2.0 * s0, 4.0 * s0)
-    k_need = max(k for _, _, k in _CARLEMAN_FAMILY)
-    spec = radial_spectrum(model.op, k_need)
+    if max(n for _, n, _ in _CARLEMAN_FAMILY) > config.n_theta_max:
+        raise ConfigError("family frequency exceeds n_theta_max")
+    spec = radial_spectrum(model.op, max(k for _, _, k in _CARLEMAN_FAMILY))
     rows, meta_rows = [], []
     for parity, n, k in _CARLEMAN_FAMILY:
-        if n > config.n_theta_max:
-            raise ConfigError("family frequency exceeds n_theta_max")
         mode = ModeIndex(parity, n)
         states = evolve_mode(model.op, mode, spec.vectors[:, k - 1],
                              None, model.tgrid)

@@ -14,8 +14,7 @@ Three estimators live here.
 * Per-mode observability constants: the worst ratio of terminal energy to
   the space-time observation of the free flow over a radial band (a,b),
   computed exactly on the radial eigenbasis because the time integrals of
-  products of decaying exponentials have closed forms. The result is the
-  top eigenvalue of one float64 pencil, shared with the next estimator.
+  products of decaying exponentials have closed forms.
 
 * Truncated-subspace constants with both angular parities up to a cap
   2^j. A full-torus patch decouples into per-mode blocks; a proper
@@ -25,6 +24,10 @@ Three estimators live here.
   There the constant is the largest eigenvalue of W W^T, W = L^-1
   diag(sqrt(a)), found without eigenvectors; the extremizer comes from
   inverse iteration on the shifted pencil.
+
+Both constants are the top eigenvalue of one pencil from _observation_form,
+in float64 or in mp: diag(e^{-2 mu T}) against the observed set's spatial
+Gram weighted by the closed-form time integrals.
 """
 
 from dataclasses import dataclass
@@ -58,10 +61,7 @@ def _angular_gram(modes, c, d, lib):
     sin_mom[0], cos_mom[0] = d - c, 0
     pi = lib.pi
     dim = len(modes)
-    if lib is math:
-        out = np.empty((dim, dim))
-    else:
-        out = mp.zeros(dim)
+    out = np.empty((dim, dim), dtype=float if lib is math else object)
     norms = []
     for m in modes:
         if m.parity == "cos" and m.n == 0:
@@ -129,7 +129,8 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
             vals = []
             for part in parts:
                 if part:
-                    vals.extend(mp.eigsy(_angular_gram(part, -w, w, mp),
+                    gram = _angular_gram(part, -w, w, mp)
+                    vals.extend(mp.eigsy(mp.matrix(gram.tolist()),
                                          eigvals_only=True))
             lam_min, lam_max = min(vals), max(vals)
             floor = mp.mpf(10) ** (12 - dps)
@@ -177,22 +178,56 @@ def _restricted_overlap(spectrum: RadialSpectrum, a: float, b: float,
     return upper + np.triu(upper, 1).T
 
 
-def _pencil_top(mu: np.ndarray, spatial: np.ndarray, T: float):
-    """Top eigenpair of (diag e^{-2 mu T}, E(mu) o spatial) in float64.
+def _observation_form(mu: np.ndarray, spatial: np.ndarray, T):
+    """Terminal diagonal e^{-2 mu T} and observation form E(mu) o spatial.
 
     E[i, j] = (1 - e^{-(mu_i + mu_j) T}) / (mu_i + mu_j) holds the time
-    integrals, spatial the Gram of the observed set. Returns the eigenvalue,
-    the unit eigenvector and the relative residual; raises LinAlgError when
-    the observation form is not numerically positive definite.
+    integrals of the free flow, spatial the Gram of the observed set. A
+    float64 mu gives float64 forms; an object array of mpf gives object
+    arrays in the working precision, each entry rounded as
+    spatial * (1 - e^{-sT}) / s.
     """
-    dim = mu.size
-    a = np.diag(np.exp(-2.0 * mu * T))
     s = mu[:, None] + mu[None, :]
-    b = -np.expm1(-s * T) / s * spatial
+    if mu.dtype == object:
+        exp = np.frompyfunc(lambda x: mp.e ** x, 1, 1)
+        return exp(-2 * mu * T), spatial * (1 - exp(-s * T)) / s
+    return np.exp(-2.0 * mu * T), -np.expm1(-s * T) / s * spatial
+
+
+def _coupled_form(modes, lam, overlap, c, d, T, lib):
+    """_observation_form of basis index im * k_max + ik (angular mode im,
+    radial eigenmode ik) in the number type of lib, math or mp."""
+    mu = np.concatenate([lam + m.n * m.n for m in modes])
+    return _observation_form(
+        mu, np.kron(_angular_gram(modes, c, d, lib), overlap), T)
+
+
+def _pencil_top(a_diag: np.ndarray, b: np.ndarray):
+    """Top eigenpair of the float64 pencil (diag(a_diag), b).
+
+    Returns the eigenvalue, the unit eigenvector and the relative residual;
+    raises LinAlgError when b is not numerically positive definite.
+    """
+    dim = a_diag.size
+    a = np.diag(a_diag)
     vals, vecs = eigh(a, b, subset_by_index=[dim - 1, dim - 1])
     x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     res = np.linalg.norm(a @ x - vals[0] * (b @ x)) / np.linalg.norm(b @ x)
     return float(vals[0]), x, float(res)
+
+
+def _mode_estimate(lam: np.ndarray, overlap: np.ndarray, n: int,
+                   T: float) -> ObservabilityEstimate:
+    """Per-mode constant at angular frequency n from radial values and overlap."""
+    try:
+        c_emp, x, res = _pencil_top(
+            *_observation_form(lam + float(n * n), overlap, T))
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(
+            f"observation Gram numerically singular at k_max={lam.size}; "
+            "reduce the radial truncation for this horizon") from exc
+    return ObservabilityEstimate(c_emp=c_emp, extremal=x, residual=res,
+                                 basis_dim=lam.size, precision="float64")
 
 
 def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
@@ -207,58 +242,25 @@ def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
     k_max = _radial_cut(model, spectrum, k_max)
     if n < 0:
         raise ConfigError("angular frequency must be >= 0")
-    mu = spectrum.values[:k_max] + float(n * n)
     overlap = _restricted_overlap(spectrum, a, b, k_max)
-    try:
-        c_emp, x, res = _pencil_top(mu, overlap, model.config.T_horizon)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError(
-            f"observation Gram numerically singular at k_max={k_max}; "
-            "reduce the radial truncation for this horizon") from exc
-    return ObservabilityEstimate(c_emp=c_emp, extremal=x, residual=res,
-                                 basis_dim=k_max, precision="float64")
+    return _mode_estimate(spectrum.values[:k_max], overlap, n,
+                          model.config.T_horizon)
 
 
-def _coupled_matrices_mp(modes, gram_ang, spectrum, a, b, T, k_max):
-    """Assemble the coupled terminal and observation forms in mp precision.
+def _pencil_top_mp(a_diag: np.ndarray, b: np.ndarray):
+    """Top eigenpair of the pencil (diag(a_diag), b) in the working precision.
 
-    Basis index i = im * k_max + ik pairs angular mode im with radial
-    eigenmode ik; the observation form is the Kronecker product of the
-    angular Gram and the radial overlap, weighted by closed-form time
-    integrals. The terminal form is diagonal and returned as its diagonal.
-    """
-    lam = [mp.mpf(float(v)) for v in spectrum.values[:k_max]]
-    overlap = _restricted_overlap(spectrum, a, b, k_max)
-    dim = len(modes) * k_max
-    mu = [lam[k] + m.n * m.n for m in modes for k in range(k_max)]
-    a_diag = [mp.e ** (-2 * v * T) for v in mu]
-    b_mat = mp.zeros(dim)
-    for i in range(dim):
-        im, ik = divmod(i, k_max)
-        for j in range(i, dim):
-            jm, jk = divmod(j, k_max)
-            g = gram_ang[im, jm]
-            if g == 0:
-                continue
-            s = mu[i] + mu[j]
-            val = g * mp.mpf(float(overlap[ik, jk])) * (1 - mp.e ** (-s * T)) / s
-            b_mat[i, j] = val
-            b_mat[j, i] = val
-    return a_diag, b_mat
-
-
-def _pencil_top_mp(a_diag, b_mat, low):
-    """Largest eigenpair of the pencil (diag(a_diag), b_mat), b_mat = low low^T.
-
-    L^-1 A L^-T = W W^T with W = L^-1 diag(sqrt(a)), built column by column
-    by forward substitution; an eigenvalues-only mp.eigsy of W W^T gives
-    the largest eigenvalue lam. The eigenvector comes from inverse
-    iteration on the pencil, (A - sigma B) x' = B x with sigma just above
-    lam, reusing one LU factorization. Returns lam and the unit-norm
-    eigenvector as an mp column.
+    b = L L^T by mp.cholesky, which raises ValueError when b is not
+    positive definite. L^-1 A L^-T = W W^T with W = L^-1 diag(sqrt(a)),
+    built column by column by forward substitution; an eigenvalues-only
+    mp.eigsy of W W^T gives the largest eigenvalue lam. The eigenvector
+    comes from inverse iteration on the pencil, (A - sigma B) x' = B x with
+    sigma just above lam, reusing one LU factorization. Returns lam, the
+    unit eigenvector in float64 and the relative residual.
     """
     dim = len(a_diag)
-    rows = low.tolist()
+    b_mat = mp.matrix(b.tolist())
+    rows = mp.cholesky(b_mat).tolist()
     cols = []                      # cols[k] holds W[k:, k]
     for k in range(dim):
         col = [mp.sqrt(a_diag[k]) / rows[k][k]]
@@ -285,7 +287,11 @@ def _pencil_top_mp(a_diag, b_mat, low):
         x = y
         if step <= mp.mpf(10) ** (3 - mp.mp.dps):
             break
-    return lam, x
+    bx = b_mat * x
+    num = mp.norm(mp.matrix([a_diag[i] * x[i] - lam * bx[i]
+                             for i in range(dim)]))
+    return (float(lam), np.array([float(v) for v in x]),
+            float(num / mp.norm(bx)))
 
 
 def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
@@ -313,14 +319,13 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     T = model.config.T_horizon
     modes = mode_set(cap)
     dim = len(modes) * k_max
+    lam = spectrum.values[:k_max]
+    overlap = _restricted_overlap(spectrum, a, b, k_max)
 
     if d - c >= TWO_PI - 1e-12:
-        best = None
-        for n in range(cap + 1):
-            est = mode_observability_constant(model, spectrum, n, a, b, k_max)
-            if best is None or est.c_emp > best[1].c_emp:
-                best = (n, est)
-        n_star, est = best
+        n_star, est = max(((n, _mode_estimate(lam, overlap, n, T))
+                           for n in range(cap + 1)),
+                          key=lambda pair: pair[1].c_emp)
         extremal = np.zeros(dim)
         # cos modes occupy the first cap+1 blocks in frequency order
         extremal[n_star * k_max:(n_star + 1) * k_max] = est.extremal
@@ -328,11 +333,9 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
             c_emp=est.c_emp, extremal=extremal, residual=est.residual,
             basis_dim=dim, precision="exact-decoupled")
 
-    overlap = _restricted_overlap(spectrum, a, b, k_max)
-    mu = np.concatenate([spectrum.values[:k_max] + m.n * m.n for m in modes])
     try:
         c_emp, x, res = _pencil_top(
-            mu, np.kron(_angular_gram(modes, c, d, math), overlap), T)
+            *_coupled_form(modes, lam, overlap, c, d, T, math))
         if res <= 1e-6:
             return ObservabilityEstimate(c_emp=c_emp, extremal=x, residual=res,
                                          basis_dim=dim, precision="float64")
@@ -340,26 +343,19 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     except np.linalg.LinAlgError:
         pass
 
-    ang = torus_smallest_gram_eigenvalue(cap, (c, d))
-    dps = ang.dps_used + 30
+    dps = torus_smallest_gram_eigenvalue(cap, (c, d)).dps_used + 30
+    to_mp = np.frompyfunc(mp.mpf, 1, 1)
     for _ in range(3):
         with mp.workdps(dps):
-            gm = _angular_gram(modes, mp.mpf(c), mp.mpf(d), mp)
-            a_diag, b_mp = _coupled_matrices_mp(modes, gm, spectrum, a, b,
-                                                mp.mpf(T), k_max)
+            pencil = _coupled_form(modes, to_mp(lam), to_mp(overlap),
+                                   mp.mpf(c), mp.mpf(d), mp.mpf(T), mp)
             try:
-                low = mp.cholesky(b_mp)
+                c_emp, x, res = _pencil_top_mp(*pencil)
             except ValueError:
                 dps = int(dps * 1.5)
                 continue
-            lam, x_mp = _pencil_top_mp(a_diag, b_mp, low)
-            bx = b_mp * x_mp
-            num = mp.norm(mp.matrix([a_diag[i] * x_mp[i] - lam * bx[i]
-                                     for i in range(dim)]))
-            x = np.array([float(v) for v in x_mp])
-            return ObservabilityEstimate(
-                c_emp=float(lam), extremal=x, residual=float(num / mp.norm(bx)),
-                basis_dim=dim, precision=f"mp(dps={dps})")
+        return ObservabilityEstimate(c_emp=c_emp, extremal=x, residual=res,
+                                     basis_dim=dim, precision=f"mp(dps={dps})")
     raise NonConvergenceError(
         "coupled observation Gram not positive definite at the attempted "
         "precisions; reduce j or k_max")

@@ -37,6 +37,11 @@ factor and a full ``mp.eigsy`` with eigenvectors (no inverse iteration).
 Both keep the production precision ladders, so the tests can require the
 same working precision as well as the same numbers.
 
+``_coupled_matrices_mp`` is the coupled mp pencil as production assembled
+it before one ``_observation_form`` served both precisions: a per-entry
+double loop over the upper triangle, each entry ``g * o * (1 - e^{-sT}) / s``
+with its own ``mu`` and overlap. The tests require the same bits.
+
 ``bessel_oracle_brentq`` is the closed-form radial spectrum with the
 Bessel zeros found in double precision: a McMahon guess, a bracket widened
 until ``scipy.special.jv`` changes sign, then ``scipy.optimize.brentq``.
@@ -65,7 +70,7 @@ from degenctrl.evolution import _Stepper, evolve_mode
 from degenctrl.measurable import SpectralPropagator, _pieces_within
 from degenctrl.model import (ModeCoeffs, ModeIndex, TimeGrid, _frozen,
                              mode_set, synthesize_field)
-from degenctrl.observability import (_angular_gram, _coupled_matrices_mp,
+from degenctrl.observability import (_angular_gram, _restricted_overlap,
                                      torus_smallest_gram_eigenvalue)
 from degenctrl.spectral import bessel_order
 
@@ -316,12 +321,40 @@ def gram_lambda_min_full(K, interval):
     for _ in range(6):
         with mp.workdps(dps):
             gm = _angular_gram(modes, mp.mpf(c), mp.mpf(d), mp)
-            vals = mp.eigsy(gm, eigvals_only=True)
+            vals = mp.eigsy(mp.matrix(gm.tolist()), eigvals_only=True)
             lam_min, lam_max = vals[0], vals[len(modes) - 1]
             if lam_min > mp.mpf(10) ** (12 - dps) * lam_max:
                 return float(lam_min), dps
         dps *= 2
     raise NonConvergenceError("smallest Gram eigenvalue not resolved")
+
+
+def _coupled_matrices_mp(modes, gram_ang, spectrum, a, b, T, k_max):
+    """Assemble the coupled terminal and observation forms in mp precision.
+
+    Basis index i = im * k_max + ik pairs angular mode im with radial
+    eigenmode ik; the observation form is the Kronecker product of the
+    angular Gram and the radial overlap, weighted by closed-form time
+    integrals. The terminal form is diagonal and returned as its diagonal.
+    """
+    lam = [mp.mpf(float(v)) for v in spectrum.values[:k_max]]
+    overlap = _restricted_overlap(spectrum, a, b, k_max)
+    dim = len(modes) * k_max
+    mu = [lam[k] + m.n * m.n for m in modes for k in range(k_max)]
+    a_diag = [mp.e ** (-2 * v * T) for v in mu]
+    b_mat = mp.zeros(dim)
+    for i in range(dim):
+        im, ik = divmod(i, k_max)
+        for j in range(i, dim):
+            jm, jk = divmod(j, k_max)
+            g = gram_ang[im, jm]
+            if g == 0:
+                continue
+            s = mu[i] + mu[j]
+            val = g * mp.mpf(float(overlap[ik, jk])) * (1 - mp.e ** (-s * T)) / s
+            b_mat[i, j] = val
+            b_mat[j, i] = val
+    return a_diag, b_mat
 
 
 def coupled_observability_inverse_mp(model, spectrum, interval, a, b, j,

@@ -415,6 +415,26 @@ def test_carleman_band_without_radial_nodes_is_config_error(tmp_path,
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def test_carleman_frequency_past_the_cap_is_config_error(tmp_path,
+                                                        monkeypatch):
+    # the family reaches frequency 2; with n_theta_max 1 it is refused
+    # before the spectrum is solved and before any march
+    calls = []
+    for name in ("evolve_mode", "radial_spectrum"):
+        def counted(*args, _name=name, _call=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, out = _run(tmp_path, "carleman", dict(BASE, n_theta_max=1))
+    assert code == 2
+    assert calls == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "family frequency exceeds n_theta_max" in manifest["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("s", [1e300, 1e120, 1e102])
 def test_carleman_s_past_float_range_is_config_error(tmp_path, s):
     # s^3 overflows at the first two; the weighted integrals at the third

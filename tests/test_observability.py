@@ -18,9 +18,10 @@ from degenctrl import (ConfigError, ModelConfig, NonConvergenceError,
                        radial_spectrum, torus_smallest_gram_eigenvalue,
                        truncated_observability)
 from degenctrl import observability
-from degenctrl.observability import _angular_gram, _restricted_overlap
+from degenctrl.observability import (_angular_gram, _coupled_form,
+                                     _restricted_overlap)
 
-from ._oracles import (angular_gram_nine_case,
+from ._oracles import (_coupled_matrices_mp, angular_gram_nine_case,
                        coupled_observability_inverse_mp,
                        gram_lambda_min_full, jacobi_eigh_mp)
 
@@ -260,6 +261,58 @@ def test_mp_route_matches_inverse_oracle(desk_model, desk_spec, monkeypatch,
     assert np.max(np.abs(sign * est.extremal - extremal)) <= 1e-20
     assert np.linalg.norm(est.extremal) == pytest.approx(1.0, abs=1e-12)
     assert est.residual < 1e-30 and residual < 1e-30
+
+
+@pytest.mark.parametrize("interval, j, k_max", [
+    ((2.0, 2.4), 2, 3), ((0.0, 1.0), 2, 4), ((1.0, 1.6), 1, 6),
+    ((3.0, 3.2), 2, 8), ((5.0, 6.2), 1, 5)])
+def test_mp_assembly_matches_entrywise_oracle_bitwise(desk_model, interval,
+                                                      j, k_max):
+    # the array assembly rounds each entry as the per-entry loop does,
+    # g * o first, then the time integral, so every mpf keeps its bits
+    spec = radial_spectrum(desk_model.op, k_max)
+    modes = mode_set(2 ** j)
+    overlap = _restricted_overlap(spec, 0.3, 0.6, k_max)
+    to_mp = np.frompyfunc(mp.mpf, 1, 1)
+    for dps in (30, 66, 102):
+        with mp.workdps(dps):
+            c, d = (mp.mpf(v) for v in interval)
+            T = mp.mpf(desk_model.config.T_horizon)
+            a_diag, form = _coupled_form(modes, to_mp(spec.values[:k_max]),
+                                         to_mp(overlap), c, d, T, mp)
+            a_old, b_old = _coupled_matrices_mp(
+                modes, _angular_gram(modes, c, d, mp), spec, 0.3, 0.6, T,
+                k_max)
+        assert [v._mpf_ for v in a_diag] == [v._mpf_ for v in a_old], dps
+        assert ([v._mpf_ for row in form.tolist() for v in row]
+                == [v._mpf_ for row in b_old.tolist() for v in row]), dps
+
+
+def test_float64_route_keeps_its_bits(desk_model, desk_spec):
+    # (c_emp, residual) as float.hex, frozen from the float64 assembly as
+    # it stood before one routine assembled both precisions
+    for n, frozen in enumerate([
+            ("0x1.941f64882b44ap-9", "0x1.e98d6a3f87fd6p-60"),
+            ("0x1.29c795e7ac81fp-11", "0x1.0e1d4f553ebb4p-63"),
+            ("0x1.8abe0ef39936fp-19", "0x1.858dbff3dfa1ep-70"),
+            ("0x1.68636faf33f7dp-32", "0x1.4c033fd123457p-81"),
+            ("0x1.8c715b2d5267fp-51", "0x1.c365dd97b8cdfp-100")]):
+        est = mode_observability_constant(desk_model, desk_spec, n, 0.3, 0.6,
+                                          k_max=6)
+        assert (est.c_emp.hex(), est.residual.hex()) == frozen, n
+    for interval, j, k_max, frozen in [
+            ((0.0, math.pi), 1, 2,
+             ("0x1.294b8027212a9p-3", "0x1.603df5e3434b1p-50")),
+            ((0.0, 1.0), 1, 3,
+             ("0x1.e7dad1d7e6d5dp+3", "0x1.a5ba8ca73b7f8p-36")),
+            ((0.4, 2.1), 2, 3,
+             ("0x1.ce6c417ef4f65p+4", "0x1.0138c1c0dc051p-30")),
+            ((0.0, 1.0), 1, 6,
+             ("0x1.1a1e44912a86bp+4", "0x1.6a21932ac11c6p-35"))]:
+        est = truncated_observability(desk_model, desk_spec, interval,
+                                      0.3, 0.6, j, k_max=k_max)
+        assert est.precision == "float64"
+        assert (est.c_emp.hex(), est.residual.hex()) == frozen, interval
 
 
 @pytest.mark.parametrize("estimate", [
