@@ -20,8 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import (Model, ModeCoeffs, TWO_PI, _frozen, check_index_range,
-                    synthesize_field)
+from .model import Model, ModeCoeffs, TWO_PI, _frozen, check_index_range
 
 
 def _merge_intervals(pieces):
@@ -58,16 +57,19 @@ class BoxUnionSet:
     """Finite union of boxes inside the torus x radial band x time slab.
 
     Boxes are ((theta0, theta1), (r0, r1), (t0, t1)) triples inside
-    bounds (0, 2pi) x (band_a, band_b) x (0, horizon). The total measure
-    is exact: it sums the slice measures, each exact by coordinate
-    compression, over the time cells, so overlapping boxes are never
-    double counted.
+    bounds (0, 2pi) x (band_a, band_b) x (0, horizon). cells is the time
+    partition: one (t0, t1, slice measure) triple between each pair of
+    consecutive time edges (0, the horizon and every box time edge), on
+    which the slice is constant. The total measure is exact: it sums the
+    slice measures, each exact by coordinate compression, over the cells,
+    so overlapping boxes are never double counted.
     """
 
     boxes: tuple
     band_a: float
     band_b: float
     horizon: float
+    cells: tuple = field(init=False)
     measure: float = field(init=False)
 
     def __post_init__(self):
@@ -93,34 +95,29 @@ class BoxUnionSet:
             clean.append(((float(h0), float(h1)), (float(r0), float(r1)),
                           (float(t0), float(t1))))
         object.__setattr__(self, "boxes", tuple(clean))
-        object.__setattr__(self, "measure", self._exact_measure())
+        edges = sorted({0.0, self.horizon}.union(
+            *(times for _, _, times in clean)))
+        cells = tuple((lo, hi, self.slice_measure(0.5 * (lo + hi)))
+                      for lo, hi in zip(edges[:-1], edges[1:]))
+        # a plain loop, since sum() rounds differently across Pythons
+        total = 0.0
+        for lo, hi, area in cells:
+            total += area * (hi - lo)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "measure", total)
         if self.measure <= 0:
             raise ConfigError("box union has zero measure")
 
-    def _exact_measure(self) -> float:
-        # the slice is constant on each cell between consecutive time edges;
-        # a plain loop, since sum() rounds differently across Pythons
-        edges = self.time_edges()
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            total += self.slice_measure(0.5 * (lo + hi)) * (hi - lo)
-        return total
-
     def contains(self, theta: float, r: float, t: float) -> bool:
+        """Membership by the grid_masks rule: open in r, half-open else."""
         for (h0, h1), (r0, r1), (t0, t1) in self.boxes:
-            if h0 <= theta < h1 and r0 <= r < r1 and t0 <= t < t1:
+            if h0 <= theta < h1 and r0 < r < r1 and t0 <= t < t1:
                 return True
         return False
 
     def patch_measure(self) -> float:
         """Measure of the bounding patch: torus times the radial band."""
         return TWO_PI * (self.band_b - self.band_a)
-
-    def time_edges(self) -> tuple:
-        edges = {0.0, self.horizon}
-        for _, _, (t0, t1) in self.boxes:
-            edges.update((t0, t1))
-        return tuple(sorted(edges))
 
     def slice_measure(self, t: float) -> float:
         """2D measure of the time slice D_t, exact by compression."""
@@ -166,14 +163,6 @@ class BoxUnionSet:
         """Indicator of D_t on the (theta node, radial node) grid."""
         return self.grid_masks(model, [t])[0]
 
-    def counting_measure(self, model: Model) -> float:
-        """Cell-counting measure on the model grid, for cross-checks."""
-        cell = model.theta_weight * model.grid.mass[None, :] * model.tgrid.dt
-        total = 0.0
-        for mask in self.grid_masks(model, model.tgrid.half_nodes):
-            total += float(np.sum(mask * cell))
-        return total
-
 
 @dataclass(frozen=True)
 class TimeSliceSet:
@@ -190,8 +179,11 @@ class TimeSliceSet:
     def __post_init__(self):
         intervals = _merge_intervals(self.intervals)
         object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "measure",
-                           float(sum(v - u for u, v in intervals)))
+        # a plain loop, since sum() rounds differently across Pythons
+        total = 0.0
+        for u, v in intervals:
+            total += v - u
+        object.__setattr__(self, "measure", total)
         for u, v in intervals:
             if not (-1e-12 <= u < v <= self.horizon + 1e-12):
                 raise InvariantError("slice-set interval escapes (0, T)")
@@ -203,20 +195,15 @@ class TimeSliceSet:
         return any(u <= t < v for u, v in self.intervals)
 
 
-def build_time_slices(region: BoxUnionSet, model: Model = None) -> TimeSliceSet:
+def build_time_slices(region: BoxUnionSet) -> TimeSliceSet:
     """The set E of times whose slice measure clears |D| / (2T).
 
-    Box time edges partition the horizon into cells on which the slice is
-    constant, so E is an exact finite union of those cells. When a model
-    is supplied, the exact measure is cross-checked against cell counting
-    on its grid within a one-cell-layer error bound per box face.
+    The slice is constant on each of the region's cells, so E is the exact
+    finite union of the cells whose slice measure reaches the threshold.
     """
     threshold = region.measure / (2.0 * region.horizon)
-    edges = region.time_edges()
-    kept = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if region.slice_measure(0.5 * (lo + hi)) >= threshold - 1e-15:
-            kept.append((lo, hi))
+    kept = [(lo, hi) for lo, hi, area in region.cells
+            if area >= threshold - 1e-15]
     slices = TimeSliceSet(threshold=threshold, intervals=kept,
                           horizon=region.horizon)
     floor = region.measure / (2.0 * region.patch_measure())
@@ -224,21 +211,6 @@ def build_time_slices(region: BoxUnionSet, model: Model = None) -> TimeSliceSet:
         raise InvariantError(
             f"slice set measure {slices.measure:.6e} under the floor "
             f"{floor:.6e}")
-    if model is not None:
-        counted = region.counting_measure(model)
-        d_th = TWO_PI / model.config.theta_quad_points
-        d_r = float(np.max(np.diff(np.concatenate(
-            ([0.0], model.grid.half_nodes, [1.0])))))
-        d_t = model.tgrid.dt
-        allow = 0.0
-        for (h0, h1), (r0, r1), (t0, t1) in region.boxes:
-            vol = (h1 - h0) * (r1 - r0) * (t1 - t0)
-            allow += 2.0 * vol * (d_th / (h1 - h0) + d_r / (r1 - r0)
-                                  + d_t / (t1 - t0))
-        if abs(counted - region.measure) > allow + 1e-12:
-            raise InvariantError(
-                f"exact measure {region.measure:.6e} vs counted "
-                f"{counted:.6e} beyond the boundary-layer allowance")
     return slices
 
 
@@ -487,16 +459,13 @@ def extended_field(phi0: ModeCoeffs, t: float, tau_grid,
         raise ConfigError(
             "tau range too large: sqrt(mu_max) * tau_max must stay <= 700")
 
-    mode_of = keep // n_rad
-    k_of = keep % n_rad
-    n_tau = tau_grid.size
-    samples = np.empty((n_tau, model.config.theta_quad_points, model.n_radial))
-    for j, tau in enumerate(tau_grid):
-        vals = amps * np.exp(-mu * t + np.sqrt(mu) * tau)
-        data = np.zeros((n_modes, n_rad))
-        np.add.at(data, (mode_of, k_of), vals)
-        nodal = data @ model.spectrum.vectors.T
-        samples[j] = synthesize_field(ModeCoeffs(model, nodal)).values
+    # the samples come as field_at builds fields, for all tau in one product
+    coeffs = np.zeros((tau_grid.size, total))
+    coeffs[:, keep] = amps * np.exp(-mu * t + np.sqrt(mu) * tau_grid[:, None])
+    samples = model.basis_matrix @ (coeffs.reshape(-1, n_modes, n_rad)
+                                    @ model.spectrum.vectors.T)
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError("field contains non-finite entries")
 
     full = prop.coeff_at(t)
     capped = np.zeros(total)
@@ -644,8 +613,8 @@ def _observed_l1(prop: SpectralPropagator, weights) -> float:
 
 
 def _pieces_within(region: BoxUnionSet, intervals):
-    """Split intervals at the region's time edges so slices are constant."""
-    edges = region.time_edges()
+    """Split intervals at the region's cell edges so slices are constant."""
+    edges = [lo for lo, _, _ in region.cells] + [region.cells[-1][1]]
     pieces = []
     for u, v in intervals:
         cuts = [u] + [e for e in edges if u < e < v] + [v]
@@ -755,7 +724,7 @@ def measurable_observability_ratio(family, region: BoxUnionSet,
     if any(phi0.model is not model for phi0 in family):
         raise ConfigError("family data belong to different models")
     _check_n_quad(n_quad)
-    slices = build_time_slices(region, model)
+    slices = build_time_slices(region)
     ell = density_point_of(slices)
     q = choose_q(c_calib, h_calib)
     try:

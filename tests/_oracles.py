@@ -55,6 +55,18 @@ subnormal coefficient. Production ``_observed_l1`` builds the slice
 weights once per family, evaluates a piece's nodes in one product and
 zeroes sub-normal coefficients; the tests require the same bits.
 ``measurable_datum_per_node`` wraps it into one datum's record.
+
+``box_union_edge_walk`` is the time structure of a ``BoxUnionSet`` as it
+stood before the set computed its cells once: the sorted time edges are
+walked afresh for the measure and again for the kept time cells, with
+``slice_measure`` at every cell midpoint each time. The tests require the
+same bits from ``measure`` and ``build_time_slices``.
+
+``counting_measure`` and ``boundary_layer_allowance`` are the grid-count
+cross-check that ``build_time_slices`` ran when it was handed a model:
+the region's measure counted cell by cell on the model grid at the time
+half-nodes, and the error bound of one cell layer per box face. The tests
+require the count to stay within the bound.
 """
 
 import math
@@ -68,8 +80,8 @@ from degenctrl.control import _EPS_FLOOR, LRResult, _mode_block_gramian
 from degenctrl.errors import ConfigError, InvariantError, NonConvergenceError
 from degenctrl.evolution import _Stepper, evolve_mode
 from degenctrl.measurable import SpectralPropagator, _pieces_within
-from degenctrl.model import (ModeCoeffs, ModeIndex, TimeGrid, _frozen,
-                             mode_set, synthesize_field)
+from degenctrl.model import (TWO_PI, ModeCoeffs, ModeIndex, TimeGrid,
+                             _frozen, mode_set, synthesize_field)
 from degenctrl.observability import (_angular_gram, _restricted_overlap,
                                      torus_smallest_gram_eigenvalue)
 from degenctrl.spectral import bessel_order
@@ -447,3 +459,43 @@ def measurable_datum_per_node(phi0, region, n_quad):
         prop.model, prop, region, _pieces_within(region, [(0.0, horizon)]),
         n_quad)
     return terminal / observed, terminal, observed
+
+
+def box_union_edge_walk(region):
+    """(measure, threshold, kept time cells) of a BoxUnionSet by edge walks."""
+    edges = {0.0, region.horizon}
+    for _, _, (t0, t1) in region.boxes:
+        edges.update((t0, t1))
+    edges = tuple(sorted(edges))
+    measure = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        measure += region.slice_measure(0.5 * (lo + hi)) * (hi - lo)
+    threshold = measure / (2.0 * region.horizon)
+    kept = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if region.slice_measure(0.5 * (lo + hi)) >= threshold - 1e-15:
+            kept.append((lo, hi))
+    return measure, threshold, kept
+
+
+def counting_measure(region, model):
+    """Cell-counting measure of a BoxUnionSet on the model grid."""
+    cell = model.theta_weight * model.grid.mass[None, :] * model.tgrid.dt
+    total = 0.0
+    for mask in region.grid_masks(model, model.tgrid.half_nodes):
+        total += float(np.sum(mask * cell))
+    return total
+
+
+def boundary_layer_allowance(region, model):
+    """Counting error bound: one cell layer per box face on the model grid."""
+    d_th = TWO_PI / model.config.theta_quad_points
+    d_r = float(np.max(np.diff(np.concatenate(
+        ([0.0], model.grid.half_nodes, [1.0])))))
+    d_t = model.tgrid.dt
+    allow = 0.0
+    for (h0, h1), (r0, r1), (t0, t1) in region.boxes:
+        vol = (h1 - h0) * (r1 - r0) * (t1 - t0)
+        allow += 2.0 * vol * (d_th / (h1 - h0) + d_r / (r1 - r0)
+                              + d_t / (t1 - t0))
+    return allow

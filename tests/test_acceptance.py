@@ -371,7 +371,7 @@ def test_c12_measurable_set_pipeline(request, meas_model, meas_region):
     problems = []
     rep = request.getfixturevalue("meas_report")
     # geometric identity and per-gap occupation for every produced sequence
-    slices = build_time_slices(meas_region, meas_model)
+    slices = build_time_slices(meas_region)
     seqs = [(np.asarray(rep.sequence), rep.q)]
     for q in (0.3, 0.6, 0.9):
         seqs.append((np.asarray(

@@ -17,7 +17,9 @@ from degenctrl import (BoxUnionSet, ConfigError, ModeCoeffs, ModelConfig,
                        slab_interpolation_report, solve_forward)
 from degenctrl.measurable import _FIELD_CHUNK, _pieces_within
 from ._golden import check_golden
-from ._oracles import (measurable_datum_per_node, observed_l1_per_node)
+from ._oracles import (boundary_layer_allowance, box_union_edge_walk,
+                       counting_measure, measurable_datum_per_node,
+                       observed_l1_per_node)
 
 TWO_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
              ((3.0, 5.5), (0.45, 0.58), (0.5, 0.95)))
@@ -26,6 +28,24 @@ TWO_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
 def _region(boxes=TWO_BOXES, band=(0.3, 0.6), horizon=1.0):
     return BoxUnionSet(boxes=boxes, band_a=band[0], band_b=band[1],
                        horizon=horizon)
+
+
+def _seeded_unions():
+    """The 100 seeded unions of one to three boxes of acceptance c12."""
+    rng = np.random.default_rng(2026)
+    out = []
+    for _ in range(100):
+        boxes = []
+        for _ in range(int(rng.integers(1, 4))):
+            t0 = float(rng.uniform(0.0, 0.8))
+            t1 = float(rng.uniform(t0 + 0.05, 1.0))
+            h0 = float(rng.uniform(0.0, 5.0))
+            h1 = float(rng.uniform(h0 + 0.1, 2.0 * math.pi))
+            r0 = float(rng.uniform(0.3, 0.55))
+            r1 = float(rng.uniform(r0 + 0.01, 0.6))
+            boxes.append(((h0, h1), (r0, r1), (t0, t1)))
+        out.append(_region(tuple(boxes)))
+    return out
 
 
 def test_exact_measure_with_overlap():
@@ -85,11 +105,51 @@ def test_contains_and_slice_mask_agree(meas_model):
             theta = meas_model.theta_nodes[qi]
             r = meas_model.grid.nodes[ri]
             assert bool(mask[qi, ri]) == region.contains(theta, r, t)
+    # a node on a lower radial box edge lies outside the box in both
+    edge = build_model(ModelConfig(alpha=0.5, T_horizon=1.0, n_theta_max=2,
+                                   n_r=40, n_time=32, grid_power=1.0))
+    ri = int(np.flatnonzero(edge.grid.nodes == 0.45)[0])
+    qi = int(np.flatnonzero(edge.theta_nodes >= 3.0)[0])
+    mask = region.slice_mask(edge, 0.7)
+    assert bool(mask[qi, ri]) == region.contains(edge.theta_nodes[qi], 0.45,
+                                                 0.7)
+
+
+def test_cells_match_the_edge_walk(meas_region):
+    for region in [meas_region] + _seeded_unions():
+        measure, threshold, kept = box_union_edge_walk(region)
+        assert region.measure == measure
+        assert build_time_slices(region) == TimeSliceSet(
+            threshold=threshold, intervals=kept, horizon=region.horizon)
+
+
+def test_counted_measure_within_the_boundary_layer(meas_model, meas_region):
+    # meas_region holds the default two boxes of the measurable command
+    family_model = build_model(ModelConfig(alpha=0.5, T_horizon=1.0,
+                                           n_theta_max=4, n_r=96, n_time=48))
+    cases = ([(meas_region, meas_model), (meas_region, family_model)]
+             + [(region, meas_model) for region in _seeded_unions()])
+    for region, model in cases:
+        counted = counting_measure(region, model)
+        allow = boundary_layer_allowance(region, model)
+        assert abs(counted - region.measure) <= allow + 1e-12
+
+
+def test_time_slice_measure_adds_left_to_right():
+    # sum() compensates float rounding from Python 3.12 on; this case
+    # shows it: the left-to-right sum is 0.6000000000000001, fsum 0.6
+    intervals = ((0.0, 0.1), (0.2, 0.4), (0.45, 0.75))
+    total = 0.0
+    for u, v in intervals:
+        total += v - u
+    assert total != math.fsum(v - u for u, v in intervals)
+    slices = TimeSliceSet(threshold=0.0, intervals=intervals, horizon=1.0)
+    assert slices.measure.hex() == total.hex()
 
 
 def test_time_slices_floor_and_threshold(meas_model):
     region = _region()
-    slices = build_time_slices(region, meas_model)
+    slices = build_time_slices(region)
     assert slices.threshold == pytest.approx(
         region.measure / (2.0 * region.horizon))
     # every kept instant carries at least the threshold slice measure
@@ -105,7 +165,7 @@ def test_time_slices_floor_and_threshold(meas_model):
 def test_slice_indicator_dominated_by_region(meas_model):
     # chi_E(t) chi_{D_t}(theta, r) <= chi_D(theta, r, t) on grid samples
     region = _region()
-    slices = build_time_slices(region, meas_model)
+    slices = build_time_slices(region)
     rng = np.random.default_rng(5)
     for _ in range(200):
         t = float(rng.uniform(0.0, region.horizon))
@@ -266,7 +326,7 @@ def test_observed_l1_past_one_chunk_matches_the_oracle(
         meas_model, meas_family, meas_region):
     n_quad = 2 * _FIELD_CHUNK + 5
     _assert_records_match_oracle(meas_family[:3], meas_region, n_quad)
-    slices = build_time_slices(meas_region, meas_model)
+    slices = build_time_slices(meas_region)
     rep = slab_interpolation_report(meas_family[0], 0.0, meas_region.horizon,
                                     slices, meas_region, n_quad=n_quad)
     prop = SpectralPropagator(meas_family[0])
@@ -352,7 +412,7 @@ def test_derivative_bound_capped_flag(meas_model):
 def test_slab_interpolation_thin_box(meas_model):
     region = _region((((0.0, 0.2), (0.3, 0.35), (0.2, 0.3)),),
                      band=(0.3, 0.6))
-    slices = build_time_slices(region, None)
+    slices = build_time_slices(region)
     phi0 = _eigen_datum(meas_model, 0, 0)
     rep = slab_interpolation_report(phi0, 0.15, 0.35, slices, region)
     assert not rep.degenerate
@@ -366,7 +426,7 @@ def test_nonpositive_quadrature_count_is_config_error(
     with pytest.raises(ConfigError, match="n_quad"):
         measurable_observability_ratio(meas_family, meas_region,
                                        n_quad=n_quad)
-    slices = build_time_slices(meas_region, meas_model)
+    slices = build_time_slices(meas_region)
     with pytest.raises(ConfigError, match="n_quad"):
         slab_interpolation_report(meas_family[0], 0.0, meas_region.horizon,
                                   slices, meas_region, n_quad=n_quad)
@@ -417,6 +477,6 @@ def test_random_box_unions_floor(seed):
         r1 = float(rng.uniform(r0 + 0.01, 0.6))
         boxes.append(((th0, th1), (r0, r1), (t0, t1)))
     region = _region(tuple(boxes))
-    slices = build_time_slices(region, None)
+    slices = build_time_slices(region)
     assert slices.measure >= region.measure \
         / (2.0 * region.patch_measure()) - 1e-15
