@@ -21,9 +21,13 @@ Three estimators live here.
   angular interval couples the blocks through the angular Gram and the
   assembled problem inherits its catastrophic conditioning, so that path
   escalates to arbitrary precision when double-precision Cholesky fails.
-  There the constant is the largest eigenvalue of W W^T, W = L^-1
-  diag(sqrt(a)), found without eigenvectors; the extremizer comes from
-  inverse iteration on the shifted pencil.
+  There the pencil is solved per parity block on the re-centred interval
+  (-w, w), where the angular Gram splits as it does for the first
+  estimator. Each block's constant is the largest eigenvalue of W W^T,
+  W = L^-1 diag(sqrt(a)), found without eigenvectors; the larger of the
+  two is the constant. The extremizer comes from inverse iteration on
+  the winning block's shifted pencil and is rotated back to the (c, d)
+  basis in the working precision.
 
 Both constants are the top eigenvalue of one pencil from _observation_form,
 in float64 or in mp: diag(e^{-2 mu T}) against the observed set's spatial
@@ -100,6 +104,44 @@ def _angular_interval(interval):
     return c, d
 
 
+def _recentred(modes, c, d):
+    """Re-centre (c, d) on (-w, w), theta = mid + t, in the working precision.
+
+    Returns w, mid and the modes split into their cos and sin parts. On
+    (-w, w) cos against sin integrates an odd function, so the restricted
+    Gram is block diagonal by parity; each (cos n, sin n) pair on (c, d) is
+    the pair on (-w, w) turned by the angle n mid, an orthogonal change of
+    basis that keeps the spectrum of the Gram and of any pencil whose other
+    factors depend on n only.
+    """
+    w = (mp.mpf(d) - mp.mpf(c)) / 2
+    mid = (mp.mpf(c) + mp.mpf(d)) / 2
+    parts = ([m for m in modes if m.parity == "cos"],
+             [m for m in modes if m.parity == "sin"])
+    return w, mid, parts
+
+
+def _rotate_back(modes, part, y, mid, k_max):
+    """Block vector y of one parity part on (-w, w) as coefficients of modes
+    on (c, d), basis index im * k_max + ik, in the working precision.
+
+    With theta = mid + t, cos n t = cos(n mid) cos n theta + sin(n mid)
+    sin n theta and sin n t = cos(n mid) sin n theta - sin(n mid) cos n theta.
+    """
+    where = {(m.parity, m.n): i for i, m in enumerate(modes)}
+    x = [mp.mpf(0)] * (len(modes) * k_max)
+    for p, m in enumerate(part):
+        cos_n, sin_n = mp.cos(m.n * mid), mp.sin(m.n * mid)
+        turns = ((("cos", cos_n), ("sin", sin_n)) if m.parity == "cos"
+                 else (("sin", cos_n), ("cos", -sin_n)))
+        for parity, factor in turns:
+            if (parity, m.n) in where:      # there is no sin 0
+                at = where[parity, m.n] * k_max
+                for ik in range(k_max):
+                    x[at + ik] = factor * y[p * k_max + ik]
+    return x
+
+
 def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     """Smallest restricted-Gram eigenvalue, resolved in adaptive precision.
 
@@ -109,23 +151,20 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     Householder/QL solver. Working precision starts a safe margin beyond
     the empirical decay rate of the smallest eigenvalue and doubles until
     the eigenvalue is resolved above the rounding floor, which also bounds
-    the solver's absolute error at the matrix norm scale. Six doublings
-    that leave it unresolved raise NonConvergenceError.
+    the solver's absolute error at the matrix norm scale. Six attempts,
+    five doublings (30 digits become 960 at small K), that leave it
+    unresolved raise NonConvergenceError.
     """
     if K < 0:
         raise ConfigError("frequency cap K must be >= 0")
     c, d = _angular_interval(interval)
     check_index_range("frequency cap K", (2 * K + 1, 2 * K + 1))
     modes = mode_set(K)
-    # on (-w, w) the cos and sin blocks decouple; re-centring rotates each
-    # (cos n, sin n) pair orthogonally, so the spectrum is unchanged
-    parts = ([m for m in modes if m.parity == "cos"],
-             [m for m in modes if m.parity == "sin"])
 
     dps = max(30, 20 + int(math.ceil(4.0 * K)))
     for _ in range(6):
         with mp.workdps(dps):
-            w = (mp.mpf(d) - mp.mpf(c)) / 2
+            w, _, parts = _recentred(modes, c, d)
             vals = []
             for part in parts:
                 if part:
@@ -255,8 +294,8 @@ def _pencil_top_mp(a_diag: np.ndarray, b: np.ndarray):
     built column by column by forward substitution; an eigenvalues-only
     mp.eigsy of W W^T gives the largest eigenvalue lam. The eigenvector
     comes from inverse iteration on the pencil, (A - sigma B) x' = B x with
-    sigma just above lam, reusing one LU factorization. Returns lam, the
-    unit eigenvector in float64 and the relative residual.
+    sigma just above lam, reusing one LU factorization. Returns lam and the
+    unit eigenvector in the working precision and the relative residual.
     """
     dim = len(a_diag)
     b_mat = mp.matrix(b.tolist())
@@ -290,8 +329,7 @@ def _pencil_top_mp(a_diag: np.ndarray, b: np.ndarray):
     bx = b_mat * x
     num = mp.norm(mp.matrix([a_diag[i] * x[i] - lam * bx[i]
                              for i in range(dim)]))
-    return (float(lam), np.array([float(v) for v in x]),
-            float(num / mp.norm(bx)))
+    return lam, x, float(num / mp.norm(bx))
 
 
 def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
@@ -304,7 +342,9 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     the extremizer is supported on the worst mode. A proper subinterval
     couples all modes through the restricted angular Gram; that dense
     problem is solved in double precision when its Cholesky factorization
-    survives and in adaptive arbitrary precision otherwise.
+    survives and in adaptive arbitrary precision otherwise, there as one
+    pencil per parity block on (-w, w). An inverse iteration that leaves
+    a block's residual above 1e-6 raises NonConvergenceError.
     """
     k_max = _radial_cut(model, spectrum, k_max)
     if j < 0:
@@ -347,15 +387,25 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     to_mp = np.frompyfunc(mp.mpf, 1, 1)
     for _ in range(3):
         with mp.workdps(dps):
-            pencil = _coupled_form(modes, to_mp(lam), to_mp(overlap),
-                                   mp.mpf(c), mp.mpf(d), mp.mpf(T), mp)
+            w, mid, parts = _recentred(modes, c, d)
             try:
-                c_emp, x, res = _pencil_top_mp(*pencil)
+                tops = [_pencil_top_mp(*_coupled_form(
+                            part, to_mp(lam), to_mp(overlap), -w, w,
+                            mp.mpf(T), mp)) for part in parts]
             except ValueError:
                 dps = int(dps * 1.5)
                 continue
-        return ObservabilityEstimate(c_emp=c_emp, extremal=x, residual=res,
-                                     basis_dim=dim, precision=f"mp(dps={dps})")
+            worst = max(res for _, _, res in tops)
+            if worst > 1e-6:
+                raise NonConvergenceError(
+                    f"inverse iteration left a coupled residual of {worst:.3g} "
+                    f"at dps={dps}")
+            (c_emp, y, res), part = max(zip(tops, parts),
+                                        key=lambda pair: pair[0][0])
+            x = _rotate_back(modes, part, y, mid, k_max)
+        return ObservabilityEstimate(
+            c_emp=float(c_emp), extremal=np.array([float(v) for v in x]),
+            residual=res, basis_dim=dim, precision=f"mp(dps={dps})")
     raise NonConvergenceError(
         "coupled observation Gram not positive definite at the attempted "
         "precisions; reduce j or k_max")

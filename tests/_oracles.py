@@ -37,6 +37,13 @@ factor and a full ``mp.eigsy`` with eigenvectors (no inverse iteration).
 Both keep the production precision ladders, so the tests can require the
 same working precision as well as the same numbers.
 
+``coupled_observability_unsplit_mp`` is the coupled mp route as it stood
+before production split the pencil by parity: one pencil of the whole
+mode set on (c, d), with the production start precision and 1.5x ladder,
+solved by the production ``_pencil_top_mp``. The tests require the same
+``c_emp`` bits, the same precision string and the same extremizer up to
+sign.
+
 ``_coupled_matrices_mp`` is the coupled mp pencil as production assembled
 it before one ``_observation_form`` served both precisions: a per-entry
 double loop over the upper triangle, each entry ``g * o * (1 - e^{-sT}) / s``
@@ -82,7 +89,8 @@ from degenctrl.evolution import _Stepper, evolve_mode
 from degenctrl.measurable import SpectralPropagator, _pieces_within
 from degenctrl.model import (TWO_PI, ModeCoeffs, ModeIndex, TimeGrid,
                              _frozen, mode_set, synthesize_field)
-from degenctrl.observability import (_angular_gram, _restricted_overlap,
+from degenctrl.observability import (_angular_gram, _coupled_form,
+                                     _pencil_top_mp, _restricted_overlap,
                                      torus_smallest_gram_eigenvalue)
 from degenctrl.spectral import bessel_order
 
@@ -406,6 +414,34 @@ def coupled_observability_inverse_mp(model, spectrum, interval, a, b, j,
             nrm = mp.sqrt(sum(x_mp[i, 0] ** 2 for i in range(dim)))
             x = np.array([float(x_mp[i, 0] / nrm) for i in range(dim)])
             return float(lam), x, float(num / den), f"mp(dps={dps})"
+    raise NonConvergenceError("coupled observation Gram not positive definite")
+
+
+def coupled_observability_unsplit_mp(spectrum, interval, a, b, j, k_max, T):
+    """(c_emp, extremal, residual, precision) of the whole coupled mp pencil.
+
+    The pencil of mode_set(2^j) on (c, d) is assembled and solved in one
+    piece, starting 30 digits above the angular Gram's precision and
+    growing by 1.5x while mp.cholesky fails.
+    """
+    c, d = float(interval[0]), float(interval[1])
+    cap = 2 ** j
+    modes = mode_set(cap)
+    lam = spectrum.values[:k_max]
+    overlap = _restricted_overlap(spectrum, a, b, k_max)
+    dps = torus_smallest_gram_eigenvalue(cap, (c, d)).dps_used + 30
+    to_mp = np.frompyfunc(mp.mpf, 1, 1)
+    for _ in range(3):
+        with mp.workdps(dps):
+            pencil = _coupled_form(modes, to_mp(lam), to_mp(overlap),
+                                   mp.mpf(c), mp.mpf(d), mp.mpf(T), mp)
+            try:
+                c_emp, x, res = _pencil_top_mp(*pencil)
+            except ValueError:
+                dps = int(dps * 1.5)
+                continue
+        return (float(c_emp), np.array([float(v) for v in x]), res,
+                f"mp(dps={dps})")
     raise NonConvergenceError("coupled observation Gram not positive definite")
 
 

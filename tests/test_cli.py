@@ -379,6 +379,23 @@ def test_nonpositive_truncation_is_config_error(tmp_path, theta, key, value):
     assert "k_max" in manifest["error"]
 
 
+def test_unconverged_inverse_iteration_is_nonconvergence(tmp_path,
+                                                        monkeypatch):
+    # the gram-ladder shape takes the mp route at j = 2; with no inverse
+    # iteration the extremizer is the start vector, residual about 700
+    monkeypatch.setattr(degenctrl.observability, "_INVERSE_ITERATIONS", 0)
+    payload = {"alpha": 0.5, "T_horizon": 1.0, "n_theta_max": 4, "n_r": 60,
+               "n_time": 48, "band_a": 0.3, "band_b": 0.6, "k_max": 6,
+               "j_max": 2, "subspace_k_max": 3, "theta_c": 2.0,
+               "theta_d": 2.4}
+    code, out = _run(tmp_path, "observability", payload)
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-convergence"
+    assert "inverse iteration" in manifest["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_carleman_command_outputs(tmp_path):
     payload = dict(BASE, n_r=60, band_a=0.3, band_b=0.6)
     code, out = _run(tmp_path, "carleman", payload)

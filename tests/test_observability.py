@@ -7,6 +7,7 @@ pencil-and-paper formula.
 """
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -19,10 +20,12 @@ from degenctrl import (ConfigError, ModelConfig, NonConvergenceError,
                        truncated_observability)
 from degenctrl import observability
 from degenctrl.observability import (_angular_gram, _coupled_form,
-                                     _restricted_overlap)
+                                     _pencil_top_mp, _recentred,
+                                     _restricted_overlap, _rotate_back)
 
 from ._oracles import (_coupled_matrices_mp, angular_gram_nine_case,
                        coupled_observability_inverse_mp,
+                       coupled_observability_unsplit_mp,
                        gram_lambda_min_full, jacobi_eigh_mp)
 
 
@@ -261,6 +264,70 @@ def test_mp_route_matches_inverse_oracle(desk_model, desk_spec, monkeypatch,
     assert np.max(np.abs(sign * est.extremal - extremal)) <= 1e-20
     assert np.linalg.norm(est.extremal) == pytest.approx(1.0, abs=1e-12)
     assert est.residual < 1e-30 and residual < 1e-30
+
+
+def _gram_ladder_intervals(seed, ops=3):
+    # the observability intervals of perfbench's gram-ladder workload: per
+    # op, a spectral-ineq start c and then the observed start c'
+    rng = random.Random(seed)
+    out = []
+    for _ in range(ops):
+        rng.uniform(0.0, 2.0 * math.pi - 1.0)
+        c_obs = rng.uniform(0.0, 2.0 * math.pi - 0.4)
+        out.append((c_obs, c_obs + 0.4))
+    return out
+
+
+@pytest.mark.parametrize("interval, k_max, force_mp", [
+    *[(interval, 3, False) for seed in (1, 23)
+      for interval in _gram_ladder_intervals(seed)],
+    ((2.0, 2.4), 6, False),           # dimension 54
+    ((0.0, math.pi), 2, True),
+])
+def test_parity_split_matches_unsplit_route(desk_model, desk_spec, monkeypatch,
+                                            interval, k_max, force_mp):
+    # the two parity pencils on (-w, w) against the whole pencil on (c, d)
+    if force_mp:
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(observability, "eigh", singular)
+    est = truncated_observability(desk_model, desk_spec, interval, 0.3, 0.6,
+                                  2, k_max=k_max)
+    c_emp, extremal, residual, precision = coupled_observability_unsplit_mp(
+        desk_spec, interval, 0.3, 0.6, 2, k_max, desk_model.config.T_horizon)
+    assert est.precision == precision
+    assert est.c_emp.hex() == c_emp.hex()
+    sign = math.copysign(1.0, float(np.dot(est.extremal, extremal)))
+    assert np.max(np.abs(sign * est.extremal - extremal)) <= 1e-20
+    assert est.residual <= 1e-30 and residual <= 1e-30
+
+
+def test_sin_block_rotates_back_to_an_unsplit_eigenpair(desk_model, desk_spec):
+    # the cos block wins on every interval tried, so the sin branch of the
+    # rotation is checked on the sin block's own top pair
+    interval, k_max = (2.0, 2.4), 3
+    modes = mode_set(4)
+    to_mp = np.frompyfunc(mp.mpf, 1, 1)
+    lam = to_mp(desk_spec.values[:k_max])
+    overlap = to_mp(_restricted_overlap(desk_spec, 0.3, 0.6, k_max))
+    T = mp.mpf(desk_model.config.T_horizon)
+    dps = torus_smallest_gram_eigenvalue(4, interval).dps_used + 30
+    with mp.workdps(dps):
+        w, mid, (cos_part, sin_part) = _recentred(modes, *interval)
+        top_cos = _pencil_top_mp(*_coupled_form(cos_part, lam, overlap,
+                                                -w, w, T, mp))[0]
+        top, y, _ = _pencil_top_mp(*_coupled_form(sin_part, lam, overlap,
+                                                  -w, w, T, mp))
+        x = mp.matrix(_rotate_back(modes, sin_part, y, mid, k_max))
+        a_diag, b = _coupled_form(modes, lam, overlap,
+                                  *(mp.mpf(v) for v in interval), T, mp)
+        bx = mp.matrix(b.tolist()) * x
+        res = mp.norm(mp.matrix([a_diag[i] * x[i] - top * bx[i]
+                                 for i in range(len(x))])) / mp.norm(bx)
+        assert top < top_cos
+        assert abs(mp.norm(x) - 1) <= mp.mpf(10) ** -50
+        assert res <= 1e-30
 
 
 @pytest.mark.parametrize("interval, j, k_max", [
