@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 
-from degenctrl import (Cylinder, ModeCoeffs, ModelConfig, build_model,
+from degenctrl import (BoxUnionSet, ModeCoeffs, ModelConfig, build_model,
                        hum_control, radial_spectrum)
 
 
@@ -41,7 +41,7 @@ def main(argv=None):
     model = build_model(cfg)
     spec = radial_spectrum(model.op, 3)
     phi0 = smooth_datum(model, spec)
-    region = Cylinder(args.band[0], args.band[1])
+    region = BoxUnionSet.cylinder(args.band[0], args.band[1], args.horizon)
 
     print(f"{'eps':>10}  {'iters':>5}  {'|phi(T)|/|phi0|':>16}"
           f"  {'identity gap':>13}  {'cost':>10}  {'ok':>3}")

@@ -24,7 +24,7 @@ from .observability import (ObservabilityEstimate, TorusGram,
                             mode_observability_constant,
                             torus_smallest_gram_eigenvalue,
                             truncated_observability)
-from .control import (Cylinder, HUMResult, LRResult, apply_control_gramian,
+from .control import (HUMResult, LRResult, apply_control_gramian,
                       hum_control, lr_control)
 from .measurable import (BoxUnionSet, DatumRecord, DensitySequence,
                          DerivativeBoundReport, ExtendedField,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxUnionSet", "CarlemanReport", "CarlemanWeights",
-    "ConfigError", "Cylinder", "DatumRecord",
+    "ConfigError", "DatumRecord",
     "DensitySequence", "DerivativeBoundReport", "EtaWeight", "ExtendedField",
     "Field2D", "HUMResult", "HardyReport", "InvariantError", "LRResult",
     "MeasurableReport", "Model", "ModelConfig", "ModeCoeffs", "ModeIndex",

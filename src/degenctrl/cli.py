@@ -32,7 +32,7 @@ from .carleman import build_eta, carleman_report, s0_default
 from .observability import (mode_observability_constant,
                             torus_smallest_gram_eigenvalue,
                             truncated_observability)
-from .control import Cylinder, hum_control, lr_control
+from .control import hum_control, lr_control
 from .measurable import (BoxUnionSet, TimeSliceSet, datum_family,
                          density_sequence, measurable_observability_ratio)
 
@@ -398,7 +398,8 @@ def _cmd_hum(out, config, options, seed):
     model = build_model(config)
     spec = radial_spectrum(model.op, min(4, model.n_radial))
     phi0 = _hum_initial(model, spec, options["initial"], seed)
-    region = Cylinder(options["band_a"], options["band_b"])
+    region = BoxUnionSet.cylinder(options["band_a"], options["band_b"],
+                                  config.T_horizon)
     res = hum_control(phi0, region, options["epsilon"], options["cg_tol"],
                       options["max_iter"])
     # one row per (half step, theta node, radial node), radial fastest
@@ -422,7 +423,8 @@ def _cmd_hum(out, config, options, seed):
 
 def _cmd_lr(out, config, options, seed):
     model = build_model(config)
-    region = Cylinder(options["band_a"], options["band_b"])
+    region = BoxUnionSet.cylinder(options["band_a"], options["band_b"],
+                                  config.T_horizon)
     if options["initial"] == "lowpass":
         # smooth datum: low angular modes carried by low radial eigenvectors
         rng = np.random.default_rng(seed)

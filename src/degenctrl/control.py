@@ -15,15 +15,15 @@ each block it controls only the angular frequencies below a growing cap,
 with a per-block energy budget shrinking geometrically so the residual
 contributions sum below the requested tolerance.
 
-hum_control and apply_control_gramian take a Cylinder, which keeps the
-angular modes decoupled, or a measurable.BoxUnionSet, whose masks at the
-time half-steps come from BoxUnionSet.grid_masks and couple the modes.
-The set's horizon must equal the model's. lr_control needs a Cylinder.
-Marches come back from evolution as plain (time, mode, radial) arrays,
-and both region kinds hand their masked sources to evolution.solve_forward
-as one such array of half steps. A Cylinder masks the mode data radially;
-for a box union this module projects the masked grid field back onto the
-modes by angular quadrature.
+Every control region is a measurable.BoxUnionSet (BoxUnionSet.cylinder
+is the full torus times a radial band) whose horizon equals the model's;
+its masks at the time half-steps come from BoxUnionSet.grid_masks. The
+mask picks the path: one that is the same at every theta node keeps the
+angular modes decoupled and masks the mode data radially; any other
+couples the modes through angular quadrature of the masked grid field.
+lr_control needs a mask that is also the same at every half step. Marches
+are plain (time, mode, radial) arrays, and the masked sources go to
+evolution.solve_forward as one such array of half steps.
 """
 
 from dataclasses import dataclass
@@ -38,41 +38,28 @@ from .evolution import evolve_mode, solve_adjoint, solve_forward
 from .measurable import BoxUnionSet
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Theta-independent control region: full torus times a radial band."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.a < self.b <= 1.0):
-            raise ConfigError(f"need 0 <= a < b <= 1, got ({self.a}, {self.b})")
-
-
 class _RegionAction:
     """Precomputed restriction map for one region on one model.
 
-    mask is the radial node mask of a Cylinder, shape (n_r - 1,), or the
-    grid masks of a BoxUnionSet at the half steps, shape (n_time,
-    theta_quad, n_r - 1); either broadcasts against the grid field.
+    mask holds the region's grid masks at the half steps, shape (n_time,
+    theta_quad, n_r - 1), its theta axis collapsed to length 1 when the
+    mask is the same at every theta node; it broadcasts against the field.
     """
 
-    def __init__(self, model: Model, region):
+    def __init__(self, model: Model, region: BoxUnionSet):
         self.model = model
-        self.region = region
-        if isinstance(region, Cylinder):
-            self.mask = model.grid.observed_band(region.a, region.b)
-        elif isinstance(region, BoxUnionSet):
-            self.mask = region.grid_masks(model, model.tgrid.half_nodes)
-            if not self.mask.any():
-                raise ConfigError("control region misses every grid point")
-        else:
-            raise ConfigError("control region must be a Cylinder or a BoxUnionSet")
+        model.grid.observed_band(region.band_a, region.band_b)
+        mask = region.grid_masks(model, model.tgrid.half_nodes)
+        if not mask.any():
+            raise ConfigError("control region misses every grid point")
+        if np.all(mask == mask[:, :1]):
+            # a copy, so the mask does not keep the whole theta axis alive
+            mask = mask[:, :1].copy()
+        self.mask = mask
 
     def masked_sources(self, adjoint: np.ndarray) -> np.ndarray:
         """Half-step control sources chi_D (y^k + y^{k+1}) / 2 as mode data."""
-        if isinstance(self.region, Cylinder):
+        if self.mask.shape[1] == 1:
             return 0.5 * (adjoint[:-1] + adjoint[1:]) * self.mask
         # quadrature in theta of the masked field against each basis function
         model = self.model
@@ -120,11 +107,6 @@ class HUMResult:
     linf_ratio: float              # sup |f| / ||phi0||, 0.0 for a zero datum
     phi0_norm: float
     converged: bool
-
-
-def _field_cost(model: Model, field: np.ndarray) -> float:
-    cells = model.theta_weight * model.grid.mass[None, None, :]
-    return float(model.tgrid.dt * np.sum(field ** 2 * cells))
 
 
 def hum_control(phi0: ModeCoeffs, region, epsilon: float,
@@ -206,7 +188,8 @@ def hum_control(phi0: ModeCoeffs, region, epsilon: float,
         raise InvariantError(
             f"penalized identity violated: gap {identity_gap:.3e} vs "
             f"allowance {10.0 * cg_tol * phi0_norm:.3e}")
-    cost = _field_cost(model, field)
+    cells = model.theta_weight * mass[None, None, :]
+    cost = float(model.tgrid.dt * np.sum(field ** 2 * cells))
     ratio = (float(np.max(np.abs(field)) / phi0_norm) if phi0_norm > 0 else 0.0)
     return HUMResult(
         model=model, region=region, epsilon=float(epsilon),
@@ -253,7 +236,7 @@ def _mode_block_gramian(op: RadialOperator, n_freq: int, mask: np.ndarray,
 _EPS_FLOOR = 1e-14
 
 
-def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
+def lr_control(phi0: ModeCoeffs, region: BoxUnionSet, tol: float,
                n_blocks: int = 3) -> LRResult:
     """Dyadic-block control: frequency cap 2^k on block k, then free decay.
 
@@ -267,16 +250,19 @@ def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
     Every march is one whole-model solve_forward on the block's own time
     grid. The adjoint data of the modes above the cap are zero rows, so
     those modes march under zero sources, which leaves their bits as a
-    free march would (up to the sign of a zero).
+    free march would (up to the sign of a zero). The region's mask must
+    be the same at every theta node and every half step.
     """
-    if not isinstance(region, Cylinder):
-        raise ConfigError("dyadic-block control needs a Cylinder region")
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
     if n_blocks < 1:
         raise ConfigError("need at least one block")
     model = phi0.model
-    mask = model.grid.observed_band(region.a, region.b)
+    action = _RegionAction(model, region)
+    if action.mask.shape[1] != 1 or not np.all(action.mask == action.mask[0]):
+        raise ConfigError("dyadic-block control needs a region that is the "
+                          "same at every theta node and every half step")
+    mask = action.mask[0, 0]
     mass = model.grid.mass
     T = model.config.T_horizon
     n_time = model.config.n_time
@@ -285,20 +271,14 @@ def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
     boundaries = [0.0]
     caps, costs, norms, epsilons = [], [], [], []
 
-    def mode_norm2(vec):
-        return float(np.sum(mass * vec ** 2))
-
     for k in range(n_blocks):
         half_len = T * 2.0 ** (-k - 2)
         sub = TimeGrid(half_len, n_time)
         cap = 2 ** k
         budget = 0.5 * tol * 2.0 ** (-k)
         controlled = [i for i, m in enumerate(model.modes) if m.n <= cap]
-        grams = {}
-        for i in controlled:
-            n = model.modes[i].n
-            if n not in grams:
-                grams[n] = _mode_block_gramian(model.op, n, mask, sub)
+        grams = {n: _mode_block_gramian(model.op, n, mask, sub)
+                 for n in {model.modes[i].n for i in controlled}}
         free = solve_forward(state, tgrid=sub)[-1]
 
         eps = 1e-4
@@ -309,7 +289,7 @@ def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
             for i in controlled:
                 g = grams[model.modes[i].n]
                 y[i] = np.linalg.solve(g + eps * np.eye(g.shape[0]), -free[i])
-                low_energy += mode_norm2(eps * y[i])
+                low_energy += float(np.sum(mass * (eps * y[i]) ** 2))
             if math.sqrt(low_energy) <= budget or eps <= _EPS_FLOOR:
                 break
             eps /= 10.0
@@ -320,7 +300,7 @@ def lr_control(phi0: ModeCoeffs, region: Cylinder, tol: float,
         epsilons.append(eps)
 
         back = solve_adjoint(ModeCoeffs(model, y), sub)
-        src = 0.5 * (back[:-1] + back[1:]) * mask
+        src = action.masked_sources(back)
         # per mode: one sum over the whole array rounds differently
         block_cost = 0.0
         for i in controlled:

@@ -29,7 +29,7 @@ return those bits again, and the remaining rows are filled with them.
 The comparison runs on uint64 views, so a -0 or a NaN payload counts as
 different from +0 or another NaN: the rule holds bit for bit, signed
 zeros included, which "zero in, zero out" would not. A mode at rest, such
-as an angular frequency the datum does not carry under a Cylinder
+as an angular frequency the datum does not carry under a cylinder
 control, thus costs one step instead of n_time. The finite and energy
 checks still run on the whole stored march.
 

@@ -62,7 +62,8 @@ class BoxUnionSet:
     consecutive time edges (0, the horizon and every box time edge), on
     which the slice is constant. The total measure is exact: it sums the
     slice measures, each exact by coordinate compression, over the cells,
-    so overlapping boxes are never double counted.
+    so overlapping boxes are never double counted. It is the one region
+    type: cylinder(a, b, horizon) is the full torus times a radial band.
     """
 
     boxes: tuple
@@ -107,6 +108,12 @@ class BoxUnionSet:
         object.__setattr__(self, "measure", total)
         if self.measure <= 0:
             raise ConfigError("box union has zero measure")
+
+    @classmethod
+    def cylinder(cls, a: float, b: float, horizon: float) -> "BoxUnionSet":
+        """One box: the full torus times the band (a, b), for all time."""
+        return cls(boxes=(((0.0, TWO_PI), (a, b), (0.0, horizon)),),
+                   band_a=a, band_b=b, horizon=horizon)
 
     def contains(self, theta: float, r: float, t: float) -> bool:
         """Membership by the grid_masks rule: open in r, half-open else."""

@@ -286,16 +286,13 @@ def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
                           model.config.T_horizon)
 
 
-def _pencil_top_mp(a_diag: np.ndarray, b: np.ndarray):
-    """Top eigenpair of the pencil (diag(a_diag), b) in the working precision.
+def _pencil_top_value_mp(a_diag: np.ndarray, b: np.ndarray):
+    """Top eigenvalue of the pencil (diag(a_diag), b), and b as an mp.matrix.
 
     b = L L^T by mp.cholesky, which raises ValueError when b is not
     positive definite. L^-1 A L^-T = W W^T with W = L^-1 diag(sqrt(a)),
-    built column by column by forward substitution; an eigenvalues-only
-    mp.eigsy of W W^T gives the largest eigenvalue lam. The eigenvector
-    comes from inverse iteration on the pencil, (A - sigma B) x' = B x with
-    sigma just above lam, reusing one LU factorization. Returns lam and the
-    unit eigenvector in the working precision and the relative residual.
+    built column by column by forward substitution; the eigenvalue is the
+    largest of an eigenvalues-only mp.eigsy of W W^T.
     """
     dim = len(a_diag)
     b_mat = mp.matrix(b.tolist())
@@ -313,8 +310,14 @@ def _pencil_top_mp(a_diag: np.ndarray, b: np.ndarray):
             val = mp.fdot(w_rows[i][:j + 1], w_rows[j])
             wwt[i, j] = val
             wwt[j, i] = val
-    lam = max(mp.eigsy(wwt, eigvals_only=True))
+    return max(mp.eigsy(wwt, eigvals_only=True)), b_mat
 
+
+def _pencil_vector_mp(a_diag: np.ndarray, b_mat, lam):
+    """Unit eigenvector at the top eigenvalue lam and its relative residual,
+    by inverse iteration (A - sigma B) x' = B x with sigma just above lam
+    on one LU factorization, in the working precision."""
+    dim = len(a_diag)
     sigma = lam * (1 + mp.mpf(10) ** (-(mp.mp.dps // 2)))
     shifted = mp.diag(a_diag) - sigma * b_mat
     lu, perm = mp.mp.LU_decomp(shifted)
@@ -329,7 +332,13 @@ def _pencil_top_mp(a_diag: np.ndarray, b: np.ndarray):
     bx = b_mat * x
     num = mp.norm(mp.matrix([a_diag[i] * x[i] - lam * bx[i]
                              for i in range(dim)]))
-    return lam, x, float(num / mp.norm(bx))
+    return x, float(num / mp.norm(bx))
+
+
+def _pencil_top_mp(a_diag: np.ndarray, b: np.ndarray):
+    """Top eigenvalue, unit eigenvector and relative residual of the pencil."""
+    lam, b_mat = _pencil_top_value_mp(a_diag, b)
+    return (lam, *_pencil_vector_mp(a_diag, b_mat, lam))
 
 
 def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
@@ -343,8 +352,9 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     couples all modes through the restricted angular Gram; that dense
     problem is solved in double precision when its Cholesky factorization
     survives and in adaptive arbitrary precision otherwise, there as one
-    pencil per parity block on (-w, w). An inverse iteration that leaves
-    a block's residual above 1e-6 raises NonConvergenceError.
+    pencil per parity block on (-w, w); only the block with the larger top
+    eigenvalue gets an eigenvector. An inverse iteration that leaves its
+    residual above 1e-6 raises NonConvergenceError.
     """
     k_max = _radial_cut(model, spectrum, k_max)
     if j < 0:
@@ -388,20 +398,20 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     for _ in range(3):
         with mp.workdps(dps):
             w, mid, parts = _recentred(modes, c, d)
+            forms = [_coupled_form(part, to_mp(lam), to_mp(overlap), -w, w,
+                                   mp.mpf(T), mp) for part in parts]
             try:
-                tops = [_pencil_top_mp(*_coupled_form(
-                            part, to_mp(lam), to_mp(overlap), -w, w,
-                            mp.mpf(T), mp)) for part in parts]
+                tops = [_pencil_top_value_mp(*form) for form in forms]
             except ValueError:
                 dps = int(dps * 1.5)
                 continue
-            worst = max(res for _, _, res in tops)
-            if worst > 1e-6:
+            (c_emp, b_mat), (a_diag, _), part = max(
+                zip(tops, forms, parts), key=lambda block: block[0][0])
+            y, res = _pencil_vector_mp(a_diag, b_mat, c_emp)
+            if res > 1e-6:
                 raise NonConvergenceError(
-                    f"inverse iteration left a coupled residual of {worst:.3g} "
+                    f"inverse iteration left a coupled residual of {res:.3g} "
                     f"at dps={dps}")
-            (c_emp, y, res), part = max(zip(tops, parts),
-                                        key=lambda pair: pair[0][0])
             x = _rotate_back(modes, part, y, mid, k_max)
         return ObservabilityEstimate(
             c_emp=float(c_emp), extremal=np.array([float(v) for v in x]),

@@ -23,6 +23,13 @@ from the rest, and the modes above the cap march without sources rather
 than under zero rows. The tests require the same bits, or the same
 ``NonConvergenceError`` message.
 
+``gramian_theta_quadrature`` is the control Gramian of a ``BoxUnionSet``
+by the route production took for every box union before the mask picked
+the path: the masked adjoint field on the (theta node, radial node) grid,
+projected back onto the modes by angular quadrature, even when the mask
+is the same at every theta node. Production masks the mode data radially
+for such a mask; the tests require the two to agree to 1e-12.
+
 ``angular_gram_nine_case`` is the restricted angular Gram as it stood
 before production ``_angular_gram`` built it from two moment tables: each
 entry is its own trig integral, picked from nine cases by the two parities
@@ -85,10 +92,11 @@ from scipy.special import jv
 
 from degenctrl.control import _EPS_FLOOR, LRResult, _mode_block_gramian
 from degenctrl.errors import ConfigError, InvariantError, NonConvergenceError
-from degenctrl.evolution import _Stepper, evolve_mode
+from degenctrl.evolution import (_Stepper, evolve_mode, solve_adjoint,
+                                 solve_forward)
 from degenctrl.measurable import SpectralPropagator, _pieces_within
 from degenctrl.model import (TWO_PI, ModeCoeffs, ModeIndex, TimeGrid,
-                             _frozen, mode_set, synthesize_field)
+                             _frozen, mode_set, synthesize_field, zero_coeffs)
 from degenctrl.observability import (_angular_gram, _coupled_form,
                                      _pencil_top_mp, _restricted_overlap,
                                      torus_smallest_gram_eigenvalue)
@@ -194,11 +202,23 @@ def mode_block_gramian_columns(op, n_freq, mask, tgrid):
     return cols
 
 
+def gramian_theta_quadrature(region, y_terminal):
+    """Control Gramian of a box union through angular quadrature."""
+    model = y_terminal.model
+    mask = region.grid_masks(model, model.tgrid.half_nodes)
+    adj = solve_adjoint(y_terminal)
+    mid = 0.5 * (adj[:-1] + adj[1:])
+    fields = np.einsum("qm,tmr->tqr", model.basis_matrix, mid) * mask
+    sources = model.theta_weight * np.einsum(
+        "mq,tqr->tmr", model.basis_matrix.T, fields)
+    return ModeCoeffs(model, solve_forward(zero_coeffs(model), sources)[-1])
+
+
 def lr_control_per_mode(phi0, region, tol, n_blocks=3):
     """Dyadic-block control with one evolve_mode call per mode and march."""
     model = phi0.model
     op = model.op
-    mask = model.grid.observed_band(region.a, region.b)
+    mask = model.grid.observed_band(region.band_a, region.band_b)
     mass = model.grid.mass
     T = model.config.T_horizon
     n_time = model.config.n_time

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from degenctrl import (BoxUnionSet, Cylinder, ModeCoeffs, ModeIndex,
+from degenctrl import (BoxUnionSet, ModeCoeffs, ModeIndex,
                        ModelConfig, apply_control_gramian, build_model,
                        datum_family,
                        hum_control, measurable_observability_ratio,
@@ -37,14 +37,15 @@ def desk_phi0(desk_model, desk_spec):
 
 @pytest.fixture(scope="session")
 def desk_hum(desk_phi0):
-    return hum_control(desk_phi0, Cylinder(0.3, 0.6), 1e-6, cg_tol=1e-8)
+    return hum_control(desk_phi0, BoxUnionSet.cylinder(0.3, 0.6, 1.0), 1e-6,
+                       cg_tol=1e-8)
 
 
 @pytest.fixture(scope="session")
 def desk_dense_hum_y(desk_model, desk_phi0):
     """Direct-solve reference for the penalized system, assembled densely."""
     dim = desk_model.n_modes * desk_model.n_radial
-    region = Cylinder(0.3, 0.6)
+    region = BoxUnionSet.cylinder(0.3, 0.6, 1.0)
     gram = np.empty((dim, dim))
     for j in range(dim):
         unit = np.zeros(dim)

@@ -13,7 +13,7 @@ import time
 import mpmath as mp
 import numpy as np
 
-from degenctrl import (BoxUnionSet, Cylinder, ModeCoeffs, ModeIndex,
+from degenctrl import (BoxUnionSet, ModeCoeffs, ModeIndex,
                        ModelConfig, SpectralPropagator, TimeGrid,
                        apply_control_gramian, assemble_radial_operator,
                        bessel_oracle, build_carleman_weights, build_eta,
@@ -312,7 +312,8 @@ def test_c10_penalized_control_suite(request, desk_model, desk_phi0):
     res = request.getfixturevalue("desk_hum")
     cases = [(res, 1e-8)]
     for eps in (1e-8, 1e-4):
-        cases.append((hum_control(desk_phi0, Cylinder(0.3, 0.6), eps,
+        cases.append((hum_control(desk_phi0,
+                                  BoxUnionSet.cylinder(0.3, 0.6, 1.0), eps,
                                   cg_tol=1e-9),
                       1e-9))
     for case, cg_tol in cases:
@@ -333,8 +334,8 @@ def test_c10_penalized_control_suite(request, desk_model, desk_phi0):
         (desk_model.n_modes, desk_model.n_radial)))
     z = ModeCoeffs(desk_model, rng.standard_normal(
         (desk_model.n_modes, desk_model.n_radial)))
-    gx = apply_control_gramian(Cylinder(0.3, 0.6), x)
-    gz = apply_control_gramian(Cylinder(0.3, 0.6), z)
+    gx = apply_control_gramian(BoxUnionSet.cylinder(0.3, 0.6, 1.0), x)
+    gz = apply_control_gramian(BoxUnionSet.cylinder(0.3, 0.6, 1.0), z)
     sym = abs(coeffs_inner(gx, z) - coeffs_inner(x, gz)) \
         / math.sqrt(coeffs_inner(x, x) * coeffs_inner(z, z))
     if sym > 1e-9:
@@ -355,7 +356,7 @@ def test_c11_block_control(desk_model, desk_spec):
             data[i] = desk_spec.vectors[:, :4] @ rng.standard_normal(4)
     nrm = math.sqrt(float(np.sum(desk_model.grid.mass[None, :] * data ** 2)))
     phi0 = ModeCoeffs(desk_model, data / nrm)
-    res = lr_control(phi0, Cylinder(0.3, 0.6), 1e-3)
+    res = lr_control(phi0, BoxUnionSet.cylinder(0.3, 0.6, 1.0), 1e-3)
     if not res.converged or res.final_residual > 1e-3:
         problems.append(f"final residual {res.final_residual:.2e}")
     if not all(a > b for a, b in zip(res.block_norms, res.block_norms[1:])):

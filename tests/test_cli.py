@@ -432,6 +432,20 @@ def test_carleman_band_without_radial_nodes_is_config_error(tmp_path,
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("hum", {}), ("lr", {}), ("observability", {"j_max": 1})],
+    ids=["hum", "lr", "observability"])
+def test_band_without_radial_nodes_is_config_error(tmp_path, command, extra):
+    # j_max 1 keeps 2^j_max within n_theta_max 2
+    code, out = _run(tmp_path, command,
+                     dict(BASE, band_a=0.3, band_b=0.3001, **extra))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "no radial nodes inside (0.3, 0.3001)" in manifest["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_carleman_frequency_past_the_cap_is_config_error(tmp_path,
                                                         monkeypatch):
     # the family reaches frequency 2; with n_theta_max 1 it is refused

@@ -1,19 +1,20 @@
 """Control Gramian identities, penalized synthesis, dyadic-block control."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from degenctrl import (BoxUnionSet, ConfigError, Cylinder, ModeCoeffs,
+from degenctrl import (BoxUnionSet, ConfigError, ModeCoeffs,
                        ModeIndex, ModelConfig, NonConvergenceError, TimeGrid,
                        apply_control_gramian, build_model, coeffs_inner,
                        hum_control, lr_control, radial_spectrum, zero_coeffs)
 from degenctrl import control, evolution
 from degenctrl.control import _mode_block_gramian
 from ._golden import check_golden
-from ._oracles import (evolve_mode_every_step, lr_control_per_mode,
-                       mode_block_gramian_columns)
+from ._oracles import (evolve_mode_every_step, gramian_theta_quadrature,
+                       lr_control_per_mode, mode_block_gramian_columns)
 
 
 def _unit_eigendatum(model, spec, parity, n, k):
@@ -27,6 +28,12 @@ def _box_region(boxes):
     return BoxUnionSet(boxes=boxes, band_a=0.3, band_b=0.6, horizon=1.0)
 
 
+_CYLINDER = BoxUnionSet.cylinder(0.3, 0.6, 1.0)
+# the same grid points as the cylinder, written as two theta halves
+_HALVES = _box_region((((0.0, math.pi), (0.3, 0.6), (0.0, 1.0)),
+                       ((math.pi, 2.0 * math.pi), (0.3, 0.6), (0.0, 1.0))))
+
+
 def _desk_datum(model, spec):
     data = (_unit_eigendatum(model, spec, "cos", 1, 1).data
             + _unit_eigendatum(model, spec, "sin", 2, 3).data)
@@ -34,23 +41,25 @@ def _desk_datum(model, spec):
 
 
 def test_gramian_zero_maps_to_zero(desk_model):
-    out = apply_control_gramian(Cylinder(0.3, 0.6), zero_coeffs(desk_model))
+    out = apply_control_gramian(_CYLINDER, zero_coeffs(desk_model))
     assert np.all(out.data == 0.0)
 
 
-def test_gramian_symmetry_and_psd(desk_model, rng):
-    region = Cylinder(0.3, 0.6)
-    for _ in range(4):
-        x = ModeCoeffs(desk_model, rng.standard_normal(
-            (desk_model.n_modes, desk_model.n_radial)))
-        z = ModeCoeffs(desk_model, rng.standard_normal(
-            (desk_model.n_modes, desk_model.n_radial)))
-        gx = apply_control_gramian(region, x)
-        gz = apply_control_gramian(region, z)
-        sym_gap = abs(coeffs_inner(gx, z) - coeffs_inner(x, gz))
-        scale = math.sqrt(coeffs_inner(x, x) * coeffs_inner(z, z))
-        assert sym_gap <= 1e-9 * scale
-        assert coeffs_inner(gx, x) >= -1e-10 * coeffs_inner(x, x)
+def test_gramian_symmetry_and_psd(desk_model, meas_region, rng):
+    # the two boxes of meas_region depend on theta: their modes couple
+    # through angular quadrature
+    for region in (_CYLINDER, meas_region):
+        for _ in range(4):
+            x = ModeCoeffs(desk_model, rng.standard_normal(
+                (desk_model.n_modes, desk_model.n_radial)))
+            z = ModeCoeffs(desk_model, rng.standard_normal(
+                (desk_model.n_modes, desk_model.n_radial)))
+            gx = apply_control_gramian(region, x)
+            gz = apply_control_gramian(region, z)
+            sym_gap = abs(coeffs_inner(gx, z) - coeffs_inner(x, gz))
+            scale = math.sqrt(coeffs_inner(x, x) * coeffs_inner(z, z))
+            assert sym_gap <= 1e-9 * scale
+            assert coeffs_inner(gx, x) >= -1e-10 * coeffs_inner(x, x)
 
 
 def test_gramian_eigenvalue_closed_form(desk_model, desk_spec):
@@ -58,7 +67,7 @@ def test_gramian_eigenvalue_closed_form(desk_model, desk_spec):
     # (1 - rho^(2N)) / (2 mu) with rho the one-step amplification factor
     n, k = 2, 1
     y = _unit_eigendatum(desk_model, desk_spec, "cos", n, k)
-    out = apply_control_gramian(Cylinder(0.0, 1.0), y)
+    out = apply_control_gramian(BoxUnionSet.cylinder(0.0, 1.0, 1.0), y)
     mu = desk_spec.values[k - 1] + n * n
     dt = desk_model.config.T_horizon / desk_model.config.n_time
     rho = (1.0 - 0.5 * dt * mu) / (1.0 + 0.5 * dt * mu)
@@ -72,24 +81,45 @@ def test_gramian_eigenvalue_closed_form(desk_model, desk_spec):
 
 
 def test_full_box_gramian_matches_cylinder(desk_model, rng):
-    # one box over the whole torus, the band and the horizon masks the same
-    # grid points as the Cylinder; its Gramian projects the masked field
-    # back onto the modes, which must reproduce the per-mode masking
+    # one box over the whole torus, the band and the horizon has a mask
+    # that is the same at every theta node, so production masks the mode
+    # data radially as for the cylinder; projecting the masked field back
+    # onto the modes by angular quadrature must give the same Gramian
     box = _box_region((((0.0, 2.0 * math.pi), (0.3, 0.6), (0.0, 1.0)),))
     for _ in range(3):
         y = ModeCoeffs(desk_model, rng.standard_normal(
             (desk_model.n_modes, desk_model.n_radial)))
-        ref = apply_control_gramian(Cylinder(0.3, 0.6), y)
+        ref = gramian_theta_quadrature(box, y)
         got = apply_control_gramian(box, y)
         assert (np.max(np.abs(got.data - ref.data))
                 <= 1e-12 * np.max(np.abs(ref.data)))
 
 
+def test_theta_independent_mask_takes_the_per_mode_path(desk_model, rng):
+    # the cylinder and its two theta halves mask the adjoint rows radially,
+    # bit for bit, with no theta quadrature
+    band = desk_model.grid.observed_band(0.3, 0.6)
+    y = ModeCoeffs(desk_model, rng.standard_normal(
+        (desk_model.n_modes, desk_model.n_radial)))
+    adj = evolution.solve_adjoint(y)
+    sources = 0.5 * (adj[:-1] + adj[1:]) * band
+    ref = evolution.solve_forward(zero_coeffs(desk_model), sources)[-1]
+    for region in (_CYLINDER, _HALVES):
+        assert np.array_equal(apply_control_gramian(region, y).data, ref)
+
+
+def test_gramian_refuses_a_region_between_theta_nodes(desk_model):
+    # no theta node of the desk model lies in (0.01, 0.02)
+    region = _box_region((((0.01, 0.02), (0.3, 0.6), (0.0, 1.0)),))
+    with pytest.raises(ConfigError, match="misses every grid point"):
+        apply_control_gramian(region, zero_coeffs(desk_model))
+
+
 def test_region_validation():
     with pytest.raises(ConfigError):
-        Cylinder(0.6, 0.3)
+        BoxUnionSet.cylinder(0.6, 0.3, 1.0)
     with pytest.raises(ConfigError):
-        Cylinder(-0.1, 0.5)
+        BoxUnionSet.cylinder(-0.1, 0.5, 1.0)
     with pytest.raises(ConfigError):
         _box_region(())
     with pytest.raises(ConfigError):
@@ -97,7 +127,7 @@ def test_region_validation():
 
 
 def test_hum_zero_datum(desk_model):
-    res = hum_control(zero_coeffs(desk_model), Cylinder(0.3, 0.6), 1e-6)
+    res = hum_control(zero_coeffs(desk_model), _CYLINDER, 1e-6)
     assert np.all(res.y_terminal.data == 0.0)
     assert np.all(res.control_values == 0.0)
     assert res.terminal_residual == 0.0
@@ -139,7 +169,7 @@ def _assert_same_hum(got, expected):
 def test_hum_desk_bitwise_matches_every_step_march(desk_phi0, desk_hum,
                                                    monkeypatch):
     # seven of the nine modes stay at rest and take the fixed-point exit
-    expected = _hum_every_step(monkeypatch, desk_phi0, Cylinder(0.3, 0.6),
+    expected = _hum_every_step(monkeypatch, desk_phi0, _CYLINDER,
                                1e-6, cg_tol=1e-8)
     _assert_same_hum(desk_hum, expected)
 
@@ -150,7 +180,7 @@ def test_hum_random_bitwise_matches_every_step_march(monkeypatch):
                                     n_r=40, n_time=32))
     phi0 = ModeCoeffs(model, np.random.default_rng(5).standard_normal(
         (model.n_modes, model.n_radial)))
-    args = (phi0, Cylinder(0.3, 0.6), 1e-4)
+    args = (phi0, _CYLINDER, 1e-4)
     got = hum_control(*args, cg_tol=1e-6)
     expected = _hum_every_step(monkeypatch, *args, cg_tol=1e-6)
     assert got.converged
@@ -167,7 +197,7 @@ def test_hum_dense_gramian_oracle(desk_hum, desk_dense_hum_y):
 def test_hum_linearity(desk_model, desk_phi0, desk_hum):
     res = desk_hum
     doubled = ModeCoeffs(desk_model, 2.0 * desk_phi0.data)
-    res2 = hum_control(doubled, Cylinder(0.3, 0.6), 1e-6, cg_tol=1e-8)
+    res2 = hum_control(doubled, _CYLINDER, 1e-6, cg_tol=1e-8)
     rel = (np.max(np.abs(res2.y_terminal.data - 2.0 * res.y_terminal.data))
            / np.max(np.abs(res.y_terminal.data)))
     assert rel <= 1e-6
@@ -178,7 +208,7 @@ def test_hum_epsilon_monotonicity(desk_model, desk_spec):
     phi0 = _desk_datum(desk_model, desk_spec)
     residuals = []
     for eps in (1e-8, 1e-6, 1e-4):
-        res = hum_control(phi0, Cylinder(0.3, 0.6), eps, cg_tol=1e-9)
+        res = hum_control(phi0, _CYLINDER, eps, cg_tol=1e-9)
         residuals.append(res.terminal_residual)
     assert residuals[0] <= residuals[1] * (1.0 + 1e-10)
     assert residuals[1] <= residuals[2] * (1.0 + 1e-10)
@@ -191,7 +221,7 @@ def test_hum_linf_golden(desk_hum):
 def test_hum_epsilon_validation(desk_model, desk_spec):
     phi0 = _desk_datum(desk_model, desk_spec)
     with pytest.raises(ConfigError):
-        hum_control(phi0, Cylinder(0.3, 0.6), 0.0)
+        hum_control(phi0, _CYLINDER, 0.0)
 
 
 def test_hum_box_region_runs(desk_model, desk_spec):
@@ -202,10 +232,21 @@ def test_hum_box_region_runs(desk_model, desk_spec):
                       max_iter=300)
     assert res.converged
     # a full-angle box is the cylinder in disguise
-    ref = hum_control(phi0, Cylinder(0.3, 0.6), 1e-4,
+    ref = hum_control(phi0, _CYLINDER, 1e-4,
                       cg_tol=1e-7, max_iter=300)
     assert res.terminal_residual == pytest.approx(ref.terminal_residual,
                                                   rel=1e-4)
+
+
+def test_hum_two_boxes_pinned(desk_phi0, meas_region):
+    # the theta-coupled route on the two boxes; the figures were taken
+    # when every box union took this route, before the mask picked the path
+    res = hum_control(desk_phi0, meas_region, 1e-4, cg_tol=1e-7)
+    assert res.converged
+    assert res.iterations == 19
+    assert float.hex(res.cost) == "0x1.27b525764f7e2p-7"
+    assert hashlib.sha256(res.control_values.tobytes()).hexdigest() == (
+        "a9b5947488d8a38713e867cd280a802499866a95070b8da45d773fcffa89c927")
 
 
 def _smooth_lowpass(model, spec_vectors, rng):
@@ -219,7 +260,7 @@ def _smooth_lowpass(model, spec_vectors, rng):
 
 
 def test_lr_zero_datum(desk_model):
-    res = lr_control(zero_coeffs(desk_model), Cylinder(0.3, 0.6), 1e-3)
+    res = lr_control(zero_coeffs(desk_model), _CYLINDER, 1e-3)
     assert all(c == 0.0 for c in res.block_costs)
     assert res.final_residual == 0.0
     assert res.converged
@@ -227,7 +268,7 @@ def test_lr_zero_datum(desk_model):
 
 def test_lr_desk_case(desk_model, desk_spec, rng):
     phi0 = _smooth_lowpass(desk_model, desk_spec.vectors[:, :4], rng)
-    res = lr_control(phi0, Cylinder(0.3, 0.6), 1e-3)
+    res = lr_control(phi0, _CYLINDER, 1e-3)
     assert res.converged
     assert res.final_residual <= 1e-3
     assert res.boundaries[0] == 0.0 and res.boundaries[-1] == 1.0
@@ -235,7 +276,7 @@ def test_lr_desk_case(desk_model, desk_spec, rng):
     norms = res.block_norms
     assert all(a > b for a, b in zip(norms, norms[1:]))
     # cross-route check: plain penalized synthesis handles the same datum
-    hum = hum_control(phi0, Cylinder(0.3, 0.6), 1e-6)
+    hum = hum_control(phi0, _CYLINDER, 1e-6)
     assert hum.terminal_residual / hum.phi0_norm <= 1e-3
     check_golden("lr_desk_block_norms", norms)
 
@@ -257,7 +298,7 @@ def test_lr_bitwise_matches_per_mode_march(n_theta_max, n_r, n_time):
                                     n_time=n_time))
     vectors = radial_spectrum(model.op, 6).vectors[:, :4]
     phi0 = _smooth_lowpass(model, vectors, np.random.default_rng(0))
-    region = Cylinder(0.3, 0.6)
+    region = _CYLINDER
     got = lr_control(phi0, region, 1e-3)
     assert got.converged
     assert _lr_bits(got) == _lr_bits(lr_control_per_mode(phi0, region, 1e-3))
@@ -267,12 +308,19 @@ def test_lr_random_datum_fails_as_the_per_mode_march(desk_model):
     # nonzero modes above the cap; the first block's budget is out of reach
     phi0 = ModeCoeffs(desk_model, np.random.default_rng(1).standard_normal(
         (desk_model.n_modes, desk_model.n_radial)))
-    region = Cylinder(0.3, 0.6)
+    region = _CYLINDER
     with pytest.raises(NonConvergenceError) as got:
         lr_control(phi0, region, 1e-3)
     with pytest.raises(NonConvergenceError) as ref:
         lr_control_per_mode(phi0, region, 1e-3)
     assert str(got.value) == str(ref.value)
+
+
+def test_lr_two_theta_halves_match_the_cylinder(desk_model, desk_spec):
+    phi0 = _smooth_lowpass(desk_model, desk_spec.vectors[:, :4],
+                           np.random.default_rng(0))
+    assert (_lr_bits(lr_control(phi0, _HALVES, 1e-3))
+            == _lr_bits(lr_control(phi0, _CYLINDER, 1e-3)))
 
 
 @pytest.mark.parametrize("n_r", [12, 40, 61])
@@ -294,9 +342,9 @@ def test_block_gramian_bitwise_matches_column_loop(n_r):
 def test_lr_validation(desk_model, desk_spec):
     phi0 = _desk_datum(desk_model, desk_spec)
     with pytest.raises(ConfigError):
-        lr_control(phi0, Cylinder(0.3, 0.6), -1.0)
+        lr_control(phi0, _CYLINDER, -1.0)
     with pytest.raises(ConfigError):
-        lr_control(phi0, Cylinder(0.3, 0.6), 1e-3, n_blocks=0)
+        lr_control(phi0, _CYLINDER, 1e-3, n_blocks=0)
     region = _box_region((((0.0, 1.0), (0.3, 0.6), (0.0, 1.0)),))
     with pytest.raises(ConfigError):
         lr_control(phi0, region, 1e-3)
