@@ -13,11 +13,7 @@ import sys
 from degenctrl import (BoxUnionSet, ModelConfig, NonConvergenceError,
                        build_model, datum_family,
                        measurable_observability_ratio)
-
-DEFAULT_BOXES = (
-    ((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
-    ((3.0, 5.5), (0.45, 0.58), (0.5, 0.95)),
-)
+from degenctrl.cli import _DEFAULT_BOXES
 
 
 def main(argv=None):
@@ -39,7 +35,7 @@ def main(argv=None):
                       n_theta_max=args.n_theta_max, n_r=args.n_r,
                       n_time=args.n_time)
     model = build_model(cfg)
-    region = BoxUnionSet(boxes=DEFAULT_BOXES, band_a=args.band[0],
+    region = BoxUnionSet(boxes=_DEFAULT_BOXES, band_a=args.band[0],
                          band_b=args.band[1], horizon=args.horizon)
     family = datum_family(model, args.family_size, args.seed)
 

@@ -95,6 +95,10 @@ class EtaWeight:
     used_fallback_knot: bool
 
     @property
+    def gamma(self) -> float:
+        return self.sup_norm + 1.0
+
+    @property
     def _scale(self) -> float:
         return self.q_hat - self.p
 
@@ -231,8 +235,7 @@ def build_carleman_weights(eta: EtaWeight, T: float, s: float) -> CarlemanWeight
         raise ConfigError(f"s must be at least 1, got {s!r}")
     if T <= 0.0:
         raise ConfigError(f"T must be positive, got {T!r}")
-    gamma = eta.sup_norm + 1.0
-    return CarlemanWeights(eta=eta, gamma=gamma, T=T, s=s)
+    return CarlemanWeights(eta=eta, gamma=eta.gamma, T=T, s=s)
 
 
 def s0_default(T: float) -> float:

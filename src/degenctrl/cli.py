@@ -335,7 +335,7 @@ def _cmd_carleman(out, config, options, seed):
                ("s", "mode_parity", "mode_n", "lhs_grad", "lhs_zero",
                 "rhs_f", "rhs_obs", "ratio"), rows)
     _write_json(out / "carleman_meta.json",
-                {"gamma": eta.sup_norm + 1.0, "eta_sup": eta.sup_norm,
+                {"gamma": eta.gamma, "eta_sup": eta.sup_norm,
                  "s0_default": s0, "band": [a, b],
                  "used_fallback_knot": eta.used_fallback_knot,
                  "rows": meta_rows})

@@ -31,7 +31,8 @@ Three estimators live here.
 
 Both constants are the top eigenvalue of one pencil from _observation_form,
 in float64 or in mp: diag(e^{-2 mu T}) against the observed set's spatial
-Gram weighted by the closed-form time integrals.
+Gram weighted by the closed-form time integrals. Both mp routes climb
+one precision ladder, _precision_ladder from _start_dps.
 """
 
 from dataclasses import dataclass
@@ -142,18 +143,35 @@ def _rotate_back(modes, part, y, mid, k_max):
     return x
 
 
+def _start_dps(K) -> int:
+    """First working precision at angular frequency cap K."""
+    return max(30, 20 + math.ceil(4 * K))
+
+
+def _precision_ladder(attempt, dps: int, tries: int, failure: str):
+    """(attempt(), dps) at the first of dps, 2 dps, 4 dps, ... where attempt,
+    run in mp.workdps, returns something other than None; after tries
+    attempts NonConvergenceError(failure)."""
+    for level in (dps * 2 ** i for i in range(tries)):
+        with mp.workdps(level):
+            result = attempt()
+        if result is not None:
+            return result, level
+    raise NonConvergenceError(failure)
+
+
 def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     """Smallest restricted-Gram eigenvalue, resolved in adaptive precision.
 
     The matrix is assembled from closed-form trigonometric integrals on
     the re-centred interval (-w, w), where it is block diagonal by parity,
     and each block is diagonalized, eigenvalues only, by mpmath's
-    Householder/QL solver. Working precision starts a safe margin beyond
-    the empirical decay rate of the smallest eigenvalue and doubles until
-    the eigenvalue is resolved above the rounding floor, which also bounds
-    the solver's absolute error at the matrix norm scale. Six attempts,
-    five doublings (30 digits become 960 at small K), that leave it
-    unresolved raise NonConvergenceError.
+    Householder/QL solver. On the precision ladder from _start_dps(K) an
+    attempt is accepted once the eigenvalue is resolved above the rounding
+    floor, lambda_min > 10^(12 - dps) lambda_max, which also bounds the
+    solver's absolute error at the matrix norm scale. Six attempts, five
+    doublings (30 digits become 960 at small K), that leave it unresolved
+    raise NonConvergenceError.
     """
     if K < 0:
         raise ConfigError("frequency cap K must be >= 0")
@@ -161,28 +179,23 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     check_index_range("frequency cap K", (2 * K + 1, 2 * K + 1))
     modes = mode_set(K)
 
-    dps = max(30, 20 + int(math.ceil(4.0 * K)))
-    for _ in range(6):
-        with mp.workdps(dps):
-            w, _, parts = _recentred(modes, c, d)
-            vals = []
-            for part in parts:
-                if part:
-                    gram = _angular_gram(part, -w, w, mp)
-                    vals.extend(mp.eigsy(mp.matrix(gram.tolist()),
-                                         eigvals_only=True))
-            lam_min, lam_max = min(vals), max(vals)
-            floor = mp.mpf(10) ** (12 - dps)
-            if lam_min > floor * lam_max:
-                if not (0 < lam_min and lam_max <= 1 + mp.mpf(10) ** -12):
-                    raise InvariantError("restricted Gram spectrum out of (0, 1]")
-                cap = max(K, 1)
-                c_emp = float(-mp.log(lam_min) / cap)
-                return TorusGram(lambda_min=float(lam_min), c_emp=c_emp,
-                                 dps_used=dps)
-        dps *= 2
-    raise NonConvergenceError(
+    def attempt():
+        w, _, parts = _recentred(modes, c, d)
+        grams = [_angular_gram(part, -w, w, mp) for part in parts if part]
+        vals = [v for g in grams
+                for v in mp.eigsy(mp.matrix(g.tolist()), eigvals_only=True)]
+        lam_min, lam_max = min(vals), max(vals)
+        if not lam_min > mp.mpf(10) ** (12 - mp.mp.dps) * lam_max:
+            return None
+        if not (0 < lam_min and lam_max <= 1 + mp.mpf(10) ** -12):
+            raise InvariantError("restricted Gram spectrum out of (0, 1]")
+        # the log in the working precision, before the one rounding
+        return float(lam_min), float(-mp.log(lam_min) / max(K, 1))
+
+    (lam_min, c_emp), dps = _precision_ladder(
+        attempt, _start_dps(K), 6,
         f"could not resolve the smallest Gram eigenvalue at K={K}")
+    return TorusGram(lambda_min=lam_min, c_emp=c_emp, dps_used=dps)
 
 
 @dataclass(frozen=True)
@@ -335,12 +348,6 @@ def _pencil_vector_mp(a_diag: np.ndarray, b_mat, lam):
     return x, float(num / mp.norm(bx))
 
 
-def _pencil_top_mp(a_diag: np.ndarray, b: np.ndarray):
-    """Top eigenvalue, unit eigenvector and relative residual of the pencil."""
-    lam, b_mat = _pencil_top_value_mp(a_diag, b)
-    return (lam, *_pencil_vector_mp(a_diag, b_mat, lam))
-
-
 def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
                             a: float, b: float, j: int,
                             k_max: int = 8) -> ObservabilityEstimate:
@@ -353,8 +360,9 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     problem is solved in double precision when its Cholesky factorization
     survives and in adaptive arbitrary precision otherwise, there as one
     pencil per parity block on (-w, w); only the block with the larger top
-    eigenvalue gets an eigenvector. An inverse iteration that leaves its
-    residual above 1e-6 raises NonConvergenceError.
+    eigenvalue gets an eigenvector. Three attempts from _start_dps(2^j) + 30
+    digits double while mp.cholesky fails; an inverse iteration that leaves
+    its residual above 1e-6 raises NonConvergenceError.
     """
     k_max = _radial_cut(model, spectrum, k_max)
     if j < 0:
@@ -393,29 +401,28 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     except np.linalg.LinAlgError:
         pass
 
-    dps = torus_smallest_gram_eigenvalue(cap, (c, d)).dps_used + 30
-    to_mp = np.frompyfunc(mp.mpf, 1, 1)
-    for _ in range(3):
-        with mp.workdps(dps):
-            w, mid, parts = _recentred(modes, c, d)
-            forms = [_coupled_form(part, to_mp(lam), to_mp(overlap), -w, w,
-                                   mp.mpf(T), mp) for part in parts]
-            try:
-                tops = [_pencil_top_value_mp(*form) for form in forms]
-            except ValueError:
-                dps = int(dps * 1.5)
-                continue
-            (c_emp, b_mat), (a_diag, _), part = max(
-                zip(tops, forms, parts), key=lambda block: block[0][0])
-            y, res = _pencil_vector_mp(a_diag, b_mat, c_emp)
-            if res > 1e-6:
-                raise NonConvergenceError(
-                    f"inverse iteration left a coupled residual of {res:.3g} "
-                    f"at dps={dps}")
-            x = _rotate_back(modes, part, y, mid, k_max)
+    def attempt():
+        to_mp = np.frompyfunc(mp.mpf, 1, 1)
+        w, mid, parts = _recentred(modes, c, d)
+        forms = [_coupled_form(part, to_mp(lam), to_mp(overlap), -w, w,
+                               mp.mpf(T), mp) for part in parts]
+        try:
+            tops = [_pencil_top_value_mp(*form) for form in forms]
+        except ValueError:
+            return None
+        (c_emp, b_mat), (a_diag, _), part = max(
+            zip(tops, forms, parts), key=lambda block: block[0][0])
+        y, res = _pencil_vector_mp(a_diag, b_mat, c_emp)
+        if res > 1e-6:
+            raise NonConvergenceError(
+                f"inverse iteration left a coupled residual of {res:.3g} "
+                f"at dps={mp.mp.dps}")
+        x = _rotate_back(modes, part, y, mid, k_max)
         return ObservabilityEstimate(
             c_emp=float(c_emp), extremal=np.array([float(v) for v in x]),
-            residual=res, basis_dim=dim, precision=f"mp(dps={dps})")
-    raise NonConvergenceError(
+            residual=res, basis_dim=dim, precision=f"mp(dps={mp.mp.dps})")
+
+    return _precision_ladder(
+        attempt, _start_dps(cap) + 30, 3,
         "coupled observation Gram not positive definite at the attempted "
-        "precisions; reduce j or k_max")
+        "precisions; reduce j or k_max")[0]

@@ -41,15 +41,20 @@ arbitrary-precision routes as they stood before the production code was
 cut down: one ``mp.eigsy`` on the full restricted Gram (no parity split),
 and the coupled pencil solved through ``mp.inverse`` of the Cholesky
 factor and a full ``mp.eigsy`` with eigenvectors (no inverse iteration).
-Both keep the production precision ladders, so the tests can require the
-same working precision as well as the same numbers.
+Both keep the precision ladders production had then. The Gram's ladder
+is production's still; the coupled one starts 30 digits above the Gram's
+precision and grows by 1.5x, which matches production's start wherever
+the Gram resolves on its first attempt, so there the tests can require
+the same working precision as well as the same numbers.
 
 ``coupled_observability_unsplit_mp`` is the coupled mp route as it stood
 before production split the pencil by parity: one pencil of the whole
-mode set on (c, d), with the production start precision and 1.5x ladder,
-solved by the production ``_pencil_top_mp``. The tests require the same
-``c_emp`` bits, the same precision string and the same extremizer up to
-sign.
+mode set on (c, d), starting 30 digits above the angular Gram's precision
+and growing by 1.5x, solved by ``_pencil_top_mp``, which composes the
+production top eigenvalue and inverse iteration on the whole pencil. The
+tests require the same ``c_emp`` bits and the same extremizer up to sign,
+and the same precision string wherever the angular Gram resolves on its
+first attempt.
 
 ``_coupled_matrices_mp`` is the coupled mp pencil as production assembled
 it before one ``_observation_form`` served both precisions: a per-entry
@@ -98,7 +103,8 @@ from degenctrl.measurable import SpectralPropagator, _pieces_within
 from degenctrl.model import (TWO_PI, ModeCoeffs, ModeIndex, TimeGrid,
                              _frozen, mode_set, synthesize_field, zero_coeffs)
 from degenctrl.observability import (_angular_gram, _coupled_form,
-                                     _pencil_top_mp, _restricted_overlap,
+                                     _pencil_top_value_mp, _pencil_vector_mp,
+                                     _restricted_overlap,
                                      torus_smallest_gram_eigenvalue)
 from degenctrl.spectral import bessel_order
 
@@ -435,6 +441,13 @@ def coupled_observability_inverse_mp(model, spectrum, interval, a, b, j,
             x = np.array([float(x_mp[i, 0] / nrm) for i in range(dim)])
             return float(lam), x, float(num / den), f"mp(dps={dps})"
     raise NonConvergenceError("coupled observation Gram not positive definite")
+
+
+def _pencil_top_mp(a_diag, b):
+    """Top eigenvalue, unit eigenvector and relative residual of the pencil
+    (diag(a_diag), b), in the working precision."""
+    lam, b_mat = _pencil_top_value_mp(a_diag, b)
+    return (lam, *_pencil_vector_mp(a_diag, b_mat, lam))
 
 
 def coupled_observability_unsplit_mp(spectrum, interval, a, b, j, k_max, T):

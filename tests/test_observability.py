@@ -20,10 +20,11 @@ from degenctrl import (ConfigError, ModelConfig, NonConvergenceError,
                        truncated_observability)
 from degenctrl import observability
 from degenctrl.observability import (_angular_gram, _coupled_form,
-                                     _pencil_top_mp, _recentred,
-                                     _restricted_overlap, _rotate_back)
+                                     _recentred, _restricted_overlap,
+                                     _rotate_back)
 
-from ._oracles import (_coupled_matrices_mp, angular_gram_nine_case,
+from ._oracles import (_coupled_matrices_mp, _pencil_top_mp,
+                       angular_gram_nine_case,
                        coupled_observability_inverse_mp,
                        coupled_observability_unsplit_mp,
                        gram_lambda_min_full, jacobi_eigh_mp)
@@ -301,6 +302,71 @@ def test_parity_split_matches_unsplit_route(desk_model, desk_spec, monkeypatch,
     sign = math.copysign(1.0, float(np.dot(est.extremal, extremal)))
     assert np.max(np.abs(sign * est.extremal - extremal)) <= 1e-20
     assert est.residual <= 1e-30 and residual <= 1e-30
+
+
+@pytest.mark.parametrize("interval, j, dps", [
+    ((3.0, 3.2), 2, 66), ((0.3, 0.35), 2, 66), ((2.0, 2.02), 1, 60),
+    ((4.0, 4.001), 1, 60)])
+def test_narrow_interval_starts_on_the_shared_ladder(desk_model, desk_spec,
+                                                     interval, j, dps):
+    # the angular Gram needs a second attempt on these intervals, so the
+    # oracle, which starts 30 digits above the Gram's precision, runs at
+    # 102 (j 2) or 90 (j 1) digits; production starts at _start_dps + 30
+    est = truncated_observability(desk_model, desk_spec, interval, 0.3, 0.6,
+                                  j, k_max=3)
+    c_emp, extremal, _, precision = coupled_observability_unsplit_mp(
+        desk_spec, interval, 0.3, 0.6, j, 3, desk_model.config.T_horizon)
+    assert est.precision == f"mp(dps={dps})" != precision
+    assert est.c_emp.hex() == c_emp.hex()
+    sign = math.copysign(1.0, float(np.dot(est.extremal, extremal)))
+    assert np.max(np.abs(sign * est.extremal - extremal)) <= 1e-20
+    assert est.residual <= 1e-30
+
+
+def test_precision_ladder_doubles_from_its_start():
+    seen = []
+
+    def attempt():
+        seen.append(mp.mp.dps)
+        return mp.mp.dps if mp.mp.dps >= 200 else None
+
+    result = observability._precision_ladder(attempt, 30, 4, "none")
+    assert result == (240, 240) and seen == [30, 60, 120, 240]
+    with pytest.raises(NonConvergenceError, match="^none$"):
+        observability._precision_ladder(attempt, 30, 3, "none")
+    assert seen[4:] == [30, 60, 120]
+    assert [observability._start_dps(K) for K in (0, 2, 3, 4, 12)] == [
+        30, 30, 32, 36, 68]
+
+
+def test_coupled_route_runs_no_gram_eigensolve(desk_model, desk_spec,
+                                               monkeypatch):
+    def no_gram(*args, **kwargs):
+        raise AssertionError("the coupled route solved the angular Gram")
+
+    monkeypatch.setattr(observability, "torus_smallest_gram_eigenvalue",
+                        no_gram)
+    est = truncated_observability(desk_model, desk_spec, (2.0, 2.4), 0.3, 0.6,
+                                  2, k_max=3)
+    assert est.precision == "mp(dps=66)"
+    assert est.c_emp.hex() == "0x1.5dc4cf4422fa0p+9"
+
+
+def test_failed_cholesky_doubles_the_precision(desk_model, desk_spec,
+                                               monkeypatch):
+    cholesky = mp.cholesky
+
+    def fails_at_66(matrix):
+        if mp.mp.dps == 66:
+            raise ValueError("matrix is not positive-definite")
+        return cholesky(matrix)
+
+    monkeypatch.setattr(mp, "cholesky", fails_at_66)
+    est = truncated_observability(desk_model, desk_spec, (2.0, 2.4), 0.3, 0.6,
+                                  2, k_max=3)
+    assert est.precision == "mp(dps=132)"
+    assert est.c_emp.hex() == "0x1.5dc4cf4422fa0p+9"
+    assert est.residual <= 1e-100
 
 
 def test_sin_block_rotates_back_to_an_unsplit_eigenpair(desk_model, desk_spec):
