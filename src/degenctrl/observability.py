@@ -5,11 +5,13 @@ Three estimators live here.
 * The smallest eigenvalue of the Gram matrix of the torus basis restricted
   to an angular interval. It decays like exp(-c K) in the frequency cap K,
   crossing below double precision around K = 5 for unit-length intervals,
-  so entries and eigensolve run in adaptive arbitrary precision; the decay
-  rate -log(lambda_min)/K is the quantity of interest and stays bounded.
-  Re-centred on (-w, w), the interval's Gram splits into a cosine and a
-  sine block with the same spectrum as a whole; each block is solved
-  for eigenvalues only.
+  so it is resolved in adaptive arbitrary precision; the decay rate
+  -log(lambda_min)/K is the quantity of interest and stays bounded. The
+  Gram has the spectrum of Slepian's prolate matrix P, N = 2K + 1, whose
+  eigenvectors are those of an explicit commuting tridiagonal T: inverse
+  iteration on T, shifted by its float64 smallest eigenvalue, gives the
+  vector, and its Rayleigh quotient of P, in O(N^2) from one table of
+  entries, gives the eigenvalue. No Gram matrix is formed.
 
 * Per-mode observability constants: the worst ratio of terminal energy to
   the space-time observation of the free flow over a radial band (a,b),
@@ -22,8 +24,8 @@ Three estimators live here.
   assembled problem inherits its catastrophic conditioning, so that path
   escalates to arbitrary precision when double-precision Cholesky fails.
   There the pencil is solved per parity block on the re-centred interval
-  (-w, w), where the angular Gram splits as it does for the first
-  estimator. Each block's constant is the largest eigenvalue of W W^T,
+  (-w, w), where the angular Gram splits into a cosine and a sine
+  block, as P splits into its symmetric and antisymmetric vectors. Each block's constant is the largest eigenvalue of W W^T,
   W = L^-1 diag(sqrt(a)), found without eigenvectors; the larger of the
   two is the constant. The extremizer comes from inverse iteration on
   the winning block's shifted pencil and is rotated back to the (c, d)
@@ -40,7 +42,7 @@ import math
 
 import numpy as np
 import mpmath as mp
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import Model, check_index_range, mode_set
@@ -48,6 +50,9 @@ from .spectral import RadialSpectrum
 
 TWO_PI = 2.0 * math.pi
 _INVERSE_ITERATIONS = 8
+# inverse iteration from the float64 shift gains about 15 digits a step,
+# so 160 steps cover every attempt of the Gram's ladder up to K = 12
+_PROLATE_STEPS = 160
 
 
 def _angular_gram(modes, c, d, lib):
@@ -160,35 +165,104 @@ def _precision_ladder(attempt, dps: int, tries: int, failure: str):
     raise NonConvergenceError(failure)
 
 
+def _slepian_tridiagonal(n, cos_w):
+    """Diagonal and off-diagonal of Slepian's tridiagonal T at N = n.
+
+    T commutes with the prolate matrix of half-width w; its entries are
+    exact binary fractions but for the factor cos w, a float or an mpf.
+    """
+    diag = [(n - 1 - 2 * i) ** 2 / 4 * cos_w for i in range(n)]
+    off = [(i + 1) * (n - 1 - i) / 2 for i in range(n - 1)]
+    return diag, off
+
+
+def _prolate_table(n, w, lib):
+    """p[k] = sin(k w) / (pi k), p[0] = w / pi: the prolate matrix is
+    P[j, k] = p[|j - k|], in the number type of lib, math or mp."""
+    return [w / lib.pi] + [lib.sin(k * w) / (lib.pi * k) for k in range(1, n)]
+
+
+def _prolate_quotient(table, x, dot):
+    """x^T P x for a unit vector x, by lags: O(N^2), no matrix formed."""
+    n = len(x)
+    return dot(table, [dot(x[:n - m], x[m:]) * (2 if m else 1)
+                       for m in range(n)])
+
+
+def _tridiagonal_vector_mp(diag, off, sigma):
+    """Unit eigenvector of the tridiagonal (diag, off) nearest sigma.
+
+    Inverse iteration on one LDL^T factorization of T - sigma, in the
+    working precision, from the symmetric start vector; an exactly zero
+    pivot is replaced by the working epsilon. None when the step is still
+    above 10^(4 - dps) after _PROLATE_STEPS steps.
+    """
+    n = len(diag)
+    piv, mult = [diag[0] - sigma or mp.eps], []
+    for i in range(1, n):
+        mult.append(off[i - 1] / piv[-1])
+        piv.append(diag[i] - sigma - mult[-1] * off[i - 1] or mp.eps)
+    x = [1 / mp.sqrt(n)] * n
+    tol = mp.mpf(10) ** (4 - mp.mp.dps)
+    for _ in range(_PROLATE_STEPS):
+        y = list(x)
+        for i in range(1, n):
+            y[i] -= mult[i - 1] * y[i - 1]
+        y[-1] /= piv[-1]
+        for i in range(n - 2, -1, -1):
+            y[i] = (y[i] - off[i] * y[i + 1]) / piv[i]
+        scale = mp.norm(y) if mp.fdot(y, x) > 0 else -mp.norm(y)
+        y = [v / scale for v in y]
+        step = mp.norm([a - b for a, b in zip(y, x)])
+        x = y
+        if step <= tol:
+            return x
+    return None
+
+
 def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     """Smallest restricted-Gram eigenvalue, resolved in adaptive precision.
 
-    The matrix is assembled from closed-form trigonometric integrals on
-    the re-centred interval (-w, w), where it is block diagonal by parity,
-    and each block is diagonalized, eigenvalues only, by mpmath's
-    Householder/QL solver. On the precision ladder from _start_dps(K) an
-    attempt is accepted once the eigenvalue is resolved above the rounding
-    floor, lambda_min > 10^(12 - dps) lambda_max, which also bounds the
-    solver's absolute error at the matrix norm scale. Six attempts, five
-    doublings (30 digits become 960 at small K), that leave it unresolved
-    raise NonConvergenceError.
+    The restricted Gram is a unitary image of Slepian's prolate matrix
+    P[j, k] = sin(w (j - k)) / (pi (j - k)), N = 2K + 1, w = (d - c)/2,
+    which commutes with Slepian's tridiagonal T and shares its
+    eigenvectors, T's smallest eigenvalue going with P's. The float64
+    smallest eigenvalue of T shifts an inverse iteration on T in the
+    working precision; the Rayleigh quotient of its vector, computed from
+    the table of P's entries, is lambda_min. lambda_max, P's quotient at
+    T's other end, is taken in float64: it is at least w / pi. On the
+    precision ladder from _start_dps(K) an attempt is accepted once the
+    eigenvalue is resolved above the rounding floor, lambda_min >
+    10^(12 - dps) lambda_max. Six attempts, five doublings (30 digits
+    become 960 at small K), that leave it unresolved raise
+    NonConvergenceError, as does an inverse iteration that runs out of
+    steps at every attempt.
     """
     if K < 0:
         raise ConfigError("frequency cap K must be >= 0")
     c, d = _angular_interval(interval)
     check_index_range("frequency cap K", (2 * K + 1, 2 * K + 1))
-    modes = mode_set(K)
+    n = 2 * K + 1
+    w = (d - c) / 2
+    diag, off = _slepian_tridiagonal(n, math.cos(w))
+    sigma = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                             select_range=(0, 0))[0]
+    top = eigh_tridiagonal(diag, off, select="i",
+                           select_range=(n - 1, n - 1))[1][:, 0]
+    lam_max = float(_prolate_quotient(_prolate_table(n, w, math), top, np.dot))
+    # an accepted lambda_min lies above 10^(12 - dps) lambda_max > 0
+    if not 0 < lam_max <= 1 + 1e-12:
+        raise InvariantError("restricted Gram spectrum out of (0, 1]")
 
     def attempt():
-        w, _, parts = _recentred(modes, c, d)
-        grams = [_angular_gram(part, -w, w, mp) for part in parts if part]
-        vals = [v for g in grams
-                for v in mp.eigsy(mp.matrix(g.tolist()), eigvals_only=True)]
-        lam_min, lam_max = min(vals), max(vals)
+        w = (mp.mpf(d) - mp.mpf(c)) / 2
+        x = _tridiagonal_vector_mp(*_slepian_tridiagonal(n, mp.cos(w)),
+                                   mp.mpf(sigma))
+        if x is None:
+            return None
+        lam_min = _prolate_quotient(_prolate_table(n, w, mp), x, mp.fdot)
         if not lam_min > mp.mpf(10) ** (12 - mp.mp.dps) * lam_max:
             return None
-        if not (0 < lam_min and lam_max <= 1 + mp.mpf(10) ** -12):
-            raise InvariantError("restricted Gram spectrum out of (0, 1]")
         # the log in the working precision, before the one rounding
         return float(lam_min), float(-mp.log(lam_min) / max(K, 1))
 

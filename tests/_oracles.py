@@ -42,19 +42,25 @@ cut down: one ``mp.eigsy`` on the full restricted Gram (no parity split),
 and the coupled pencil solved through ``mp.inverse`` of the Cholesky
 factor and a full ``mp.eigsy`` with eigenvectors (no inverse iteration).
 Both keep the precision ladders production had then. The Gram's ladder
-is production's still; the coupled one starts 30 digits above the Gram's
-precision and grows by 1.5x, which matches production's start wherever
-the Gram resolves on its first attempt, so there the tests can require
-the same working precision as well as the same numbers.
+is production's still; the coupled one starts 30 digits above
+``gram_lambda_min_full``'s precision and grows by 1.5x, which matches
+production's start wherever the Gram resolves on its first attempt, so
+there the tests can require the same working precision as well as the
+same numbers.
+
+``gram_lambda_min_parity_blocks`` is the restricted Gram as production
+solved it before the prolate route: the Gram re-centred on (-w, w), one
+eigenvalues-only ``mp.eigsy`` of its cos block and one of its sin block,
+on the same ladder and acceptance rule as ``gram_lambda_min_full``.
 
 ``coupled_observability_unsplit_mp`` is the coupled mp route as it stood
 before production split the pencil by parity: one pencil of the whole
-mode set on (c, d), starting 30 digits above the angular Gram's precision
-and growing by 1.5x, solved by ``_pencil_top_mp``, which composes the
-production top eigenvalue and inverse iteration on the whole pencil. The
-tests require the same ``c_emp`` bits and the same extremizer up to sign,
-and the same precision string wherever the angular Gram resolves on its
-first attempt.
+mode set on (c, d), starting 30 digits above ``gram_lambda_min_full``'s
+precision and growing by 1.5x, solved by ``_pencil_top_mp``, which
+composes the production top eigenvalue and inverse iteration on the
+whole pencil. The tests require the same ``c_emp`` bits and the same
+extremizer up to sign, and the same precision string wherever the
+angular Gram resolves on its first attempt.
 
 ``_coupled_matrices_mp`` is the coupled mp pencil as production assembled
 it before one ``_observation_form`` served both precisions: a per-entry
@@ -104,8 +110,7 @@ from degenctrl.model import (TWO_PI, ModeCoeffs, ModeIndex, TimeGrid,
                              _frozen, mode_set, synthesize_field, zero_coeffs)
 from degenctrl.observability import (_angular_gram, _coupled_form,
                                      _pencil_top_value_mp, _pencil_vector_mp,
-                                     _restricted_overlap,
-                                     torus_smallest_gram_eigenvalue)
+                                     _recentred, _restricted_overlap)
 from degenctrl.spectral import bessel_order
 
 _MAX_SWEEPS = 64
@@ -359,20 +364,37 @@ def angular_gram_nine_case(modes, c, d, lib):
     return out
 
 
-def gram_lambda_min_full(K, interval):
-    """(lambda_min, dps_used) of the restricted Gram, full-matrix mp.eigsy."""
+def _gram_lambda_min(K, interval, blocks):
+    """(lambda_min, dps_used) over the eigsy spectra of blocks(modes, c, d)."""
     c, d = float(interval[0]), float(interval[1])
     modes = mode_set(K)
     dps = max(30, 20 + int(math.ceil(4.0 * K)))
     for _ in range(6):
         with mp.workdps(dps):
-            gm = _angular_gram(modes, mp.mpf(c), mp.mpf(d), mp)
-            vals = mp.eigsy(mp.matrix(gm.tolist()), eigvals_only=True)
-            lam_min, lam_max = vals[0], vals[len(modes) - 1]
+            vals = [v for gm in blocks(modes, mp.mpf(c), mp.mpf(d))
+                    for v in mp.eigsy(mp.matrix(gm.tolist()),
+                                      eigvals_only=True)]
+            lam_min, lam_max = min(vals), max(vals)
             if lam_min > mp.mpf(10) ** (12 - dps) * lam_max:
                 return float(lam_min), dps
         dps *= 2
     raise NonConvergenceError("smallest Gram eigenvalue not resolved")
+
+
+def gram_lambda_min_full(K, interval):
+    """(lambda_min, dps_used) of the restricted Gram, full-matrix mp.eigsy."""
+    return _gram_lambda_min(
+        K, interval, lambda modes, c, d: [_angular_gram(modes, c, d, mp)])
+
+
+def gram_lambda_min_parity_blocks(K, interval):
+    """(lambda_min, dps_used) of the restricted Gram, one mp.eigsy per
+    parity block on the re-centred interval (-w, w)."""
+    def blocks(modes, c, d):
+        w, _, parts = _recentred(modes, c, d)
+        return [_angular_gram(part, -w, w, mp) for part in parts if part]
+
+    return _gram_lambda_min(K, interval, blocks)
 
 
 def _coupled_matrices_mp(modes, gram_ang, spectrum, a, b, T, k_max):
@@ -416,7 +438,7 @@ def coupled_observability_inverse_mp(model, spectrum, interval, a, b, j,
     k_max = min(k_max, spectrum.values.size)
     dim = len(modes) * k_max
     T = model.config.T_horizon
-    dps = torus_smallest_gram_eigenvalue(cap, (c, d)).dps_used + 30
+    dps = gram_lambda_min_full(cap, (c, d))[1] + 30
     for _ in range(3):
         with mp.workdps(dps):
             gm = _angular_gram(modes, mp.mpf(c), mp.mpf(d), mp)
@@ -462,7 +484,7 @@ def coupled_observability_unsplit_mp(spectrum, interval, a, b, j, k_max, T):
     modes = mode_set(cap)
     lam = spectrum.values[:k_max]
     overlap = _restricted_overlap(spectrum, a, b, k_max)
-    dps = torus_smallest_gram_eigenvalue(cap, (c, d)).dps_used + 30
+    dps = gram_lambda_min_full(cap, (c, d))[1] + 30
     to_mp = np.frompyfunc(mp.mpf, 1, 1)
     for _ in range(3):
         with mp.workdps(dps):

@@ -396,6 +396,19 @@ def test_unconverged_inverse_iteration_is_nonconvergence(tmp_path,
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def test_stalled_prolate_iteration_is_nonconvergence(tmp_path, monkeypatch):
+    # one inverse-iteration step never meets the step tolerance at K = 12,
+    # so every attempt on the precision ladder gives up
+    monkeypatch.setattr(degenctrl.observability, "_PROLATE_STEPS", 1)
+    payload = dict(BASE, freq_caps=[12], interval_c=0.0, interval_d=1.0)
+    code, out = _run(tmp_path, "spectral-ineq", payload)
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-convergence"
+    assert "smallest Gram eigenvalue at K=12" in manifest["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_carleman_command_outputs(tmp_path):
     payload = dict(BASE, n_r=60, band_a=0.3, band_b=0.6)
     code, out = _run(tmp_path, "carleman", payload)

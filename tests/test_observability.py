@@ -21,13 +21,14 @@ from degenctrl import (ConfigError, ModelConfig, NonConvergenceError,
 from degenctrl import observability
 from degenctrl.observability import (_angular_gram, _coupled_form,
                                      _recentred, _restricted_overlap,
-                                     _rotate_back)
+                                     _rotate_back, _slepian_tridiagonal)
 
 from ._oracles import (_coupled_matrices_mp, _pencil_top_mp,
                        angular_gram_nine_case,
                        coupled_observability_inverse_mp,
                        coupled_observability_unsplit_mp,
-                       gram_lambda_min_full, jacobi_eigh_mp)
+                       gram_lambda_min_full, gram_lambda_min_parity_blocks,
+                       jacobi_eigh_mp)
 
 
 def test_full_circle_gram_is_identity():
@@ -128,6 +129,18 @@ def test_c_emp_bounded_up_to_12(unit_gram):
     vals = [unit_gram(K).c_emp for K in range(13)]
     assert all(v <= 9.0 for v in vals)
     assert all(v >= 1.0 for v in vals)
+
+
+def test_gram_forms_no_matrix_and_runs_no_eigsy(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("the restricted Gram built a dense mp matrix")
+
+    monkeypatch.setattr(mp, "eigsy", dense)
+    monkeypatch.setattr(mp, "matrix", dense)
+    monkeypatch.setattr(observability, "_angular_gram", dense)
+    tg = torus_smallest_gram_eigenvalue(12, (0.0, 1.0))
+    assert tg.lambda_min == pytest.approx(1.250739455e-43, rel=1e-6)
+    assert tg.dps_used == 68
 
 
 def test_gram_validation():
@@ -241,6 +254,100 @@ def test_parity_split_matches_full_gram(interval):
         lam, dps = gram_lambda_min_full(K, interval)
         assert tg.lambda_min == pytest.approx(lam, rel=1e-12), K
         assert tg.dps_used == dps, K
+
+
+def _prolate_matrix(n, w):
+    # P[j, k] = sin(w (j - k)) / (pi (j - k)), the Gram of e^{i n theta}
+    # / sqrt(2 pi), |n| <= K, on (-w, w), built entry by entry
+    return mp.matrix([[mp.sin(w * (j - k)) / (mp.pi * (j - k)) if j != k
+                       else w / mp.pi for k in range(n)] for j in range(n)])
+
+
+def _parity_blocks(K, width):
+    # the restricted Gram's cos and sin blocks on (-w, w), as mp matrices
+    w, _, parts = _recentred(mode_set(K), 0.0, width)
+    return w, [mp.matrix(_angular_gram(part, -w, w, mp).tolist())
+               for part in parts if part]
+
+
+@pytest.mark.parametrize("K, width", [(4, 1.0), (12, 0.4), (6, 5.0)])
+def test_parity_block_spectrum_is_the_prolate_spectrum(K, width):
+    with mp.workdps(50):
+        w, blocks = _parity_blocks(K, width)
+        gram = sorted(v for block in blocks
+                      for v in mp.eigsy(block, eigvals_only=True))
+        prolate = sorted(mp.eigsy(_prolate_matrix(2 * K + 1, w),
+                                  eigvals_only=True))
+        scale = prolate[-1]
+        assert max(abs(a - b) for a, b in zip(gram, prolate)) \
+            <= mp.mpf(10) ** -40 * scale
+
+
+@pytest.mark.parametrize("K, width", [(4, 1.0), (12, 0.4), (6, 5.0),
+                                      (3, math.pi)])
+def test_slepian_tridiagonal_commutes_with_the_prolate_matrix(K, width):
+    n = 2 * K + 1
+    with mp.workdps(50):
+        w = mp.mpf(width) / 2
+        diag, off = _slepian_tridiagonal(n, mp.cos(w))
+        tri = mp.diag(diag)
+        for i, v in enumerate(off):
+            tri[i, i + 1] = tri[i + 1, i] = v
+        p = _prolate_matrix(n, w)
+        gap = mp.mnorm(p * tri - tri * p, 1)
+        assert gap / (mp.mnorm(p, 1) * mp.mnorm(tri, 1)) < mp.mpf(10) ** -45
+
+
+@pytest.mark.parametrize("K, width", [(4, 1.0), (5, 5.0)])
+def test_parity_blocks_hold_the_even_and_odd_prolate_vectors(K, width):
+    # a cos block eigenvector y is the symmetric vector v[K +- n] = y[n]/sqrt2
+    # (v[K] = y[0]) of P, a sin block eigenvector z the antisymmetric one
+    # v[K +- n] = +- z[n - 1]/sqrt2; each must be P's eigenvector with the
+    # block's eigenvalue, so the blocks split P's spectrum by parity
+    n = 2 * K + 1
+    with mp.workdps(50):
+        w, (cos_block, sin_block) = _parity_blocks(K, width)
+        p = _prolate_matrix(n, w)
+        for block, sign in ((cos_block, 1), (sin_block, -1)):
+            vals, vecs = mp.eigsy(block)
+            for col in range(block.rows):
+                y = [vecs[i, col] for i in range(block.rows)]
+                if sign > 0:
+                    y = [y[0] * mp.sqrt(2)] + y[1:]
+                else:
+                    y = [mp.mpf(0)] + y
+                v = mp.matrix([sign * y[K - i] if i < K else y[i - K]
+                               for i in range(n)]) / mp.sqrt(2)
+                res = mp.norm(p * v - vals[col] * v)
+                assert abs(mp.norm(v) - 1) < mp.mpf(10) ** -45
+                assert res < mp.mpf(10) ** -45, (sign, col)
+
+
+@pytest.mark.parametrize("interval", [
+    (0.0, 1.0), (0.4, 2.1), (0.0, math.pi), (0.0, 2.0 * math.pi), (3.0, 3.05),
+    (0.0, 4.0), (0.5, 5.5), (0.1, 6.25),  # cos w < 0 past width pi
+    (1.0, 1.0001)])
+def test_prolate_route_matches_both_gram_oracles(interval):
+    for K in range(13):
+        tg = torus_smallest_gram_eigenvalue(K, interval)
+        for oracle in (gram_lambda_min_full, gram_lambda_min_parity_blocks):
+            lam, dps = oracle(K, interval)
+            assert tg.lambda_min == pytest.approx(lam, rel=1e-12), (K, oracle)
+            assert tg.dps_used == dps, (K, oracle)
+
+
+@pytest.mark.parametrize("width", [0.4, 1.0, math.pi, 5.0])
+def test_prolate_decay_rate_approaches_the_closed_form(width):
+    # the increment of -ln lambda_min per unit of N = 2K + 1 rises towards
+    # gamma = 2 ln cot(width / 8), the exponential rate of Slepian's
+    # asymptotics for the smallest eigenvalues of P(N, W)
+    gamma = 2.0 * math.log(1.0 / math.tan(width / 8.0))
+    logs = [-math.log(torus_smallest_gram_eigenvalue(K, (0.0, width))
+                      .lambda_min) for K in range(16, 33, 4)]
+    steps = [(b - a) / 8.0 for a, b in zip(logs, logs[1:])]
+    assert all(a < b for a, b in zip(steps, steps[1:])), steps
+    assert all(s < gamma for s in steps), (steps, gamma)
+    assert steps[-1] > 0.98 * gamma, (steps, gamma)
 
 
 @pytest.mark.parametrize("interval, k_max, force_mp", [
@@ -378,7 +485,7 @@ def test_sin_block_rotates_back_to_an_unsplit_eigenpair(desk_model, desk_spec):
     lam = to_mp(desk_spec.values[:k_max])
     overlap = to_mp(_restricted_overlap(desk_spec, 0.3, 0.6, k_max))
     T = mp.mpf(desk_model.config.T_horizon)
-    dps = torus_smallest_gram_eigenvalue(4, interval).dps_used + 30
+    dps = gram_lambda_min_full(4, interval)[1] + 30
     with mp.workdps(dps):
         w, mid, (cos_part, sin_part) = _recentred(modes, *interval)
         top_cos = _pencil_top_mp(*_coupled_form(cos_part, lam, overlap,
