@@ -25,16 +25,21 @@ Three estimators live here.
   escalates to arbitrary precision when double-precision Cholesky fails.
   There the pencil is solved per parity block on the re-centred interval
   (-w, w), where the angular Gram splits into a cosine and a sine
-  block, as P splits into its symmetric and antisymmetric vectors. Each block's constant is the largest eigenvalue of W W^T,
-  W = L^-1 diag(sqrt(a)), found without eigenvectors; the larger of the
-  two is the constant. The extremizer comes from inverse iteration on
-  the winning block's shifted pencil and is rotated back to the (c, d)
-  basis in the working precision.
+  block, as P splits into its symmetric and antisymmetric vectors. Each
+  block's constant is the largest eigenvalue of W W^T, W = L^-1
+  diag(sqrt(a)) with B = L L^T; its float64 top eigenpair picks the
+  winning block. On the winner only, inverse iteration on W W^T,
+  shifted by the Rayleigh quotient of the float64 vector, gives the
+  vector z in the working precision, its Rayleigh quotient the constant
+  and L^-T z the extremizer, which is rotated back to the (c, d) basis.
 
 Both constants are the top eigenvalue of one pencil from _observation_form,
 in float64 or in mp: diag(e^{-2 mu T}) against the observed set's spatial
 Gram weighted by the closed-form time integrals. Both mp routes climb
-one precision ladder, _precision_ladder from _start_dps.
+one precision ladder, _precision_ladder from _start_dps, and solve in one
+pattern: a float64 eigen solve gives the shift of an inverse iteration in
+the working precision, and the Rayleigh quotient of its vector is the
+eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -43,13 +48,17 @@ import math
 import numpy as np
 import mpmath as mp
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dsyevr
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import Model, check_index_range, mode_set
 from .spectral import RadialSpectrum
 
 TWO_PI = 2.0 * math.pi
-_INVERSE_ITERATIONS = 8
+# step budget of the coupled inverse iteration: from its float64 shift it
+# took 3 steps at 66 digits, 5 at 132 and 10 at 264 (the ladder's top
+# attempt at j = 2) on the desk model
+_INVERSE_ITERATIONS = 16
 # inverse iteration from the float64 shift gains about 15 digits a step,
 # so 160 steps cover every attempt of the Gram's ladder up to K = 12
 _PROLATE_STEPS = 160
@@ -189,28 +198,12 @@ def _prolate_quotient(table, x, dot):
                        for m in range(n)])
 
 
-def _tridiagonal_vector_mp(diag, off, sigma):
-    """Unit eigenvector of the tridiagonal (diag, off) nearest sigma.
-
-    Inverse iteration on one LDL^T factorization of T - sigma, in the
-    working precision, from the symmetric start vector; an exactly zero
-    pivot is replaced by the working epsilon. None when the step is still
-    above 10^(4 - dps) after _PROLATE_STEPS steps.
-    """
-    n = len(diag)
-    piv, mult = [diag[0] - sigma or mp.eps], []
-    for i in range(1, n):
-        mult.append(off[i - 1] / piv[-1])
-        piv.append(diag[i] - sigma - mult[-1] * off[i - 1] or mp.eps)
-    x = [1 / mp.sqrt(n)] * n
-    tol = mp.mpf(10) ** (4 - mp.mp.dps)
-    for _ in range(_PROLATE_STEPS):
-        y = list(x)
-        for i in range(1, n):
-            y[i] -= mult[i - 1] * y[i - 1]
-        y[-1] /= piv[-1]
-        for i in range(n - 2, -1, -1):
-            y[i] = (y[i] - off[i] * y[i + 1]) / piv[i]
+def _inverse_iteration(solve, x, steps, tol):
+    """Unit vector of inverse iteration x <- solve(x) from the unit vector
+    x, each iterate signed to follow the last, in the working precision;
+    None when the step is still above tol after steps steps."""
+    for _ in range(steps):
+        y = solve(x)
         scale = mp.norm(y) if mp.fdot(y, x) > 0 else -mp.norm(y)
         y = [v / scale for v in y]
         step = mp.norm([a - b for a, b in zip(y, x)])
@@ -218,6 +211,27 @@ def _tridiagonal_vector_mp(diag, off, sigma):
         if step <= tol:
             return x
     return None
+
+
+def _tridiagonal_solver_mp(diag, off, sigma):
+    """Solver of (T - sigma) y = x for the tridiagonal T = (diag, off),
+    on one LDL^T factorization in the working precision; an exactly zero
+    pivot is replaced by the working epsilon."""
+    n = len(diag)
+    piv, mult = [diag[0] - sigma or mp.eps], []
+    for i in range(1, n):
+        mult.append(off[i - 1] / piv[-1])
+        piv.append(diag[i] - sigma - mult[-1] * off[i - 1] or mp.eps)
+
+    def solve(x):
+        y = list(x)
+        for i in range(1, n):
+            y[i] -= mult[i - 1] * y[i - 1]
+        y[-1] /= piv[-1]
+        for i in range(n - 2, -1, -1):
+            y[i] = (y[i] - off[i] * y[i + 1]) / piv[i]
+        return y
+    return solve
 
 
 def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
@@ -256,8 +270,10 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
 
     def attempt():
         w = (mp.mpf(d) - mp.mpf(c)) / 2
-        x = _tridiagonal_vector_mp(*_slepian_tridiagonal(n, mp.cos(w)),
-                                   mp.mpf(sigma))
+        solve = _tridiagonal_solver_mp(*_slepian_tridiagonal(n, mp.cos(w)),
+                                       mp.mpf(sigma))
+        x = _inverse_iteration(solve, [1 / mp.sqrt(n)] * n, _PROLATE_STEPS,
+                               mp.mpf(10) ** (4 - mp.mp.dps))
         if x is None:
             return None
         lam_min = _prolate_quotient(_prolate_table(n, w, mp), x, mp.fdot)
@@ -373,17 +389,16 @@ def mode_observability_constant(model: Model, spectrum: RadialSpectrum, n: int,
                           model.config.T_horizon)
 
 
-def _pencil_top_value_mp(a_diag: np.ndarray, b: np.ndarray):
-    """Top eigenvalue of the pencil (diag(a_diag), b), and b as an mp.matrix.
+def _whitened_mp(a_diag: np.ndarray, b: np.ndarray):
+    """Cholesky rows of b = L L^T and the rows of W W^T = L^-1 diag(a_diag)
+    L^-T, as lists in the working precision.
 
-    b = L L^T by mp.cholesky, which raises ValueError when b is not
-    positive definite. L^-1 A L^-T = W W^T with W = L^-1 diag(sqrt(a)),
-    built column by column by forward substitution; the eigenvalue is the
-    largest of an eigenvalues-only mp.eigsy of W W^T.
+    mp.cholesky raises ValueError when b is not positive definite. W =
+    L^-1 diag(sqrt(a_diag)) is built column by column by forward
+    substitution.
     """
     dim = len(a_diag)
-    b_mat = mp.matrix(b.tolist())
-    rows = mp.cholesky(b_mat).tolist()
+    rows = mp.cholesky(mp.matrix(b.tolist())).tolist()
     cols = []                      # cols[k] holds W[k:, k]
     for k in range(dim):
         col = [mp.sqrt(a_diag[k]) / rows[k][k]]
@@ -391,35 +406,61 @@ def _pencil_top_value_mp(a_diag: np.ndarray, b: np.ndarray):
             col.append(-mp.fdot(rows[i][k:i], col) / rows[i][i])
         cols.append(col)
     w_rows = [[cols[k][i - k] for k in range(i + 1)] for i in range(dim)]
-    wwt = mp.matrix(dim)
+    wwt = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1):
-            val = mp.fdot(w_rows[i][:j + 1], w_rows[j])
-            wwt[i, j] = val
-            wwt[j, i] = val
-    return max(mp.eigsy(wwt, eigvals_only=True)), b_mat
+            wwt[i][j] = wwt[j][i] = mp.fdot(w_rows[i][:j + 1], w_rows[j])
+    return rows, wwt
 
 
-def _pencil_vector_mp(a_diag: np.ndarray, b_mat, lam):
-    """Unit eigenvector at the top eigenvalue lam and its relative residual,
-    by inverse iteration (A - sigma B) x' = B x with sigma just above lam
-    on one LU factorization, in the working precision."""
-    dim = len(a_diag)
-    sigma = lam * (1 + mp.mpf(10) ** (-(mp.mp.dps // 2)))
-    shifted = mp.diag(a_diag) - sigma * b_mat
-    lu, perm = mp.mp.LU_decomp(shifted)
-    x = mp.ones(dim, 1) / mp.sqrt(dim)
-    for _ in range(_INVERSE_ITERATIONS):
-        y = mp.mp.U_solve(lu, mp.mp.L_solve(lu, b_mat * x, perm))
-        y /= mp.norm(y) if mp.fdot(y, x) > 0 else -mp.norm(y)
-        step = mp.norm(y - x)
-        x = y
-        if step <= mp.mpf(10) ** (3 - mp.mp.dps):
-            break
-    bx = b_mat * x
-    num = mp.norm(mp.matrix([a_diag[i] * x[i] - lam * bx[i]
-                             for i in range(dim)]))
-    return x, float(num / mp.norm(bx))
+def _float64_top(sym):
+    """Top eigenvalue and unit eigenvector of the symmetric rows sym,
+    rounded to float64, by LAPACK dsyevr."""
+    n = len(sym)
+    vals, vecs, _, _, info = dsyevr(np.array(sym, dtype=float), range="I",
+                                    il=n, iu=n)
+    if info:
+        raise NonConvergenceError(f"LAPACK dsyevr failed with info={info}")
+    return vals[0], vecs[:, 0]
+
+
+def _top_pair_mp(sym, start):
+    """Top eigenvalue and unit eigenvector of the symmetric rows sym, by
+    inverse iteration from the float64 vector start in the working
+    precision.
+
+    The shift sits just above the Rayleigh quotient of start, on one LU
+    factorization of sym - sigma; the eigenvalue is the Rayleigh quotient
+    of the converged vector. A step still above 10^(3 - dps) after
+    _INVERSE_ITERATIONS steps raises NonConvergenceError.
+    """
+    def quotient(v):
+        return mp.fdot(v, [mp.fdot(row, v) for row in sym])
+
+    z = [mp.mpf(v) for v in start]
+    scale = mp.norm(z)
+    z = [v / scale for v in z]
+    sigma = quotient(z) * (1 + mp.mpf(10) ** (-(mp.mp.dps // 2)))
+    lu, perm = mp.mp.LU_decomp(mp.matrix(sym) - sigma * mp.eye(len(sym)))
+    z = _inverse_iteration(
+        lambda v: list(mp.mp.U_solve(lu, mp.mp.L_solve(lu, mp.matrix(v),
+                                                         perm))),
+        z, _INVERSE_ITERATIONS, mp.mpf(10) ** (3 - mp.mp.dps))
+    if z is None:
+        raise NonConvergenceError(
+            f"inverse iteration did not converge in {_INVERSE_ITERATIONS} "
+            f"steps at dps={mp.mp.dps}")
+    return quotient(z), z
+
+
+def _back_substitution(rows, z):
+    """x with L^T x = z, L lower triangular given by its rows."""
+    dim = len(z)
+    x = [None] * dim
+    for i in range(dim - 1, -1, -1):
+        below = [rows[k][i] for k in range(i + 1, dim)]
+        x[i] = (z[i] - mp.fdot(below, x[i + 1:])) / rows[i][i]
+    return x
 
 
 def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
@@ -433,10 +474,15 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
     couples all modes through the restricted angular Gram; that dense
     problem is solved in double precision when its Cholesky factorization
     survives and in adaptive arbitrary precision otherwise, there as one
-    pencil per parity block on (-w, w); only the block with the larger top
-    eigenvalue gets an eigenvector. Three attempts from _start_dps(2^j) + 30
-    digits double while mp.cholesky fails; an inverse iteration that leaves
-    its residual above 1e-6 raises NonConvergenceError.
+    pencil per parity block on (-w, w), each whitened to W W^T by the
+    Cholesky factor of its observation form. The block with the larger
+    float64 top is solved by inverse iteration on W W^T in the working
+    precision, on one LU factorization; its Rayleigh quotient is c_emp and
+    one back substitution with the Cholesky rows gives the extremizer.
+    Three attempts from _start_dps(2^j) + 30 digits double while
+    mp.cholesky fails; an inverse iteration that does not converge in
+    _INVERSE_ITERATIONS steps, or leaves a pencil residual above 1e-6,
+    raises NonConvergenceError.
     """
     k_max = _radial_cut(model, spectrum, k_max)
     if j < 0:
@@ -481,12 +527,19 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
         forms = [_coupled_form(part, to_mp(lam), to_mp(overlap), -w, w,
                                mp.mpf(T), mp) for part in parts]
         try:
-            tops = [_pencil_top_value_mp(*form) for form in forms]
+            blocks = [_whitened_mp(*form) for form in forms]
         except ValueError:
             return None
-        (c_emp, b_mat), (a_diag, _), part = max(
-            zip(tops, forms, parts), key=lambda block: block[0][0])
-        y, res = _pencil_vector_mp(a_diag, b_mat, c_emp)
+        tops = [_float64_top(wwt) for _, wwt in blocks]
+        (_, start), (a_diag, b_form), (rows, wwt), part = max(
+            zip(tops, forms, blocks, parts), key=lambda block: block[0][0])
+        c_emp, z = _top_pair_mp(wwt, start)
+        y = _back_substitution(rows, z)
+        scale = mp.norm(y)
+        y = [v / scale for v in y]
+        bx = [mp.fdot(row, y) for row in b_form.tolist()]
+        res = float(mp.norm([a_diag[i] * y[i] - c_emp * bx[i]
+                             for i in range(len(y))]) / mp.norm(bx))
         if res > 1e-6:
             raise NonConvergenceError(
                 f"inverse iteration left a coupled residual of {res:.3g} "

@@ -1,11 +1,13 @@
 """Independent reference routines for cross-checking production solvers.
 
 ``jacobi_eigh_mp`` is an arbitrary-precision cyclic Jacobi eigensolver.
-Production code diagonalizes with mpmath's Householder tridiagonalization
-and QL iteration (``mp.eigsy``); the tests compare against this rotation
-method, a different algorithm, as a brute-force oracle. Rotations sweep
-the strict upper triangle in row-major order, so runs are deterministic,
-and a sweep that performs no rotation ends the iteration.
+Production code solves every mp eigenproblem by inverse iteration from a
+float64 shift, and the former routes below diagonalize with mpmath's
+Householder tridiagonalization and QL iteration (``mp.eigsy``); the tests
+compare against this rotation method, a different algorithm, as a
+brute-force oracle. Rotations sweep the strict upper triangle in
+row-major order, so runs are deterministic, and a sweep that performs no
+rotation ends the iteration.
 
 ``evolve_mode_every_step`` is the Crank-Nicolson march that computes all
 ``n_time`` steps. Production ``evolve_mode`` stops stepping at a bitwise
@@ -56,11 +58,14 @@ on the same ladder and acceptance rule as ``gram_lambda_min_full``.
 ``coupled_observability_unsplit_mp`` is the coupled mp route as it stood
 before production split the pencil by parity: one pencil of the whole
 mode set on (c, d), starting 30 digits above ``gram_lambda_min_full``'s
-precision and growing by 1.5x, solved by ``_pencil_top_mp``, which
-composes the production top eigenvalue and inverse iteration on the
-whole pencil. The tests require the same ``c_emp`` bits and the same
-extremizer up to sign, and the same precision string wherever the
-angular Gram resolves on its first attempt.
+precision and growing by 1.5x, solved by ``_pencil_top_mp``. That
+composes the two steps production took before its float64 shift:
+``_pencil_top_value_mp``, the largest eigenvalue of an eigenvalues-only
+``mp.eigsy`` of ``W W^T``, and ``_pencil_vector_mp``, inverse iteration
+on the shifted pencil ``(A - sigma B) x' = B x`` on one LU factorization.
+The tests require the same ``c_emp`` bits and the same extremizer up to
+sign, and the same precision string wherever the angular Gram resolves
+on its first attempt.
 
 ``_coupled_matrices_mp`` is the coupled mp pencil as production assembled
 it before one ``_observation_form`` served both precisions: a per-entry
@@ -109,11 +114,13 @@ from degenctrl.measurable import SpectralPropagator, _pieces_within
 from degenctrl.model import (TWO_PI, ModeCoeffs, ModeIndex, TimeGrid,
                              _frozen, mode_set, synthesize_field, zero_coeffs)
 from degenctrl.observability import (_angular_gram, _coupled_form,
-                                     _pencil_top_value_mp, _pencil_vector_mp,
                                      _recentred, _restricted_overlap)
 from degenctrl.spectral import bessel_order
 
 _MAX_SWEEPS = 64
+# the step budget of the coupled mp route's inverse iteration before its
+# float64 shift
+_INVERSE_ITERATIONS = 8
 
 
 def jacobi_eigh_mp(matrix: "mp.matrix", rel_tol=None):
@@ -463,6 +470,55 @@ def coupled_observability_inverse_mp(model, spectrum, interval, a, b, j,
             x = np.array([float(x_mp[i, 0] / nrm) for i in range(dim)])
             return float(lam), x, float(num / den), f"mp(dps={dps})"
     raise NonConvergenceError("coupled observation Gram not positive definite")
+
+
+def _pencil_top_value_mp(a_diag: np.ndarray, b: np.ndarray):
+    """Top eigenvalue of the pencil (diag(a_diag), b), and b as an mp.matrix.
+
+    b = L L^T by mp.cholesky, which raises ValueError when b is not
+    positive definite. L^-1 A L^-T = W W^T with W = L^-1 diag(sqrt(a)),
+    built column by column by forward substitution; the eigenvalue is the
+    largest of an eigenvalues-only mp.eigsy of W W^T.
+    """
+    dim = len(a_diag)
+    b_mat = mp.matrix(b.tolist())
+    rows = mp.cholesky(b_mat).tolist()
+    cols = []                      # cols[k] holds W[k:, k]
+    for k in range(dim):
+        col = [mp.sqrt(a_diag[k]) / rows[k][k]]
+        for i in range(k + 1, dim):
+            col.append(-mp.fdot(rows[i][k:i], col) / rows[i][i])
+        cols.append(col)
+    w_rows = [[cols[k][i - k] for k in range(i + 1)] for i in range(dim)]
+    wwt = mp.matrix(dim)
+    for i in range(dim):
+        for j in range(i + 1):
+            val = mp.fdot(w_rows[i][:j + 1], w_rows[j])
+            wwt[i, j] = val
+            wwt[j, i] = val
+    return max(mp.eigsy(wwt, eigvals_only=True)), b_mat
+
+
+def _pencil_vector_mp(a_diag: np.ndarray, b_mat, lam):
+    """Unit eigenvector at the top eigenvalue lam and its relative residual,
+    by inverse iteration (A - sigma B) x' = B x with sigma just above lam
+    on one LU factorization, in the working precision."""
+    dim = len(a_diag)
+    sigma = lam * (1 + mp.mpf(10) ** (-(mp.mp.dps // 2)))
+    shifted = mp.diag(a_diag) - sigma * b_mat
+    lu, perm = mp.mp.LU_decomp(shifted)
+    x = mp.ones(dim, 1) / mp.sqrt(dim)
+    for _ in range(_INVERSE_ITERATIONS):
+        y = mp.mp.U_solve(lu, mp.mp.L_solve(lu, b_mat * x, perm))
+        y /= mp.norm(y) if mp.fdot(y, x) > 0 else -mp.norm(y)
+        step = mp.norm(y - x)
+        x = y
+        if step <= mp.mpf(10) ** (3 - mp.mp.dps):
+            break
+    bx = b_mat * x
+    num = mp.norm(mp.matrix([a_diag[i] * x[i] - lam * bx[i]
+                             for i in range(dim)]))
+    return x, float(num / mp.norm(bx))
 
 
 def _pencil_top_mp(a_diag, b):

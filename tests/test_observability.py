@@ -476,6 +476,36 @@ def test_failed_cholesky_doubles_the_precision(desk_model, desk_spec,
     assert est.residual <= 1e-100
 
 
+def test_coupled_route_runs_no_eigsy(desk_model, desk_spec, monkeypatch):
+    def no_eigsy(*args, **kwargs):
+        raise AssertionError("the coupled route called mp.eigsy")
+
+    monkeypatch.setattr(mp, "eigsy", no_eigsy)
+    est = truncated_observability(desk_model, desk_spec, (2.0, 2.4), 0.3, 0.6,
+                                  2, k_max=3)
+    assert est.precision == "mp(dps=66)"
+    assert est.c_emp.hex() == "0x1.5dc4cf4422fa0p+9"
+
+
+def test_step_budget_covers_the_top_of_the_ladder(desk_model, desk_spec,
+                                                  monkeypatch):
+    # the third attempt, at 264 digits, needs the most inverse-iteration
+    # steps from the float64 shift
+    cholesky = mp.cholesky
+
+    def fails_below_264(matrix):
+        if mp.mp.dps in (66, 132):
+            raise ValueError("matrix is not positive-definite")
+        return cholesky(matrix)
+
+    monkeypatch.setattr(mp, "cholesky", fails_below_264)
+    est = truncated_observability(desk_model, desk_spec, (2.0, 2.4), 0.3, 0.6,
+                                  2, k_max=3)
+    assert est.precision == "mp(dps=264)"
+    assert est.c_emp.hex() == "0x1.5dc4cf4422fa0p+9"
+    assert est.residual <= 1e-200
+
+
 def test_sin_block_rotates_back_to_an_unsplit_eigenpair(desk_model, desk_spec):
     # the cos block wins on every interval tried, so the sin branch of the
     # rotation is checked on the sin block's own top pair
