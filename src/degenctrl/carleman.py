@@ -54,30 +54,23 @@ def _right_eta_derivs(alpha, r):
     return one, two, three
 
 
-def _hermite_coeffs(values_left, values_right, extra_knot=None):
-    """Polynomial matching value and three derivatives at x=0 and x=1.
+def _hermite_coeffs(values_left, values_right):
+    """Degree-7 polynomial matching value and three derivatives at x=0 and x=1.
 
-    Rows impose P^(d)(0) and P^(d)(1) for d = 0..3 in the monomial basis;
-    an optional extra interior value condition raises the degree by one.
+    Rows impose P^(d)(0) and P^(d)(1) for d = 0..3 in the monomial basis.
     """
-    degree = 7 if extra_knot is None else 8
-    ncoef = degree + 1
     rows, rhs = [], []
     for d, v in enumerate(values_left):
-        row = np.zeros(ncoef)
+        row = np.zeros(8)
         row[d] = math.factorial(d)
         rows.append(row)
         rhs.append(v)
     for d, v in enumerate(values_right):
-        row = np.zeros(ncoef)
-        for pw in range(d, ncoef):
+        row = np.zeros(8)
+        for pw in range(d, 8):
             row[pw] = math.perm(pw, d)
         rows.append(row)
         rhs.append(v)
-    if extra_knot is not None:
-        x0, v0 = extra_knot
-        rows.append(np.array([x0 ** pw for pw in range(ncoef)]))
-        rhs.append(v0)
     return np.linalg.solve(np.array(rows), np.array(rhs))
 
 
@@ -92,7 +85,6 @@ class EtaWeight:
     q_hat: float
     middle_coeffs: np.ndarray   # monomials in x = (r - p)/(q_hat - p)
     sup_norm: float
-    used_fallback_knot: bool
 
     @property
     def gamma(self) -> float:
@@ -146,10 +138,13 @@ def _middle_extrema(coeffs):
 def build_eta(alpha: float, a: float, b: float) -> EtaWeight:
     """Construct the three-branch weight for an observation window (a,b).
 
-    Junctions sit at the thirds p = (2a+b)/3 and q_hat = (a+2b)/3.
-    Positivity of the bridge is verified on 10^4 samples plus its exact
-    critical points; if it fails, the bridge is re-interpolated with one
-    extra mid-knot lifted to the larger junction value and re-verified.
+    Junctions sit at the thirds p = (2a+b)/3 and q_hat = (a+2b)/3, and the
+    bridge between them is the degree-7 Hermite interpolant of both
+    branches' values and first three derivatives there. Its positivity is
+    verified on 10^4 samples plus its exact critical points; a bridge that
+    is not positive is an InvariantError. A window whose junction
+    derivatives overflow (near r = 0), or whose outer junction value is
+    below 1e-12 of the inner one (within 1e-12 of r = 1), is a ConfigError.
     """
     if not (0.0 < a < b <= 1.0):
         raise ConfigError(f"need 0 < a < b <= 1, got a={a!r}, b={b!r}")
@@ -159,31 +154,31 @@ def build_eta(alpha: float, a: float, b: float) -> EtaWeight:
     q_hat = (a + 2.0 * b) / 3.0
     scale = q_hat - p
 
-    lv = _left_eta(alpha, p)
-    l1, l2, l3 = _left_eta_derivs(alpha, p)
-    rv = _right_eta(alpha, q_hat)
-    r1, r2, r3 = _right_eta_derivs(alpha, q_hat)
-    left_cond = (lv, scale * l1, scale ** 2 * l2, scale ** 3 * l3)
-    right_cond = (rv, scale * r1, scale ** 2 * r2, scale ** 3 * r3)
+    try:
+        lv = _left_eta(alpha, p)
+        l1, l2, l3 = _left_eta_derivs(alpha, p)
+        rv = _right_eta(alpha, q_hat)
+        r1, r2, r3 = _right_eta_derivs(alpha, q_hat)
+        left_cond = (lv, scale * l1, scale ** 2 * l2, scale ** 3 * l3)
+        right_cond = (rv, scale * r1, scale ** 2 * r2, scale ** 3 * r3)
+        finite = all(map(math.isfinite, left_cond + right_cond))
+    except OverflowError:
+        finite = False
+    # near r = 0 the junction derivatives leave float range; near r = 1 the
+    # outer junction value drowns in the rounding of the bridge's monomials
+    if not (finite and rv > 1e-12 * lv):
+        raise ConfigError(f"the window ({a!r}, {b!r}) lies too close to r = 0 "
+                          "or r = 1 for the weight in double precision")
 
     coeffs = _hermite_coeffs(left_cond, right_cond)
-    used_fallback = False
-
-    def bridge_min(c):
-        xs = np.linspace(0.0, 1.0, 10001)
-        sampled = float(np.min(np.polynomial.polynomial.polyval(xs, c)))
-        crit = _middle_extrema(c)
-        return min([sampled] + crit) if crit else sampled
-
-    if bridge_min(coeffs) <= 0.0:
-        lift = max(lv, rv)
-        coeffs = _hermite_coeffs(left_cond, right_cond, extra_knot=(0.5, lift))
-        used_fallback = True
-        if bridge_min(coeffs) <= 0.0:
-            raise InvariantError(
-                "bridge positivity unachievable for this (alpha, a, b)")
-
     crit_vals = _middle_extrema(coeffs)
+    xs = np.linspace(0.0, 1.0, 10001)
+    sampled = float(np.min(np.polynomial.polynomial.polyval(xs, coeffs)))
+    if not min([sampled] + crit_vals) > 0.0:
+        raise InvariantError(
+            f"the bridge of eta is not positive for alpha={alpha!r} "
+            f"on ({a!r}, {b!r})")
+
     ends = [lv, rv, float(np.polynomial.polynomial.polyval(0.0, coeffs)),
             float(np.polynomial.polynomial.polyval(1.0, coeffs))]
     sup = max(ends + crit_vals)
@@ -191,8 +186,7 @@ def build_eta(alpha: float, a: float, b: float) -> EtaWeight:
     sealed = np.ascontiguousarray(coeffs)
     sealed.flags.writeable = False
     return EtaWeight(alpha=alpha, a=a, b=b, p=p, q_hat=q_hat,
-                     middle_coeffs=sealed, sup_norm=float(sup),
-                     used_fallback_knot=used_fallback)
+                     middle_coeffs=sealed, sup_norm=float(sup))
 
 
 def theta_weight(t, T):

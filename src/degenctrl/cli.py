@@ -312,8 +312,8 @@ _CARLEMAN_FAMILY = (("cos", 0, 1), ("cos", 0, 2), ("cos", 1, 1),
 def _cmd_carleman(out, config, options, seed):
     model = build_model(config)
     a, b = options["band_a"], options["band_b"]
+    model.grid.observed_band(a, b)   # refused before the weight is built
     eta = build_eta(config.alpha, a, b)
-    model.grid.observed_band(a, b)   # refused before any march
     s0 = s0_default(config.T_horizon)
     s_values = options["s_values"] or (s0, 2.0 * s0, 4.0 * s0)
     if max(n for _, n, _ in _CARLEMAN_FAMILY) > config.n_theta_max:
@@ -337,7 +337,6 @@ def _cmd_carleman(out, config, options, seed):
     _write_json(out / "carleman_meta.json",
                 {"gamma": eta.gamma, "eta_sup": eta.sup_norm,
                  "s0_default": s0, "band": [a, b],
-                 "used_fallback_knot": eta.used_fallback_knot,
                  "rows": meta_rows})
     return ["carleman.csv", "carleman_meta.json"]
 

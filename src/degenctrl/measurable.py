@@ -700,8 +700,6 @@ def datum_family(model: Model, count: int, seed: int) -> tuple:
     n_low = min(count // 2 + 1, 6)
     spectrum = model.spectrum
     for idx in model.mu_order[:n_low]:
-        if len(out) == count:
-            break
         data = np.zeros((model.n_modes, model.n_radial))
         data[idx // model.n_radial] = spectrum.vectors[:, idx % model.n_radial]
         out.append(ModeCoeffs(model, data))

@@ -1,7 +1,11 @@
 """Weight construction invariants and the empirical weighted estimate."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from degenctrl import (ConfigError, ModeCoeffs, ModeIndex,
                        build_carleman_weights, build_eta, carleman_report,
@@ -59,6 +63,43 @@ def test_eta_rejects_bad_window():
         build_eta(0.5, 0.6, 0.3)
     with pytest.raises(ConfigError):
         build_eta(0.5, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("a, b", [(1e-100, 1.1e-100),
+                                  (0.999999999999993, 1.0)])
+def test_eta_window_at_the_float_edge_is_config_error(a, b):
+    # near r = 0, r^(-alpha-3) at the outer junction overflows; near r = 1,
+    # eta there (about 2e-15) is below the rounding of the bridge, which
+    # would dip below zero
+    with pytest.raises(ConfigError, match=re.escape(f"({a!r}, {b!r})")):
+        build_eta(0.5, a, b)
+
+
+@st.composite
+def _windows(draw):
+    alpha = draw(st.floats(1e-6, 1.0 - 1e-6))
+    a = 10.0 ** draw(st.floats(-12.0, 0.0, exclude_max=True))
+    assume(a < 1.0)
+    b = draw(st.floats(a, 1.0, exclude_min=True))
+    return alpha, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_windows())
+def test_eta_bridge_positive_on_every_window(window):
+    # the degree-7 bridge keeps eta positive on every window it accepts
+    alpha, a, b = window
+    try:
+        eta = build_eta(alpha, a, b)
+    except ConfigError:
+        # eta vanishes at r = 1, so a window that close is refused
+        assert 1.0 - b < 1e-12
+        return
+    r = np.concatenate((np.linspace(0.0, 1.0, 10001),
+                        np.geomspace(1e-15, 1.0, 2001),
+                        np.linspace(a, b, 2001)))
+    r = r[(r > 0.0) & (r < 1.0)]
+    assert np.all(eta.value(r) > 0.0)
 
 
 def test_gap_at_least_one(eta):

@@ -135,6 +135,27 @@ def test_non_finite_number_is_config_error(tmp_path, command, payload):
     assert manifest["status"] == "config-error"
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("spectrum", dict(BASE, k_eigen=0)),
+    ("spectrum", dict(BASE, k_eigen=40)),
+    ("hardy", dict(BASE, n_samples=0)),
+    ("observability", dict(BASE, j_max=-1)),
+    ("hum", dict(BASE, initial="lowpass")),
+    ("lr", dict(BASE, initial="desk")),
+    ("spectrum", [BASE]),
+    ("solve", dict(BASE, snapshot_times="0.5")),
+    ("hum", dict(BASE, initial=3)),
+], ids=["k-eigen-0", "k-eigen-40", "no-samples", "negative-j-max",
+        "hum-lowpass", "lr-desk", "config-list", "snapshot-string",
+        "initial-number"])
+def test_refused_option_writes_only_the_manifest(tmp_path, command, payload):
+    code, out = _run(tmp_path, command, payload)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6)
     | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -445,6 +466,20 @@ def test_carleman_band_without_radial_nodes_is_config_error(tmp_path,
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("band", [(1e-100, 1.1e-100), (0.6, 0.3)],
+                         ids=["below-float-range", "reversed"])
+def test_carleman_band_refused_before_the_weight(tmp_path, band):
+    # the weight of the first band would overflow; the band is refused
+    # for holding no node before the weight is built
+    a, b = band
+    code, out = _run(tmp_path, "carleman", dict(BASE, band_a=a, band_b=b))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert f"no radial nodes inside ({a}, {b})" in manifest["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("command, extra", [
     ("hum", {}), ("lr", {}), ("observability", {"j_max": 1})],
     ids=["hum", "lr", "observability"])
@@ -606,6 +641,24 @@ def test_lr_command_outputs(tmp_path):
     assert doc["converged"] is True
     assert doc["boundaries"] == [0.0, 0.5, 0.75, 0.875, 1.0]
     assert len(doc["block_norms"]) == 3
+
+
+def test_lr_random_datum(tmp_path):
+    # a white-noise datum: at the default tol its first
+    # block's budget is out of reach, at tol 1e-2 it converges
+    payload = dict(BASE, initial="random")
+    code, out = _run(tmp_path, "lr", payload, out="default")
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-convergence"
+    assert manifest["artifacts"] == []
+    assert "block 0 budget" in manifest["error"]
+    assert "unreachable" in manifest["error"]
+    loose = dict(payload, tol=1e-2)
+    runs = [_run(tmp_path, "lr", loose, out=out) for out in ("a", "b")]
+    assert [code for code, _ in runs] == [0, 0]
+    first, second = ((out / "lr_blocks.json").read_bytes() for _, out in runs)
+    assert first == second
 
 
 def test_malformed_box_is_config_error(tmp_path):
