@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .model import Model, ModeIndex
+from .model import Model, ModeIndex, _frozen
 
 
 def _left_eta(alpha, r):
@@ -183,10 +183,8 @@ def build_eta(alpha: float, a: float, b: float) -> EtaWeight:
             float(np.polynomial.polynomial.polyval(1.0, coeffs))]
     sup = max(ends + crit_vals)
 
-    sealed = np.ascontiguousarray(coeffs)
-    sealed.flags.writeable = False
     return EtaWeight(alpha=alpha, a=a, b=b, p=p, q_hat=q_hat,
-                     middle_coeffs=sealed, sup_norm=float(sup))
+                     middle_coeffs=_frozen(coeffs), sup_norm=float(sup))
 
 
 def theta_weight(t, T):

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
 from .model import (Model, ModelConfig, ModeCoeffs, ModeIndex, TWO_PI,
-                    build_model, check_index_range, synthesize_field)
+                    build_model, check_index_range, integer, real_number,
+                    synthesize_field)
 from .spectral import bessel_oracle, hardy_ratio, radial_spectrum
 from .evolution import evolve_mode, solve_forward
 from .carleman import build_eta, carleman_report, s0_default
@@ -86,45 +87,33 @@ _OPTION_SCHEMAS = {
 }
 
 
-def _is_finite(number) -> bool:
-    try:
-        return math.isfinite(number)
-    except OverflowError:    # an integer beyond float range
-        return False
-
-
 def _coerce(key, kind, value):
     if kind == "real":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field '{key}' must be a number")
-        if not _is_finite(value):
-            raise ConfigError(f"field '{key}' must be a finite number")
-        return float(value)
+        return real_number(key, value)
     if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field '{key}' must be an integer")
-        return int(value)
+        return integer(key, value)
     if kind == "str":
         if not isinstance(value, str):
-            raise ConfigError(f"field '{key}' must be a string")
+            raise ConfigError(f"{key} must be a string, got {value!r}")
         return value
     if kind in _ELEMENT_KINDS:
         element, length = _ELEMENT_KINDS[kind]
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"field '{key}' must be a list")
+            raise ConfigError(f"{key} must be a list, got {value!r}")
         if length is not None and len(value) != length:
-            raise ConfigError(f"field '{key}' must hold {length} entries")
+            raise ConfigError(f"{key} must hold {length} entries, "
+                              f"got {len(value)}")
         items = tuple(_coerce(f"{key}[{i}]", element, v)
                       for i, v in enumerate(value))
-        # an int beyond float range
-        if element == "int" and not all(_is_finite(v) for v in items):
-            raise ConfigError(f"field '{key}' must hold finite numbers")
+        if element == "int":     # list integers must lie within float range
+            for i, v in enumerate(items):
+                real_number(f"{key}[{i}]", v)
         return items
-    raise ConfigError(f"unhandled kind for '{key}'")
+    raise ConfigError(f"unhandled kind for {key}")
 
 
 def _seed(value):
-    seed = _coerce("seed", "int", value)
+    seed = integer("seed", value)
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return seed
@@ -233,8 +222,6 @@ def _eigen_datum(model: Model, spectrum, parity: str, n: int,
 def _cmd_spectrum(out, config, options, seed):
     model = build_model(config)
     k = options["k_eigen"]
-    if not (1 <= k <= model.n_radial):
-        raise ConfigError("k_eigen outside the resolvable range")
     spec = radial_spectrum(model.op, k)
     oracle = bessel_oracle(config.alpha, k)
     rows = []

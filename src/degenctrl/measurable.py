@@ -347,6 +347,15 @@ _FIELD_CHUNK = 64
 _TINY = np.finfo(float).tiny
 
 
+def _eigen_fields(model: Model, coeffs) -> np.ndarray:
+    """Grid fields of (n_modes, k) eigen-coefficient blocks, or a stack of
+    them; ConfigError when a field is not finite."""
+    fields = model.basis_matrix @ (coeffs @ model.spectrum.vectors.T)
+    if not np.all(np.isfinite(fields)):
+        raise ConfigError("field contains non-finite entries")
+    return fields
+
+
 class SpectralPropagator:
     """Exact-in-time free evolution of one datum on the discrete eigenbasis.
 
@@ -396,10 +405,7 @@ class SpectralPropagator:
         at n_theta_max 4, n_r 96. Raises ConfigError when a field is not
         finite.
         """
-        fields = self.model.basis_matrix @ self.data_at(t)
-        if not np.all(np.isfinite(fields)):
-            raise ConfigError("field contains non-finite entries")
-        return fields
+        return _eigen_fields(self.model, self.coeff_at(t))
 
 
 @dataclass(frozen=True)
@@ -435,9 +441,8 @@ class ExtendedField:
         """
         root = np.sqrt(self.mu)
         vals = self.amplitudes * np.exp(-self.mu * self.t + root * tau)
-        y = 0.5 * root * d_tau
-        sinc = np.where(y > 0, np.sinh(np.maximum(y, 1e-300)) /
-                        np.maximum(y, 1e-300), 1.0)
+        y = 0.5 * root * d_tau     # positive: mu >= lam_1 > 0 and d_tau > 0
+        sinc = np.sinh(y) / y
         defect = self.mu * (sinc ** 2 - 1.0)
         num = math.sqrt(float(np.sum((vals * defect) ** 2)))
         den = math.sqrt(float(np.sum(vals ** 2)))
@@ -466,13 +471,10 @@ def extended_field(phi0: ModeCoeffs, t: float, tau_grid,
         raise ConfigError(
             "tau range too large: sqrt(mu_max) * tau_max must stay <= 700")
 
-    # the samples come as field_at builds fields, for all tau in one product
+    # all tau in one product
     coeffs = np.zeros((tau_grid.size, total))
     coeffs[:, keep] = amps * np.exp(-mu * t + np.sqrt(mu) * tau_grid[:, None])
-    samples = model.basis_matrix @ (coeffs.reshape(-1, n_modes, n_rad)
-                                    @ model.spectrum.vectors.T)
-    if not np.all(np.isfinite(samples)):
-        raise ConfigError("field contains non-finite entries")
+    samples = _eigen_fields(model, coeffs.reshape(-1, n_modes, n_rad))
 
     full = prop.coeff_at(t)
     capped = np.zeros(total)

@@ -39,7 +39,7 @@ second-order eigenvalue convergence even for alpha close to 1, where any
 pointwise sampling of the vanishing coefficient stalls near first order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 import math
 
@@ -63,33 +63,11 @@ class ModelConfig:
     theta_quad_points: int = 0  # 0 means: default 4*n_theta_max + 8
 
     def __post_init__(self):
-        def real(name, value):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-            try:
-                number = float(value)
-            except OverflowError:    # an integer beyond float range
-                number = math.inf
-            if not math.isfinite(number):
-                raise ConfigError(f"{name} must be a finite real number")
-            return number
+        for f in fields(self):
+            coerce = integer if f.type is int else real_number
+            object.__setattr__(self, f.name, coerce(f.name, getattr(self, f.name)))
 
-        def integer(name, value):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            return value
-
-        object.__setattr__(self, "alpha", real("alpha", self.alpha))
-        object.__setattr__(self, "T_horizon", real("T_horizon", self.T_horizon))
-        object.__setattr__(self, "n_theta_max", integer("n_theta_max", self.n_theta_max))
-        object.__setattr__(self, "n_r", integer("n_r", self.n_r))
-        object.__setattr__(self, "grid_power", real("grid_power", self.grid_power))
-        object.__setattr__(self, "n_time", integer("n_time", self.n_time))
-        object.__setattr__(self, "theta_quad_points",
-                           integer("theta_quad_points", self.theta_quad_points))
-
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha out of range (0,1): {self.alpha!r}")
+        check_alpha(self.alpha)
         if self.T_horizon <= 0.0:
             raise ConfigError(f"T_horizon must be positive: {self.T_horizon!r}")
         if self.n_theta_max < 0:
@@ -113,6 +91,33 @@ class ModelConfig:
         check_index_range("n_theta_max and theta_quad_points",
                           (self.theta_quad_points, n_modes))
         check_index_range("n_time", (self.n_time + 1, n_modes, self.n_r - 1))
+
+
+def real_number(key: str, value) -> float:
+    """A real config value: a finite int or float, not a bool; an int past
+    float range counts as not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def integer(key: str, value) -> int:
+    """An integer config value: an int, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def check_alpha(alpha: float):
+    """Refuse a weight exponent outside the model's range (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha out of range (0,1): {alpha!r}")
 
 
 def check_index_range(keys: str, shape: tuple):
@@ -214,8 +219,7 @@ class RadialOperator:
 
 
 def assemble_radial_operator(alpha: float, grid: RadialGrid) -> RadialOperator:
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha out of range (0,1): {alpha!r}")
+    check_alpha(alpha)
     full = np.concatenate(([0.0], grid.nodes, [1.0]))
     pw = full ** (1.0 - alpha)
     cond = (1.0 - alpha) / np.diff(pw)

@@ -51,10 +51,9 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.lapack import dsyevr
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import Model, check_index_range, mode_set
+from .model import TWO_PI, Model, check_index_range, mode_set
 from .spectral import RadialSpectrum
 
-TWO_PI = 2.0 * math.pi
 # step budget of the coupled inverse iteration: from its float64 shift it
 # took 3 steps at 66 digits, 5 at 132 and 10 at 264 (the ladder's top
 # attempt at j = 2) on the desk model

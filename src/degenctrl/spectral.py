@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import RadialGrid, RadialOperator, _frozen
+from .model import RadialGrid, RadialOperator, _frozen, check_alpha
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def bessel_oracle(alpha: float, k: int) -> np.ndarray:
     at scaled zeros of J_nu, so lam_k = ((2-alpha)/2)^2 j_{nu,k}^2. The
     zeros j_{nu,k} are mpmath's besseljzero at the working precision.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha out of range (0,1): {alpha!r}")
+    check_alpha(alpha)
     if k < 1:
         raise ConfigError("need at least one eigenvalue")
     nu = bessel_order(alpha)

@@ -1,5 +1,6 @@
 """Front-door behavior: strict configs, exit codes, manifests, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import degenctrl
-from degenctrl import ConfigError, cli
+from degenctrl import ConfigError, ModelConfig, cli
 from degenctrl.cli import main
 
 BASE = {"alpha": 0.5, "T_horizon": 1.0, "n_theta_max": 2, "n_r": 40,
@@ -202,6 +203,108 @@ def test_parse_config_accepts_finite_or_raises_config_error(
                for key, (kind, _) in cli._OPTION_SCHEMAS[command].items()
                if kind in ("reals", "ints", "intervals", "boxes")
                for x in numbers(options[key]))
+
+
+def _outcome(make):
+    try:
+        return "ok", make()
+    except ConfigError as exc:
+        return "refused", str(exc)
+
+
+# the model's own rules, which apply after the number rule has passed
+_RANGE_MESSAGES = {"T_horizon": ("T_horizon must be positive",),
+                   "n_time": ("n_time must be >= 2", "n_time too large")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.none() | st.booleans() | st.integers()
+       | st.integers(10 ** 308, 10 ** 400) | st.floats() | st.text(max_size=4)
+       | st.lists(st.integers(), max_size=2))
+def test_model_field_and_option_share_the_number_rule(drawn):
+    value = json.loads(json.dumps(drawn))   # NaN and Infinity literals too
+    for key, kind in (("T_horizon", "real"), ("n_time", "int")):
+        option = _outcome(lambda: cli._coerce(key, kind, value))
+        field = _outcome(lambda: getattr(
+            ModelConfig(**dict(BASE, **{key: value})), key))
+        if option[0] == "refused":
+            assert field == option
+            assert option[1].startswith(key) and repr(value) in option[1]
+        elif field[0] == "ok":
+            assert type(field[1]) is type(option[1])
+            assert field[1] == option[1]
+        else:
+            assert field[1].startswith(_RANGE_MESSAGES[key])
+
+
+# every size key of a command, small: a size inside numpy's index range
+# allocates for real, so the run fuzz draws sizes only from these ranges
+_SMALL_SIZES = {
+    "n_r": (-1, 24), "n_time": (-1, 8), "n_theta_max": (-1, 3),
+    "theta_quad_points": (-1, 16), "k_eigen": (-1, 12), "n_samples": (-1, 4),
+    "initial_n": (-1, 3), "initial_k": (-1, 4), "k_max": (-1, 8),
+    "j_max": (-1, 2), "subspace_k_max": (-1, 3), "max_iter": (-1, 8),
+    "n_blocks": (-1, 3), "family_size": (-1, 3), "m_max": (-1, 6),
+    "n_quad": (-1, 4), "freq_caps": (-1, 4)}
+_FUZZ_BASE = {"alpha": 0.5, "T_horizon": 1.0, "n_theta_max": 2, "n_r": 12,
+              "n_time": 6, "k_eigen": 3, "n_samples": 3, "k_max": 4,
+              "j_max": 1, "subspace_k_max": 2, "max_iter": 8, "n_blocks": 2,
+              "family_size": 2, "m_max": 4, "n_quad": 3, "freq_caps": [0, 2]}
+_STATUS = {0: ("ok",), 1: ("invariant-violation", "internal-error"),
+           2: ("config-error",), 3: ("non-convergence",)}
+
+
+def _holds_int(value) -> bool:
+    if isinstance(value, list):
+        return any(_holds_int(v) for v in value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(kind, key):
+    """Values of one option kind, sizes from their small range only."""
+    if kind == "real":
+        return st.floats(-2.0, 8.0) | st.floats()
+    if kind == "int":
+        return st.integers(*_SMALL_SIZES.get(key, (-2, 4)))
+    if kind == "str":
+        return st.sampled_from(("cos", "sin", "desk", "random", "lowpass"))
+    element, length = cli._ELEMENT_KINDS[kind]
+    return st.lists(_typed(element, key), min_size=length or 0,
+                    max_size=length or 3)
+
+
+@st.composite
+def _run_configs(draw):
+    command = draw(st.sampled_from(cli.COMMANDS))
+    kinds = {f.name: "int" if f.type is int else "real"
+             for f in dataclasses.fields(ModelConfig)}
+    kinds.update({key: kind for key, (kind, _) in
+                  cli._OPTION_SCHEMAS[command].items()}, seed="int")
+    keys = st.sampled_from(sorted(kinds))
+    payload = {k: v for k, v in _FUZZ_BASE.items() if k in kinds}
+    for key in draw(st.lists(keys, max_size=3, unique=True)):
+        payload[key] = draw(_typed(kinds[key], key))
+    if draw(st.booleans()):     # and one value of any type
+        key = draw(keys)
+        payload[key] = draw(_JSON_VALUES.filter(lambda v: not _holds_int(v))
+                            if key in _SMALL_SIZES else _JSON_VALUES)
+    return command, payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_configs())
+def test_run_always_leaves_a_truthful_manifest(tmp_path_factory, drawn):
+    command, payload = drawn
+    root = tmp_path_factory.mktemp("run")
+    config = root / "config.json"
+    config.write_text(json.dumps(payload))
+    out = root / "out"
+    code = cli.run(command, str(config), str(out))
+    assert code in _STATUS
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] in _STATUS[code]
+    listed = {a["name"] for a in manifest["artifacts"]}
+    assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
 
 
 def test_density_seq_reproduces_reference_values(tmp_path):

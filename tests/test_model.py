@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from degenctrl import (ConfigError, Field2D, ModeCoeffs, ModeIndex,
-                       ModelConfig, assemble_radial_operator, build_model,
-                       build_radial_grid, coeffs_inner, datum_family, mode_set,
-                       project_modes, radial_spectrum, synthesize_field)
+from degenctrl import (ConfigError, Field2D, InvariantError, ModeCoeffs,
+                       ModeIndex, ModelConfig, assemble_radial_operator,
+                       bessel_oracle, build_model, build_radial_grid,
+                       coeffs_inner, datum_family, mode_set, project_modes,
+                       radial_spectrum, synthesize_field)
 from degenctrl.model import angular_basis_value, field_norm2
 
 
@@ -41,6 +42,35 @@ def test_config_validation():
     cfg = ModelConfig(alpha=0.5, T_horizon=1.0, n_theta_max=2, n_r=16)
     assert cfg.grid_power == pytest.approx(2.0 / 1.5)
     assert cfg.theta_quad_points == 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]))
+def test_alpha_range_is_one_rule(alpha):
+    grid = build_radial_grid(16, 2.0)
+
+    def outcome(make):
+        # the message of a refusal, None past the range rule: an alpha
+        # within 2^-53 of 1 passes it, though its face conductances are
+        # not finite
+        try:
+            make()
+        except ConfigError as exc:
+            return str(exc)
+        except InvariantError:
+            pass
+        return None
+
+    refusals = {
+        outcome(lambda: ModelConfig(alpha=alpha, T_horizon=1.0,
+                                    n_theta_max=0, n_r=16)),
+        outcome(lambda: assemble_radial_operator(alpha, grid)),
+        outcome(lambda: bessel_oracle(alpha, 1)),
+    }
+    assert len(refusals) == 1
+    assert refusals == {None if 0.0 < alpha < 1.0
+                        else f"alpha out of range (0,1): {alpha!r}"}
 
 
 def test_constant_mode_value():
