@@ -56,28 +56,25 @@ _DEFAULT_BOXES = (((0.5, 2.0), (0.32, 0.45), (0.05, 0.45)),
 _ELEMENT_KINDS = {"reals": ("real", None), "ints": ("int", None),
                   "interval": ("real", 2), "intervals": ("interval", None),
                   "box": ("interval", 3), "boxes": ("box", None)}
+# the radial band of every command that observes or controls on one
+_BAND = {"band_a": ("real", 0.3), "band_b": ("real", 0.6)}
 _OPTION_SCHEMAS = {
     "spectrum": {"k_eigen": ("int", 5)},
     "hardy": {"n_samples": ("int", 1000)},
     "solve": {"initial_parity": ("str", "cos"), "initial_n": ("int", 0),
               "initial_k": ("int", 1), "snapshot_times": ("reals", ())},
-    "carleman": {"band_a": ("real", 0.3), "band_b": ("real", 0.6),
-                 "s_values": ("reals", ())},
+    "carleman": {**_BAND, "s_values": ("reals", ())},
     "spectral-ineq": {"freq_caps": ("ints", (0, 1, 2, 3, 4, 5, 6, 7, 8)),
                       "interval_c": ("real", 0.0),
                       "interval_d": ("real", 1.0)},
-    "observability": {"band_a": ("real", 0.3), "band_b": ("real", 0.6),
-                      "k_max": ("int", 24), "j_max": ("int", 2),
+    "observability": {**_BAND, "k_max": ("int", 24), "j_max": ("int", 2),
                       "theta_c": ("real", 0.0), "theta_d": ("real", TWO_PI),
                       "subspace_k_max": ("int", 8)},
-    "hum": {"band_a": ("real", 0.3), "band_b": ("real", 0.6),
-            "epsilon": ("real", 1e-6), "cg_tol": ("real", 1e-8),
+    "hum": {**_BAND, "epsilon": ("real", 1e-6), "cg_tol": ("real", 1e-8),
             "max_iter": ("int", 500), "initial": ("str", "desk")},
-    "lr": {"band_a": ("real", 0.3), "band_b": ("real", 0.6),
-           "tol": ("real", 1e-3), "n_blocks": ("int", 3),
+    "lr": {**_BAND, "tol": ("real", 1e-3), "n_blocks": ("int", 3),
            "initial": ("str", "lowpass")},
-    "measurable": {"boxes": ("boxes", _DEFAULT_BOXES),
-                   "band_a": ("real", 0.3), "band_b": ("real", 0.6),
+    "measurable": {"boxes": ("boxes", _DEFAULT_BOXES), **_BAND,
                    "family_size": ("int", 20),
                    "c_calib": ("real", 1.0), "h_calib": ("real", 0.5),
                    "m_max": ("int", 32), "n_quad": ("int", 16)},
@@ -197,10 +194,6 @@ def _sanitize(obj):
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return x if math.isfinite(x) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
     return obj
 
 
@@ -368,22 +361,31 @@ def _cmd_observability(out, config, options, seed):
     return ["observability.csv"]
 
 
-def _hum_initial(model, spec, kind, seed):
-    if kind == "desk":
-        data = (_eigen_datum(model, spec, "cos", 1, 1)
-                + _eigen_datum(model, spec, "sin", 2, 3))
-        return ModeCoeffs(model, data)
+def _initial_datum(model, kind, seed, kinds):
+    """hum's and lr's initial datum of a kind in kinds: desk (cos 1 on
+    radial eigenvector 1 plus sin 2 on 3), lowpass (seeded sums of the
+    first four on every mode n <= 1, unit norm) or random (seeded noise)."""
+    if kind not in kinds:
+        raise ConfigError(f"initial must be {' or '.join(map(repr, kinds))}")
+    rng = np.random.default_rng(seed)
     if kind == "random":
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal((model.n_modes, model.n_radial))
-        return ModeCoeffs(model, data)
-    raise ConfigError("initial must be 'desk' or 'random'")
+        return ModeCoeffs(model, rng.standard_normal(
+            (model.n_modes, model.n_radial)))
+    spec = radial_spectrum(model.op, min(4, model.n_radial))
+    if kind == "desk":
+        return ModeCoeffs(model, _eigen_datum(model, spec, "cos", 1, 1)
+                          + _eigen_datum(model, spec, "sin", 2, 3))
+    data = np.zeros((model.n_modes, model.n_radial))
+    for i, m in enumerate(model.modes):
+        if m.n <= 1:
+            data[i] = spec.vectors @ rng.standard_normal(spec.values.size)
+    nrm = math.sqrt(float(np.sum(model.grid.mass[None, :] * data ** 2)))
+    return ModeCoeffs(model, data / nrm)
 
 
 def _cmd_hum(out, config, options, seed):
     model = build_model(config)
-    spec = radial_spectrum(model.op, min(4, model.n_radial))
-    phi0 = _hum_initial(model, spec, options["initial"], seed)
+    phi0 = _initial_datum(model, options["initial"], seed, ("desk", "random"))
     region = BoxUnionSet.cylinder(options["band_a"], options["band_b"],
                                   config.T_horizon)
     res = hum_control(phi0, region, options["epsilon"], options["cg_tol"],
@@ -402,8 +404,10 @@ def _cmd_hum(out, config, options, seed):
     artifacts = ["hum_control.csv", "hum_summary.json"]
     if not res.converged:
         raise NonConvergenceError(
-            f"conjugate gradient stopped at residual {res.cg_residual:.3e}",
-            artifacts)
+            f"conjugate gradient stopped at residual {res.cg_residual:.3e} "
+            f"(cg_tol {options['cg_tol']:.3e}) with identity gap "
+            f"{res.identity_gap:.3e} vs allowance "
+            f"{res.identity_allowance:.3e}", artifacts)
     return artifacts
 
 
@@ -411,24 +415,8 @@ def _cmd_lr(out, config, options, seed):
     model = build_model(config)
     region = BoxUnionSet.cylinder(options["band_a"], options["band_b"],
                                   config.T_horizon)
-    if options["initial"] == "lowpass":
-        # smooth datum: low angular modes carried by low radial eigenvectors
-        rng = np.random.default_rng(seed)
-        k_low = min(4, model.n_radial)
-        spec = radial_spectrum(model.op, k_low)
-        data = np.zeros((model.n_modes, model.n_radial))
-        for i, m in enumerate(model.modes):
-            if m.n <= 1:
-                data[i] = spec.vectors @ rng.standard_normal(k_low)
-        mass = model.grid.mass
-        nrm = math.sqrt(float(np.sum(mass[None, :] * data ** 2)))
-        phi0 = ModeCoeffs(model, data / nrm)
-    elif options["initial"] == "random":
-        rng = np.random.default_rng(seed)
-        phi0 = ModeCoeffs(model, rng.standard_normal(
-            (model.n_modes, model.n_radial)))
-    else:
-        raise ConfigError("initial must be 'lowpass' or 'random'")
+    phi0 = _initial_datum(model, options["initial"], seed,
+                          ("lowpass", "random"))
     res = lr_control(phi0, region, options["tol"], options["n_blocks"])
     _write_json(out / "lr_blocks.json", {
         "boundaries": list(res.boundaries), "caps": list(res.caps),
@@ -476,11 +464,7 @@ def _cmd_measurable(out, config, options, seed):
 
 
 def _cmd_density_seq(out, config, options, seed):
-    intervals = options["e_intervals"]
-    if not all(0 <= lo < hi <= config.T_horizon for lo, hi in intervals):
-        raise ConfigError("e_intervals must hold [lo, hi] pairs "
-                          "with 0 <= lo < hi <= T_horizon")
-    slices = TimeSliceSet(threshold=0.0, intervals=intervals,
+    slices = TimeSliceSet(threshold=0.0, intervals=options["e_intervals"],
                           horizon=config.T_horizon)
     seq = density_sequence(slices, options["ell"], options["q"],
                            options["m_max"])

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, NonConvergenceError
+from .errors import ConfigError, NonConvergenceError
 from .model import (Model, ModeCoeffs, ModeIndex, RadialOperator, TimeGrid,
                     _frozen, zero_coeffs)
 from .evolution import evolve_mode, solve_adjoint, solve_forward
@@ -100,6 +100,7 @@ class HUMResult:
     control_values: np.ndarray     # (n_time, theta_quad, n_r - 1), masked
     terminal_residual: float       # || phi(T; f) ||
     identity_gap: float            # || phi(T; f) + eps yT ||
+    identity_allowance: float      # 10 cg_tol ||phi0||, the gap's bound
     iterations: int
     cg_residual: float
     residual_history: tuple
@@ -118,7 +119,11 @@ def hum_control(phi0: ModeCoeffs, region, epsilon: float,
     stops at relative residual cg_tol and flags non-convergence past
     max_iter instead of raising. Long flat stretches are normal here (the
     penalized spectrum is a quasi-continuum near eps), so only sixty
-    iterations without any envelope progress count as stagnation.
+    iterations without any envelope progress count as stagnation. A run
+    whose identity gap, the true residual phi(T; f) + eps yT = S_T phi0 +
+    (G + eps I) yT, ends above 10 cg_tol ||phi0|| is flagged too: CG's
+    recursive residual can pass a cg_tol below float64 accuracy while the
+    true one stays at round-off.
     """
     if epsilon <= 0:
         raise ConfigError("penalty must be positive")
@@ -184,10 +189,8 @@ def hum_control(phi0: ModeCoeffs, region, epsilon: float,
     terminal_residual = math.sqrt(inner(phi_t, phi_t))
     gap_vec = phi_t + epsilon * x
     identity_gap = math.sqrt(inner(gap_vec, gap_vec))
-    if converged and identity_gap > 10.0 * cg_tol * max(phi0_norm, 1e-300):
-        raise InvariantError(
-            f"penalized identity violated: gap {identity_gap:.3e} vs "
-            f"allowance {10.0 * cg_tol * phi0_norm:.3e}")
+    allowance = 10.0 * cg_tol * phi0_norm
+    converged = converged and identity_gap <= allowance
     cells = model.theta_weight * mass[None, None, :]
     cost = float(model.tgrid.dt * np.sum(field ** 2 * cells))
     ratio = (float(np.max(np.abs(field)) / phi0_norm) if phi0_norm > 0 else 0.0)
@@ -195,7 +198,8 @@ def hum_control(phi0: ModeCoeffs, region, epsilon: float,
         model=model, region=region, epsilon=float(epsilon),
         y_terminal=y_terminal, control_values=_frozen(field),
         terminal_residual=terminal_residual, identity_gap=identity_gap,
-        iterations=iterations, cg_residual=history[-1] if history else 0.0,
+        identity_allowance=allowance, iterations=iterations,
+        cg_residual=history[-1] if history else 0.0,
         residual_history=tuple(history), cost=cost, linf_ratio=ratio,
         phi0_norm=phi0_norm, converged=converged)
 

@@ -20,19 +20,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import Model, ModeCoeffs, TWO_PI, _frozen, check_index_range
-
-
-def _merge_intervals(pieces):
-    """Union of half-open-ish intervals as a sorted disjoint tuple."""
-    pieces = sorted((float(u), float(v)) for u, v in pieces if v > u)
-    out = []
-    for u, v in pieces:
-        if out and u <= out[-1][1] + 1e-15:
-            out[-1] = (out[-1][0], max(out[-1][1], v))
-        else:
-            out.append((u, v))
-    return tuple(out)
+from .model import (Model, ModeCoeffs, TWO_PI, _frozen, check_index_range,
+                    check_interval)
 
 
 def _intersect_measure(intervals, lo: float, hi: float) -> float:
@@ -43,13 +32,10 @@ def _intersect_measure(intervals, lo: float, hi: float) -> float:
 
 
 def _is_box(box) -> bool:
-    """True for three (lo, hi) pairs of real numbers."""
-    def is_pair(edge):
-        return (isinstance(edge, (list, tuple)) and len(edge) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in edge))
+    """True for three (lo, hi) pairs."""
     return (isinstance(box, (list, tuple)) and len(box) == 3
-            and all(is_pair(edge) for edge in box))
+            and all(isinstance(edge, (list, tuple)) and len(edge) == 2
+                    for edge in box))
 
 
 @dataclass(frozen=True)
@@ -57,7 +43,8 @@ class BoxUnionSet:
     """Finite union of boxes inside the torus x radial band x time slab.
 
     Boxes are ((theta0, theta1), (r0, r1), (t0, t1)) triples inside
-    bounds (0, 2pi) x (band_a, band_b) x (0, horizon). cells is the time
+    bounds (0, 2pi) x (band_a, band_b) x (0, horizon), each edge pair and
+    the band checked by model.check_interval. cells is the time
     partition: one (t0, t1, slice measure) triple between each pair of
     consecutive time edges (0, the horizon and every box time edge), on
     which the slice is constant. The total measure is exact: it sums the
@@ -76,25 +63,22 @@ class BoxUnionSet:
     def __post_init__(self):
         if not self.boxes:
             raise ConfigError("box union must contain at least one box")
-        if not (0.0 <= self.band_a < self.band_b <= 1.0):
-            raise ConfigError("radial band must satisfy 0 <= a < b <= 1")
+        a, b = check_interval("radial band", (self.band_a, self.band_b),
+                              0.0, 1.0)
+        object.__setattr__(self, "band_a", a)
+        object.__setattr__(self, "band_b", b)
         if self.horizon <= 0:
             raise ConfigError("horizon must be positive")
         clean = []
-        for box in self.boxes:
+        for i, box in enumerate(self.boxes):
             if not _is_box(box):
                 raise ConfigError(
-                    f"box must be [[theta0, theta1], [r0, r1], [t0, t1]] "
-                    f"with numbers, got {box!r}")
-            (h0, h1), (r0, r1), (t0, t1) = box
-            if not (-1e-12 <= h0 < h1 <= TWO_PI + 1e-12):
-                raise ConfigError(f"theta interval out of range: ({h0}, {h1})")
-            if not (self.band_a - 1e-12 <= r0 < r1 <= self.band_b + 1e-12):
-                raise ConfigError(f"radial interval outside the band: ({r0}, {r1})")
-            if not (-1e-12 <= t0 < t1 <= self.horizon + 1e-12):
-                raise ConfigError(f"time interval out of range: ({t0}, {t1})")
-            clean.append(((float(h0), float(h1)), (float(r0), float(r1)),
-                          (float(t0), float(t1))))
+                    f"box must be [[theta0, theta1], [r0, r1], [t0, t1]], "
+                    f"got {box!r}")
+            theta, r, t = box
+            clean.append((check_interval(f"box {i} theta", theta, 0.0, TWO_PI),
+                          check_interval(f"box {i} r", r, a, b),
+                          check_interval(f"box {i} t", t, 0.0, self.horizon)))
         object.__setattr__(self, "boxes", tuple(clean))
         edges = sorted({0.0, self.horizon}.union(
             *(times for _, _, times in clean)))
@@ -175,7 +159,8 @@ class BoxUnionSet:
 class TimeSliceSet:
     """Times where the slice of a box union is at least half its average.
 
-    intervals are stored merged and sorted, measure is their total length.
+    intervals pass model.check_interval within (0, horizon) one by one and
+    are stored merged and sorted, measure is their total length.
     """
 
     threshold: float
@@ -184,16 +169,20 @@ class TimeSliceSet:
     measure: float = field(init=False)
 
     def __post_init__(self):
-        intervals = _merge_intervals(self.intervals)
-        object.__setattr__(self, "intervals", intervals)
+        merged = []
+        for u, v in sorted(check_interval(f"time interval {i}", pair, 0.0,
+                                          self.horizon)
+                           for i, pair in enumerate(self.intervals)):
+            if merged and u <= merged[-1][1] + 1e-15:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], v))
+            else:
+                merged.append((u, v))
+        object.__setattr__(self, "intervals", tuple(merged))
         # a plain loop, since sum() rounds differently across Pythons
         total = 0.0
-        for u, v in intervals:
+        for u, v in merged:
             total += v - u
         object.__setattr__(self, "measure", total)
-        for u, v in intervals:
-            if not (-1e-12 <= u < v <= self.horizon + 1e-12):
-                raise InvariantError("slice-set interval escapes (0, T)")
 
     def measure_within(self, lo: float, hi: float) -> float:
         return _intersect_measure(self.intervals, lo, hi)
@@ -642,12 +631,10 @@ def slab_interpolation_report(phi0: ModeCoeffs, t1: float, t2: float,
     the slices. Vanishing Obs or N1 yields a degenerate report instead of
     an exponent.
     """
-    if not (0.0 <= t1 < t2 <= region.horizon + 1e-12):
-        raise ConfigError("need 0 <= t1 < t2 <= horizon")
+    t1, t2 = check_interval("slab (t1, t2)", (t1, t2), 0.0, region.horizon)
     _check_n_quad(n_quad)
-    for u, v in slices.intervals:
-        if u < t1 - 1e-12 or v > t2 + 1e-12:
-            raise ConfigError("kept time set must sit inside (t1, t2)")
+    for pair in slices.intervals:
+        check_interval("kept time interval", pair, t1, t2)
     if slices.measure < eta * (t2 - t1) - 1e-12:
         raise ConfigError(
             f"kept set too thin: measure {slices.measure:.3e} under "

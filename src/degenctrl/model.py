@@ -114,6 +114,16 @@ def integer(key: str, value) -> int:
     return value
 
 
+def check_interval(key: str, pair, low: float, high: float) -> tuple:
+    """The one range rule of an interval from outside the program: a pair
+    of real_number values, low <= lo < hi <= high up to 1e-12, as floats."""
+    lo, hi = (real_number(key, x) for x in pair)
+    if not low - 1e-12 <= lo < hi <= high + 1e-12:
+        raise ConfigError(f"{key} must satisfy {float(low)!r} <= lo < hi <= "
+                          f"{float(high)!r}, got ({lo!r}, {hi!r})")
+    return lo, hi
+
+
 def check_alpha(alpha: float):
     """Refuse a weight exponent outside the model's range (0, 1)."""
     if not 0.0 < alpha < 1.0:
@@ -221,10 +231,14 @@ class RadialOperator:
 def assemble_radial_operator(alpha: float, grid: RadialGrid) -> RadialOperator:
     check_alpha(alpha)
     full = np.concatenate(([0.0], grid.nodes, [1.0]))
-    pw = full ** (1.0 - alpha)
-    cond = (1.0 - alpha) / np.diff(pw)
-    if not np.all(np.isfinite(cond)) or not np.all(cond > 0.0):
-        raise InvariantError("non-positive face conductance")
+    gaps = np.diff(full ** (1.0 - alpha))
+    if not np.all(gaps > 0.0):   # near alpha = 1 r^(1 - alpha) rounds flat
+        raise InvariantError(
+            f"non-positive face conductance: r^(1 - alpha) at alpha {alpha!r}"
+            f" is flat across a face of the n_r = {grid.n_r} grid")
+    cond = (1.0 - alpha) / gaps
+    if not np.all(np.isfinite(cond)):
+        raise InvariantError("non-finite face conductance")
     diag = cond[:-1] + cond[1:]
     off = -cond[1:-1]
     return RadialOperator(
@@ -362,10 +376,15 @@ def build_model(config: ModelConfig) -> Model:
     theta = np.arange(q, dtype=float) * (TWO_PI / q)
     modes = mode_set(config.n_theta_max)
     basis = np.column_stack([angular_basis_value(m, theta) for m in modes])
+    try:
+        op = assemble_radial_operator(config.alpha, grid)
+    except InvariantError as exc:
+        # the grid is the config's own, so its alpha and n_r are at fault
+        raise ConfigError(str(exc)) from exc
     return Model(
         config=config,
         grid=grid,
-        op=assemble_radial_operator(config.alpha, grid),
+        op=op,
         theta_nodes=_frozen(theta),
         theta_weight=TWO_PI / q,
         modes=modes,

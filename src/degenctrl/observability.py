@@ -51,7 +51,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.lapack import dsyevr
 
 from .errors import ConfigError, InvariantError, NonConvergenceError
-from .model import TWO_PI, Model, check_index_range, mode_set
+from .model import TWO_PI, Model, check_index_range, check_interval, mode_set
 from .spectral import RadialSpectrum
 
 # step budget of the coupled inverse iteration: from its float64 shift it
@@ -109,13 +109,6 @@ class TorusGram:
     lambda_min: float
     c_emp: float           # -log(lambda_min) / max(K, 1)
     dps_used: int
-
-
-def _angular_interval(interval):
-    c, d = float(interval[0]), float(interval[1])
-    if not (0.0 <= c < d <= TWO_PI + 1e-12):
-        raise ConfigError(f"angular interval out of range: ({c}, {d})")
-    return c, d
 
 
 def _recentred(modes, c, d):
@@ -253,7 +246,7 @@ def torus_smallest_gram_eigenvalue(K: int, interval) -> TorusGram:
     """
     if K < 0:
         raise ConfigError("frequency cap K must be >= 0")
-    c, d = _angular_interval(interval)
+    c, d = check_interval("angular patch", interval, 0.0, TWO_PI)
     check_index_range("frequency cap K", (2 * K + 1, 2 * K + 1))
     n = 2 * K + 1
     w = (d - c) / 2
@@ -492,7 +485,7 @@ def truncated_observability(model: Model, spectrum: RadialSpectrum, interval,
             f"angular cap 2^{j} exceeds the retained frequencies "
             f"({model.config.n_theta_max})")
     cap = 2 ** j
-    c, d = _angular_interval(interval)
+    c, d = check_interval("angular patch", interval, 0.0, TWO_PI)
     T = model.config.T_horizon
     modes = mode_set(cap)
     dim = len(modes) * k_max

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -762,6 +763,85 @@ def test_lr_random_datum(tmp_path):
     assert [code for code, _ in runs] == [0, 0]
     first, second = ((out / "lr_blocks.json").read_bytes() for _, out in runs)
     assert first == second
+
+
+@pytest.mark.parametrize("initial, cg_tol", [("random", 1e-14),
+                                             ("desk", 1e-20)])
+def test_cg_tol_below_float64_accuracy_is_nonconvergence(tmp_path, initial,
+                                                         cg_tol):
+    # CG's recursive residual passes cg_tol, but the true residual, the
+    # identity gap, stays at round-off above its allowance
+    payload = dict(BASE, initial=initial, epsilon=1e-4, cg_tol=cg_tol)
+    code, out = _run(tmp_path, "hum", payload)
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-convergence"
+    assert [a["name"] for a in manifest["artifacts"]] == [
+        "hum_control.csv", "hum_summary.json"]
+    summary = json.loads((out / "hum_summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["cg_residual"] <= cg_tol
+    allowance = 10.0 * cg_tol * summary["phi0_norm"]
+    assert summary["identity_gap"] > allowance
+    assert (f"identity gap {summary['identity_gap']:.3e} vs allowance "
+            f"{allowance:.3e}") in manifest["error"]
+
+
+def test_cg_stagnation_is_nonconvergence(tmp_path):
+    # a random datum at epsilon 1e-8: sixty iterations leave the best
+    # residual at its start, 1.0, and CG stops there
+    payload = dict(BASE, initial="random", epsilon=1e-8, cg_tol=1e-8)
+    code, out = _run(tmp_path, "hum", payload)
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-convergence"
+    assert [a["name"] for a in manifest["artifacts"]] == [
+        "hum_control.csv", "hum_summary.json"]
+    assert "stopped at residual 1.000e+00" in manifest["error"]
+    summary = json.loads((out / "hum_summary.json").read_text())
+    assert summary["iterations"] == 60
+    assert summary["cg_residual"] == 1.0
+    assert summary["converged"] is False
+
+
+def test_initial_data_share_one_routine(tmp_path, monkeypatch):
+    # a random datum is the seeded normal draw and solves no spectrum;
+    # desk and lowpass solve the first four radial pairs once
+    solved = []
+    radial_spectrum = cli.radial_spectrum
+
+    def counted(op, k):
+        solved.append(k)
+        return radial_spectrum(op, k)
+
+    monkeypatch.setattr(cli, "radial_spectrum", counted)
+    model = cli.build_model(ModelConfig(**BASE))
+    for kind, kinds in (("random", ("desk", "random")),
+                        ("random", ("lowpass", "random"))):
+        phi0 = cli._initial_datum(model, kind, 7, kinds)
+        assert np.array_equal(phi0.data, np.random.default_rng(7)
+                              .standard_normal(phi0.data.shape))
+    assert solved == []
+    for command, extra in (("hum", {"initial": "desk", "max_iter": 1}),
+                           ("lr", {"initial": "lowpass", "n_blocks": 1})):
+        code, _ = _run(tmp_path, command, dict(BASE, **extra), out=command)
+        assert code in (0, 3)
+    assert solved == [4, 4]
+
+
+def test_alpha_next_to_one_is_config_error(tmp_path):
+    # r^(1 - alpha) rounds to one value at neighbouring nodes; refused
+    # before any division, so no numpy warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(tmp_path, "spectrum",
+                         dict(BASE, alpha=1.0 - 2.0 ** -53))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config-error"
+    assert "alpha 0.9999999999999999" in manifest["error"]
+    assert "n_r = 40" in manifest["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_malformed_box_is_config_error(tmp_path):

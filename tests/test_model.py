@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from degenctrl import (ConfigError, Field2D, InvariantError, ModeCoeffs,
-                       ModeIndex, ModelConfig, assemble_radial_operator,
-                       bessel_oracle, build_model, build_radial_grid,
-                       coeffs_inner, datum_family, mode_set, project_modes,
-                       radial_spectrum, synthesize_field)
-from degenctrl.model import angular_basis_value, field_norm2
+from degenctrl import (BoxUnionSet, ConfigError, Field2D, InvariantError,
+                       ModeCoeffs, ModeIndex, ModelConfig, TimeSliceSet,
+                       assemble_radial_operator, bessel_oracle, build_model,
+                       build_radial_grid, build_time_slices, coeffs_inner,
+                       datum_family, mode_set, project_modes,
+                       radial_spectrum, slab_interpolation_report,
+                       synthesize_field, torus_smallest_gram_eigenvalue,
+                       truncated_observability)
+from degenctrl.model import angular_basis_value, check_interval, field_norm2
 
 
 def test_mode_set_order_and_count():
@@ -71,6 +74,106 @@ def test_alpha_range_is_one_rule(alpha):
     assert len(refusals) == 1
     assert refusals == {None if 0.0 < alpha < 1.0
                         else f"alpha out of range (0,1): {alpha!r}"}
+
+
+def test_alpha_next_to_one_is_refused_by_the_grid_it_meets():
+    # r^(1 - alpha) rounds to one value at neighbouring nodes, so the
+    # threshold depends on the grid: 1 - 1e-15 builds at n_r 8 only
+    def config(alpha, n_r):
+        return ModelConfig(alpha=alpha, T_horizon=1.0, n_theta_max=0,
+                           n_r=n_r)
+
+    build_model(config(1.0 - 1e-15, 8))
+    build_model(config(1.0 - 1e-14, 40))
+    for alpha, n_r in ((1.0 - 1e-15, 40), (1.0 - 2.0 ** -53, 8)):
+        with pytest.raises(ConfigError) as refused:
+            build_model(config(alpha, n_r))
+        assert f"alpha {alpha!r}" in str(refused.value)
+        assert f"n_r = {n_r}" in str(refused.value)
+
+
+@pytest.mark.parametrize("pair, low, high, want", [
+    ((0, 1), 0.0, 1.0, (0.0, 1.0)),
+    ((-1e-12, 1.0 + 1e-12), 0.0, 1.0, (-1e-12, 1.0 + 1e-12)),
+    ([0.3, 0.45], 0.3, 0.6, (0.3, 0.45)),
+    ((-2e-12, 0.5), 0.0, 1.0, None),
+    ((0.5, 1.0 + 2e-12), 0.0, 1.0, None),
+    ((0.5, 0.5), 0.0, 1.0, None),
+    ((0.6, 0.3), 0.0, 1.0, None),
+    ((0.2, 0.45), 0.3, 0.6, None),
+])
+def test_interval_rule(pair, low, high, want):
+    if want is None:
+        with pytest.raises(ConfigError) as refused:
+            check_interval("band", pair, low, high)
+        assert str(refused.value) == (
+            f"band must satisfy {low!r} <= lo < hi <= {high!r}, "
+            f"got ({float(pair[0])!r}, {float(pair[1])!r})")
+    else:
+        got = check_interval("band", pair, low, high)
+        assert got == want
+        assert all(type(x) is float for x in got)
+
+
+@pytest.mark.parametrize("edge, message", [
+    (math.nan, "band must be a finite number, got nan"),
+    (10 ** 400, "band must be a finite number, got 1000"),
+    (True, "band must be a number, got True"),
+    ("0.5", "band must be a number, got '0.5'"),
+    (None, "band must be a number, got None"),
+])
+def test_interval_rule_takes_numbers_by_the_number_rule(edge, message):
+    for pair in ((edge, 0.5), (0.1, edge)):
+        with pytest.raises(ConfigError) as refused:
+            check_interval("band", pair, 0.0, 1.0)
+        assert str(refused.value).startswith(message)
+
+
+def test_every_interval_goes_through_the_rule():
+    # each caller of check_interval refuses the same bad pairs with the
+    # rule's own message, led by its key
+    model = build_model(ModelConfig(alpha=0.5, T_horizon=1.0, n_theta_max=2,
+                                    n_r=16, n_time=8))
+    spec = radial_spectrum(model.op, 2)
+    phi0 = ModeCoeffs(model, np.ones((model.n_modes, model.n_radial)))
+    theta, r, t = (0.5, 2.0), (0.32, 0.45), (0.05, 0.45)
+
+    def region(box=(theta, r, t), band=(0.3, 0.6)):
+        return BoxUnionSet(boxes=(box,), band_a=band[0], band_b=band[1],
+                           horizon=1.0)
+
+    def slab(t12, slices=None):
+        good = region()
+        return slab_interpolation_report(
+            phi0, *t12, slices or build_time_slices(good), good)
+
+    def callers(bad):
+        return [
+            ("radial band", lambda: region(band=bad)),
+            ("box 0 theta", lambda: region(box=(bad, r, t))),
+            ("box 0 r", lambda: region(box=(theta, bad, t))),
+            ("box 0 t", lambda: region(box=(theta, r, bad))),
+            ("time interval 1", lambda: TimeSliceSet(
+                threshold=0.0, intervals=((0.1, 0.2), bad), horizon=1.0)),
+            ("slab (t1, t2)", lambda: slab(bad)),
+            ("angular patch", lambda: torus_smallest_gram_eigenvalue(2, bad)),
+            ("angular patch", lambda: truncated_observability(
+                model, spec, bad, 0.3, 0.6, 0, k_max=2)),
+        ]
+
+    for bad, wording in (((0.6, 0.3), "must satisfy"),
+                         ((-1.0, 0.5), "must satisfy"),
+                         ((math.nan, 0.5), "must be a finite number")):
+        for key, call in callers(bad):
+            with pytest.raises(ConfigError) as refused:
+                call()
+            assert str(refused.value).startswith(f"{key} {wording}"), key
+    # the kept set of a slab must sit inside it
+    kept = TimeSliceSet(threshold=0.0, intervals=((0.3, 0.5),), horizon=1.0)
+    with pytest.raises(ConfigError) as refused:
+        slab((0.4, 0.6), kept)
+    assert str(refused.value) == ("kept time interval must satisfy 0.4 <= "
+                                  "lo < hi <= 0.6, got (0.3, 0.5)")
 
 
 def test_constant_mode_value():

@@ -350,6 +350,42 @@ def test_prolate_decay_rate_approaches_the_closed_form(width):
     assert steps[-1] > 0.98 * gamma, (steps, gamma)
 
 
+def test_gram_ladder_shape_is_flat_at_every_offset(desk_model, desk_spec):
+    # the observability op of perfbench's gram-ladder workload, band (0.3,
+    # 0.6) and k_max 3, at 20 seeded offsets of its width-0.4 patch: a
+    # rotation of the patch keeps every constant, so each j keeps its
+    # route and value (the j = 2 value is the frozen CI one, from the
+    # whole-pencil oracle)
+    frozen = ((0, "float64", 5.29464174417851, 1e-9),
+              (1, "float64", 56.46636436228079, 1e-9),
+              (2, "mp(dps=66)", 699.5375752611908, 1e-12))
+    rng = random.Random(34)
+    for _ in range(20):
+        c = rng.uniform(0.0, 2.0 * math.pi - 0.4)
+        for j, route, c_emp, rtol in frozen:
+            est = truncated_observability(desk_model, desk_spec, (c, c + 0.4),
+                                          0.3, 0.6, j, k_max=3)
+            assert est.precision == route, (c, j)
+            assert abs(est.c_emp - c_emp) <= rtol * c_emp, (c, j)
+            assert est.residual <= 1e-6, (c, j)
+
+
+def test_patch_may_start_within_the_slack(desk_model, desk_spec):
+    # the one interval rule allows 1e-12 below 0, as box edges always had
+    for start in (-1e-12, -5e-13):
+        gram = torus_smallest_gram_eigenvalue(3, (start, 1.0))
+        assert gram.lambda_min == pytest.approx(
+            torus_smallest_gram_eigenvalue(3, (0.0, 1.0)).lambda_min,
+            rel=1e-9)
+        est = truncated_observability(desk_model, desk_spec, (start, 1.0),
+                                      0.3, 0.6, 0, k_max=3)
+        assert est.c_emp == pytest.approx(truncated_observability(
+            desk_model, desk_spec, (0.0, 1.0), 0.3, 0.6, 0,
+            k_max=3).c_emp, rel=1e-9)
+    with pytest.raises(ConfigError, match="angular patch must satisfy"):
+        torus_smallest_gram_eigenvalue(3, (-2e-12, 1.0))
+
+
 @pytest.mark.parametrize("interval, k_max, force_mp", [
     ((1.0, 1.4), 3, False),           # float64 fails on its own
     ((0.0, math.pi), 2, True),
